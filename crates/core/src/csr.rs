@@ -10,7 +10,10 @@
 //! * `cells → distinct nets` (ascending, exactly the order the old
 //!   `incident_nets` sort+dedup produced), with the cell's pins on each
 //!   net packed alongside as a sub-range — so a per-net gain evaluation
-//!   touches only that net's pins instead of scanning the whole cell;
+//!   touches only that net's pins instead of scanning the whole cell.
+//!   Each pin record carries the pin's output-dependency mask
+//!   ([`CsrPin::mask`]), so the functional-replication connectivity rule
+//!   reads one word instead of the cell's adjacency matrix;
 //! * `nets → distinct cells` in **first-seen endpoint order** (driver
 //!   first, then sinks, duplicates dropped at their first occurrence) —
 //!   exactly the order the pass loops used to derive with a linear
@@ -22,25 +25,46 @@
 //! `tests/csr_differential.rs`), so the arenas encode the traversal
 //! orders, not merely the connectivity.
 
-use netpart_hypergraph::{CellId, Hypergraph, NetId, Pin};
+use netpart_hypergraph::{CellId, Hypergraph, NetId, OutputMask, Pin};
 
 /// High bit of a packed pin code: set for output pins.
 const OUT_BIT: u32 = 1 << 31;
 
-/// Packs a pin as a `u32` code (bit 31 = output, low bits = pin index).
-fn encode_pin(pin: Pin) -> u32 {
-    match pin {
-        Pin::Input(j) => u32::from(j),
-        Pin::Output(o) => OUT_BIT | u32::from(o),
-    }
+/// One pin of a `(cell, net)` group: the packed pin code (bit 31 =
+/// output, low bits = pin index) and the outputs the pin serves.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct CsrPin {
+    code: u32,
+    /// The pin's output-dependency mask: `1 << o` for output `o`; for
+    /// input `j`, the outputs that depend on it
+    /// ([`AdjacencyMatrix::input_mask`], 0 for a global input).
+    ///
+    /// [`AdjacencyMatrix::input_mask`]: netpart_hypergraph::AdjacencyMatrix::input_mask
+    pub(crate) mask: OutputMask,
 }
 
-/// Decodes a packed pin code.
-pub(crate) fn decode_pin(code: u32) -> Pin {
-    if code & OUT_BIT != 0 {
-        Pin::Output((code & !OUT_BIT) as u16)
-    } else {
-        Pin::Input(code as u16)
+impl CsrPin {
+    fn new(pin: Pin, mask: OutputMask) -> Self {
+        let code = match pin {
+            Pin::Input(j) => u32::from(j),
+            Pin::Output(o) => OUT_BIT | u32::from(o),
+        };
+        CsrPin { code, mask }
+    }
+
+    /// Returns `true` for an output (driver) pin.
+    pub(crate) fn is_output(self) -> bool {
+        self.code & OUT_BIT != 0
+    }
+
+    /// The pin this record packs.
+    #[cfg(test)]
+    fn pin(self) -> Pin {
+        if self.is_output() {
+            Pin::Output((self.code & !OUT_BIT) as u16)
+        } else {
+            Pin::Input(self.code as u16)
+        }
     }
 }
 
@@ -55,9 +79,9 @@ pub(crate) struct CsrGraph {
     /// Pin sub-range bounds per `(cell, net)` group, indexed parallel
     /// to `cell_nets` (`len = cell_nets.len() + 1`).
     group_start: Vec<u32>,
-    /// Packed pin codes ([`encode_pin`]) grouped by `(cell, net)`,
-    /// inputs before outputs in pin order within each group.
-    group_pins: Vec<u32>,
+    /// Pin records grouped by `(cell, net)`, inputs before outputs in
+    /// pin order within each group.
+    group_pins: Vec<CsrPin>,
     /// `nets → distinct cells` range bounds (`len = n_nets + 1`).
     net_cell_start: Vec<u32>,
     /// Distinct cells per net in first-seen endpoint order.
@@ -75,23 +99,32 @@ impl CsrGraph {
         cell_net_start.push(0u32);
         let mut cell_nets: Vec<NetId> = Vec::new();
         let mut group_start = vec![0u32];
-        let mut group_pins: Vec<u32> = Vec::new();
-        let mut pairs: Vec<(NetId, u32)> = Vec::new();
+        let mut group_pins: Vec<CsrPin> = Vec::new();
+        let mut pairs: Vec<(NetId, CsrPin)> = Vec::new();
         let mut max_cell_degree = 0usize;
         for c in hg.cell_ids() {
             let cell = hg.cell(c);
+            // Terminal pads never replicate, so their input masks are
+            // never read; their placeholder matrices carry no columns.
+            let input_mask = |j: usize| {
+                if cell.is_terminal() {
+                    0
+                } else {
+                    cell.adjacency().input_mask(j)
+                }
+            };
             pairs.clear();
             pairs.extend(
                 cell.input_nets()
                     .iter()
                     .enumerate()
-                    .map(|(j, &nt)| (nt, encode_pin(Pin::Input(j as u16)))),
+                    .map(|(j, &nt)| (nt, CsrPin::new(Pin::Input(j as u16), input_mask(j)))),
             );
             pairs.extend(
                 cell.output_nets()
                     .iter()
                     .enumerate()
-                    .map(|(o, &nt)| (nt, encode_pin(Pin::Output(o as u16)))),
+                    .map(|(o, &nt)| (nt, CsrPin::new(Pin::Output(o as u16), 1 << o))),
             );
             // Stable sort: within one net the pins keep cell-pin order
             // (inputs in pin order, then outputs in pin order).
@@ -147,8 +180,8 @@ impl CsrGraph {
         &self.cell_nets[s..e]
     }
 
-    /// `(net, packed pins)` groups of `c`, in ascending net order.
-    pub(crate) fn groups(&self, c: CellId) -> impl Iterator<Item = (NetId, &[u32])> + '_ {
+    /// `(net, pin records)` groups of `c`, in ascending net order.
+    pub(crate) fn groups(&self, c: CellId) -> impl Iterator<Item = (NetId, &[CsrPin])> + '_ {
         let (s, e) = (
             self.cell_net_start[c.index()] as usize,
             self.cell_net_start[c.index() + 1] as usize,
@@ -159,8 +192,8 @@ impl CsrGraph {
         })
     }
 
-    /// The packed pins of `c` on `net` (empty when not incident).
-    pub(crate) fn pins_on(&self, c: CellId, net: NetId) -> &[u32] {
+    /// The pin records of `c` on `net` (empty when not incident).
+    pub(crate) fn pins_on(&self, c: CellId, net: NetId) -> &[CsrPin] {
         let (s, e) = (
             self.cell_net_start[c.index()] as usize,
             self.cell_net_start[c.index() + 1] as usize,
@@ -239,7 +272,7 @@ mod tests {
         let csr = CsrGraph::build(&hg);
         let groups: Vec<(NetId, Vec<Pin>)> = csr
             .groups(d)
-            .map(|(nt, pins)| (nt, pins.iter().map(|&p| decode_pin(p)).collect()))
+            .map(|(nt, pins)| (nt, pins.iter().map(|p| p.pin()).collect()))
             .collect();
         assert_eq!(
             groups,
@@ -251,6 +284,29 @@ mod tests {
         assert_eq!(csr.pins_on(d, NetId(0)).len(), 2);
         assert_eq!(csr.pins_on(d, NetId(1)).len(), 1);
         assert!(csr.pins_on(d, NetId(2)).is_empty(), "not incident");
+    }
+
+    #[test]
+    fn pin_records_carry_output_masks() {
+        let (hg, pa, d) = shared_pin_graph();
+        let csr = CsrGraph::build(&hg);
+        for c in hg.cell_ids() {
+            let cell = hg.cell(c);
+            for (_, pins) in csr.groups(c) {
+                for p in pins {
+                    let want = match p.pin() {
+                        Pin::Output(o) => 1 << o,
+                        Pin::Input(_) if cell.is_terminal() => 0,
+                        Pin::Input(j) => cell.adjacency().input_mask(j as usize),
+                    };
+                    assert_eq!(p.mask, want, "cell {c} pin {:?}", p.pin());
+                }
+            }
+        }
+        // D's output depends on both inputs; the pad drives its net.
+        let masks = |c| csr.groups(c).flat_map(|(_, ps)| ps.iter().map(|p| p.mask));
+        assert_eq!(masks(d).collect::<Vec<_>>(), vec![0b1, 0b1, 0b1]);
+        assert_eq!(masks(pa).collect::<Vec<_>>(), vec![0b1]);
     }
 
     #[test]

@@ -477,8 +477,8 @@ fn run_pass_buckets(
                 let (ts, te) = range[t.index()];
                 let pins = csr.pins_on(t, nt);
                 for cd in &mut cands[ts as usize..te as usize] {
-                    cd.gain += pins_contribution(hg, t, cur_t, cd.state, pins, after)
-                        - pins_contribution(hg, t, cur_t, cd.state, pins, before[i]);
+                    cd.gain += pins_contribution(cur_t, cd.state, pins, after)
+                        - pins_contribution(cur_t, cd.state, pins, before[i]);
                 }
                 if !in_touched[t.index()] {
                     in_touched[t.index()] = true;

@@ -14,7 +14,7 @@
 //! per-move traversal walks contiguous index ranges instead of chasing
 //! the hypergraph's per-cell vectors.
 
-use crate::csr::{decode_pin, CsrGraph};
+use crate::csr::{CsrGraph, CsrPin};
 use netpart_hypergraph::{CellCopy, CellId, Hypergraph, NetId, PartId, Pin, Placement};
 use std::sync::Arc;
 
@@ -161,17 +161,8 @@ impl<'a> EngineState<'a> {
             let cs = st.state[c.index()];
             for (net, pins) in st.csr.groups(c) {
                 let nc = &mut st.counts[net.index()];
-                for &code in pins {
-                    let pin = decode_pin(code);
-                    let conn = Self::pin_conn(hg, c, cs, pin);
-                    for (side, &connected) in conn.iter().enumerate() {
-                        if connected {
-                            match pin {
-                                Pin::Output(_) => nc.drv[side] += 1,
-                                Pin::Input(_) => nc.sink[side] += 1,
-                            }
-                        }
-                    }
+                for &pin in pins {
+                    nc.reconnect(pin, [false; 2], pin_conn(cs, pin));
                 }
             }
         }
@@ -242,44 +233,6 @@ impl<'a> EngineState<'a> {
         self.csr.nets_of(c)
     }
 
-    /// Connection flags of a pin under a hypothetical state.
-    pub(crate) fn pin_conn(hg: &Hypergraph, c: CellId, state: CellState, pin: Pin) -> Conn {
-        let cell = hg.cell(c);
-        match state {
-            CellState::Single { side } => {
-                let mut conn = [false; 2];
-                conn[side as usize] = true;
-                conn
-            }
-            CellState::Traditional { .. } => [true, true],
-            CellState::Functional {
-                orig_side,
-                replica_mask,
-            } => {
-                let s = orig_side as usize;
-                let full = full_mask(cell.m_outputs());
-                let orig_mask = full & !replica_mask;
-                let mut conn = [false; 2];
-                match pin {
-                    Pin::Output(o) => {
-                        conn[s] = orig_mask & (1 << o) != 0;
-                        conn[1 - s] = replica_mask & (1 << o) != 0;
-                    }
-                    Pin::Input(j) => {
-                        let adj = cell.adjacency();
-                        let j = j as usize;
-                        if adj.is_global_input(j) {
-                            return [true, true];
-                        }
-                        conn[s] = adj.support_of_mask(orig_mask).get(j);
-                        conn[1 - s] = adj.support_of_mask(replica_mask).get(j);
-                    }
-                }
-                conn
-            }
-        }
-    }
-
     /// The paper's *criticality* of the net on pin `pin` of an
     /// unreplicated cell `c`: whether moving that single pin to the other
     /// side would change the net's cut state (used to build the `Q^I`,
@@ -348,7 +301,7 @@ impl<'a> EngineState<'a> {
         net: NetId,
         counts: ([u32; 2], [u32; 2]),
     ) -> i64 {
-        pins_contribution(self.hg, c, old, new, self.csr.pins_on(c, net), counts)
+        pins_contribution(old, new, self.csr.pins_on(c, net), counts)
     }
 
     /// The gain (objective decrease: cut plus weighted pad cost) of
@@ -358,7 +311,7 @@ impl<'a> EngineState<'a> {
         let mut gain = self.pad_cost_gain(c, old, new);
         for (net, pins) in self.csr.groups(c) {
             let nc = self.counts[net.index()];
-            gain += pins_contribution(self.hg, c, old, new, pins, (nc.sink, nc.drv));
+            gain += pins_contribution(old, new, pins, (nc.sink, nc.drv));
         }
         gain
     }
@@ -392,7 +345,6 @@ impl<'a> EngineState<'a> {
         self.pad_cost -= pad_gain;
         let ad = self.area_delta(c, new);
         let mut gain = pad_gain;
-        let hg = self.hg;
         {
             // Split borrows: walk the shared CSR groups while mutating
             // the packed counters in one flat pass per incident net.
@@ -407,18 +359,8 @@ impl<'a> EngineState<'a> {
                 let nc = &mut counts[net.index()];
                 let before = nc.is_cut();
                 let spanned = nc.spans();
-                for &code in pins {
-                    let pin = decode_pin(code);
-                    let oc = Self::pin_conn(hg, c, old, pin);
-                    let npc = Self::pin_conn(hg, c, new, pin);
-                    for side in 0..2 {
-                        let delta = i64::from(npc[side]) - i64::from(oc[side]);
-                        let slot = match pin {
-                            Pin::Output(_) => &mut nc.drv[side],
-                            Pin::Input(_) => &mut nc.sink[side],
-                        };
-                        *slot = (*slot as i64 + delta) as u32;
-                    }
+                for &pin in pins {
+                    nc.reconnect(pin, pin_conn(old, pin), pin_conn(new, pin));
                 }
                 let after = nc.is_cut();
                 *spanning =
@@ -506,6 +448,20 @@ impl NetCounts {
     fn is_cut(self) -> bool {
         cut_from(self.sink, self.drv)
     }
+
+    /// Moves one of the net's endpoints, `pin`, from its per-side
+    /// connections `old` to `new`: a driver count for an output pin, a
+    /// sink count for an input pin.
+    fn reconnect(&mut self, pin: CsrPin, old: Conn, new: Conn) {
+        let slots = if pin.is_output() {
+            &mut self.drv
+        } else {
+            &mut self.sink
+        };
+        for (slot, (o, n)) in slots.iter_mut().zip(old.into_iter().zip(new)) {
+            *slot = *slot + u32::from(n) - u32::from(o);
+        }
+    }
 }
 
 /// The uniform cut rule: some side holds a connected sink but no
@@ -514,33 +470,53 @@ fn cut_from(sc: [u32; 2], dc: [u32; 2]) -> bool {
     (0..2).any(|s| sc[s] > 0 && dc[s] == 0 && dc[1 - s] > 0)
 }
 
-/// Cut-state contribution of one net's pin group to a state change of
-/// `c`: before minus after, applying only the deltas of `pins` (packed
-/// codes of `c`'s pins on that net) to the explicit `counts`.
-pub(crate) fn pins_contribution(
-    hg: &Hypergraph,
-    c: CellId,
-    old: CellState,
-    new: CellState,
-    pins: &[u32],
-    counts: ([u32; 2], [u32; 2]),
-) -> i64 {
-    let (mut sc, mut dc) = counts;
-    let before = cut_from(sc, dc);
-    for &code in pins {
-        let pin = decode_pin(code);
-        let oc = EngineState::pin_conn(hg, c, old, pin);
-        let nc = EngineState::pin_conn(hg, c, new, pin);
-        for side in 0..2 {
-            let delta = i64::from(nc[side]) - i64::from(oc[side]);
-            let slot = match pin {
-                Pin::Output(_) => &mut dc[side],
-                Pin::Input(_) => &mut sc[side],
-            };
-            *slot = (*slot as i64 + delta) as u32;
+/// Connection flags of one pin record under `state`: `conn[s]` holds
+/// iff the copy on side `s` connects the pin (§II). A single copy
+/// connects every pin on its side and a traditional replica connects
+/// every pin on both. A functional split connects a pin on each side
+/// whose kept outputs intersect the pin's output-dependency mask —
+/// `mask & !replica_mask` on `orig_side`, `mask & replica_mask` on the
+/// other — except a global input (mask 0), which is connected on both.
+fn pin_conn(state: CellState, pin: CsrPin) -> Conn {
+    match state {
+        CellState::Single { side } => {
+            let mut conn = [false; 2];
+            conn[side as usize] = true;
+            conn
+        }
+        CellState::Traditional { .. } => [true, true],
+        CellState::Functional {
+            orig_side,
+            replica_mask,
+        } => {
+            if pin.mask == 0 {
+                return [true, true];
+            }
+            let s = orig_side as usize;
+            let mut conn = [false; 2];
+            conn[s] = pin.mask & !replica_mask != 0;
+            conn[1 - s] = pin.mask & replica_mask != 0;
+            conn
         }
     }
-    i64::from(before) - i64::from(cut_from(sc, dc))
+}
+
+/// Cut-state contribution of one net's pin group to a state change:
+/// before minus after, applying only the deltas of `pins` (the changing
+/// cell's pin records on that net) to the explicit `counts`.
+pub(crate) fn pins_contribution(
+    old: CellState,
+    new: CellState,
+    pins: &[CsrPin],
+    counts: ([u32; 2], [u32; 2]),
+) -> i64 {
+    let (sink, drv) = counts;
+    let mut nc = NetCounts { sink, drv };
+    let before = nc.is_cut();
+    for &pin in pins {
+        nc.reconnect(pin, pin_conn(old, pin), pin_conn(new, pin));
+    }
+    i64::from(before) - i64::from(nc.is_cut())
 }
 
 #[cfg(test)]
@@ -700,6 +676,50 @@ mod tests {
                 .sum();
             assert_eq!(sum, st.peek_gain(m, new));
         }
+    }
+
+    #[test]
+    fn global_input_stays_connected_on_both_copies() {
+        // G: inputs a, b, clk; X ← {a}, Y ← {b}; clk controls no output.
+        let mut b = HypergraphBuilder::new();
+        let [pa, pb, pclk] = ["a", "b", "clk"]
+            .map(|n| b.add_cell(n, CellKind::input_pad(), 0, 1, AdjacencyMatrix::pad()));
+        let g = b.add_cell(
+            "G",
+            CellKind::logic(1),
+            3,
+            2,
+            AdjacencyMatrix::from_rows(3, &[&[0], &[1]]),
+        );
+        let px = b.add_cell("X", CellKind::output_pad(), 1, 0, AdjacencyMatrix::pad());
+        let py = b.add_cell("Y", CellKind::output_pad(), 1, 0, AdjacencyMatrix::pad());
+        let [na, nb, nclk, nx, ny] = ["na", "nb", "nclk", "nx", "ny"].map(|n| b.add_net(n));
+        for (j, (net, pad)) in [(na, pa), (nb, pb), (nclk, pclk)].into_iter().enumerate() {
+            b.connect_output(net, pad, 0).unwrap();
+            b.connect_input(net, g, j).unwrap();
+        }
+        b.connect_output(nx, g, 0).unwrap();
+        b.connect_input(nx, px, 0).unwrap();
+        b.connect_output(ny, g, 1).unwrap();
+        b.connect_input(ny, py, 0).unwrap();
+        let hg = b.finish().unwrap();
+        // clk and Y on side 1, everything else on side 0.
+        let mut st = EngineState::new(&hg, &[0, 0, 1, 0, 0, 1]);
+        // The replica on side 1 keeps Y; both copies still need clk, so
+        // the original's clk sink on side 0 keeps nclk cut.
+        st.set_state(
+            g,
+            CellState::Functional {
+                orig_side: 0,
+                replica_mask: 0b10,
+            },
+        );
+        assert_eq!(st.net_side_occupancy(nclk), [1, 2]);
+        assert!(st.is_cut(nclk));
+        assert!(!st.is_cut(ny));
+        let p = st.to_placement();
+        assert_eq!(p.cut_size(&hg), st.cut());
+        assert!(st.validate());
     }
 
     #[test]

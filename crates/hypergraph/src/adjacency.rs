@@ -2,6 +2,7 @@
 //! *replication potential* `ψ` (eq. 4).
 
 use crate::bitvec::BitVec;
+use crate::placement::OutputMask;
 use std::fmt;
 
 /// The functional dependency of a cell's outputs on its inputs.
@@ -122,6 +123,33 @@ impl AdjacencyMatrix {
         acc
     }
 
+    /// The outputs input `j` controls, as an [`OutputMask`]: bit `o` is
+    /// set iff input `j` controls output `o` (column `j` of the matrix).
+    /// 0 marks a [global input](Self::is_global_input).
+    ///
+    /// A copy keeping the outputs in `mask` connects input `j` iff
+    /// `input_mask(j) & mask != 0` — the same rule as
+    /// [`support_of_mask`](Self::support_of_mask), without building the
+    /// support vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix has more than 32 outputs, or if it has
+    /// outputs and `j >= n_inputs`.
+    pub fn input_mask(&self, j: usize) -> OutputMask {
+        assert!(
+            self.rows.len() <= OutputMask::BITS as usize,
+            "cells are limited to 32 outputs"
+        );
+        let mut mask = 0;
+        for (o, row) in self.rows.iter().enumerate() {
+            if row.get(j) {
+                mask |= 1 << o;
+            }
+        }
+        mask
+    }
+
     /// Returns `true` if input `j` controls no output at all.
     ///
     /// Such "global" inputs (e.g. a clock absorbed into a sequential cell
@@ -158,19 +186,21 @@ impl AdjacencyMatrix {
         if self.m_outputs() <= 1 {
             return 0;
         }
-        // Evaluate eq. 4 literally: for each output i, count inputs adjacent
-        // to X_i and to no other output — ‖ A_Xi ∧ Π_{j≠i} ¬A_Xj ‖ — and sum.
-        let mut psi = 0;
-        for i in 0..self.m_outputs() {
-            let mut only_i = self.rows[i].clone();
-            for (j, row) in self.rows.iter().enumerate() {
-                if j != i {
-                    only_i = only_i.and(&row.complement());
+        // Summing eq. 4's ‖A_Xi ∧ Π_{j≠i} ¬A_Xj‖ over the outputs counts
+        // each input whose column holds exactly one set bit once. Count
+        // the column bits saturating at two, 64 columns per word: `once`
+        // marks columns with at least one set bit, `twice` at least two.
+        (0..self.n_inputs.div_ceil(64))
+            .map(|w| {
+                let (mut once, mut twice) = (0u64, 0u64);
+                for r in &self.rows {
+                    let bits = r.words()[w];
+                    twice |= once & bits;
+                    once |= bits;
                 }
-            }
-            psi += only_i.norm();
-        }
-        psi
+                (once & !twice).count_ones() as usize
+            })
+            .sum()
     }
 }
 
@@ -246,6 +276,34 @@ mod tests {
         );
         assert_eq!(adj.support_of_mask(0b11).norm(), 5);
         assert_eq!(adj.support_of_mask(0).norm(), 0);
+    }
+
+    #[test]
+    fn input_mask_is_the_column() {
+        // Fig. 2: a4 controls both outputs, a5 only X2.
+        let adj = AdjacencyMatrix::from_rows(6, &[&[0, 1, 2, 3], &[3, 4]]);
+        let cols: Vec<u32> = (0..6).map(|j| adj.input_mask(j)).collect();
+        assert_eq!(cols, vec![0b01, 0b01, 0b01, 0b11, 0b10, 0]);
+        assert!(adj.is_global_input(5));
+        assert_eq!(AdjacencyMatrix::full(1, 32).input_mask(0), u32::MAX);
+        assert_eq!(AdjacencyMatrix::pad().input_mask(0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "limited to 32 outputs")]
+    fn input_mask_rejects_33_outputs() {
+        AdjacencyMatrix::full(1, 33).input_mask(0);
+    }
+
+    #[test]
+    fn psi_counts_exclusive_columns_past_one_word() {
+        // 130 inputs over three words: 0..64 only X0, 64..100 X0 and X1,
+        // 100..129 only X2, 129 global.
+        let x0: Vec<usize> = (0..100).collect();
+        let x1: Vec<usize> = (64..100).collect();
+        let x2: Vec<usize> = (100..129).collect();
+        let adj = AdjacencyMatrix::from_rows(130, &[&x0, &x1, &x2]);
+        assert_eq!(adj.replication_potential(), 64 + 29);
     }
 
     #[test]

@@ -187,6 +187,12 @@ impl BitVec {
         (0..self.len).filter(move |&i| self.get(i))
     }
 
+    /// The backing words, bit `i` at bit `i % 64` of word `i / 64`; the
+    /// bits past `len` are always zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     fn mask_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {

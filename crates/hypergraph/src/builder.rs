@@ -3,6 +3,7 @@
 use crate::adjacency::AdjacencyMatrix;
 use crate::error::BuildError;
 use crate::graph::{Cell, CellId, CellKind, Endpoint, Hypergraph, Net, NetId, Pin};
+use crate::placement::OutputMask;
 
 /// Sentinel for a not-yet-connected pin during construction.
 const UNCONNECTED: NetId = NetId(u32::MAX);
@@ -150,11 +151,18 @@ impl HypergraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if any pin is dangling, any net lacks a driver, or
-    /// any adjacency matrix does not match its cell's pin counts.
+    /// Returns an error if any pin is dangling, any net lacks a driver,
+    /// any adjacency matrix does not match its cell's pin counts, or any
+    /// cell has more outputs than an [`OutputMask`] can address.
     pub fn finish(self) -> Result<Hypergraph, BuildError> {
         for (i, c) in self.cells.iter().enumerate() {
             let id = CellId(i as u32);
+            if c.outputs.len() > OutputMask::BITS as usize {
+                return Err(BuildError::TooManyOutputs {
+                    cell: id,
+                    outputs: c.outputs.len(),
+                });
+            }
             // Terminal pads carry no dependency information; their
             // placeholder matrix (`AdjacencyMatrix::pad()`) is exempt.
             if !c.kind.is_terminal()
@@ -276,6 +284,38 @@ mod tests {
         assert_eq!(
             b.finish().unwrap_err(),
             BuildError::AdjacencyShapeMismatch(g)
+        );
+    }
+
+    /// A pad-fed cell with `m` outputs, every output on its own net.
+    fn wide_cell(m: usize) -> Result<Hypergraph, BuildError> {
+        let mut b = HypergraphBuilder::new();
+        let pi = b.add_cell("pi", CellKind::input_pad(), 0, 1, AdjacencyMatrix::pad());
+        let g = b.add_cell("g", CellKind::logic(1), 1, m, AdjacencyMatrix::full(1, m));
+        let n = b.add_net("n");
+        b.connect_output(n, pi, 0)?;
+        b.connect_input(n, g, 0)?;
+        for o in 0..m {
+            let x = b.add_net(format!("x{o}"));
+            b.connect_output(x, g, o)?;
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn output_count_limited_to_an_output_mask() {
+        assert_eq!(wide_cell(32).unwrap().cell(CellId(1)).m_outputs(), 32);
+        let err = wide_cell(33).unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::TooManyOutputs {
+                cell: CellId(1),
+                outputs: 33
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "cell c1 has 33 outputs (at most 32 supported)"
         );
     }
 

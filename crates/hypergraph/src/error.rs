@@ -40,6 +40,14 @@ pub enum BuildError {
     },
     /// A cell's adjacency matrix does not match its pin counts.
     AdjacencyShapeMismatch(CellId),
+    /// A cell has more outputs than an
+    /// [`OutputMask`](crate::OutputMask) can address (32).
+    TooManyOutputs {
+        /// The offending cell.
+        cell: CellId,
+        /// Its output count.
+        outputs: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -60,6 +68,12 @@ impl fmt::Display for BuildError {
             }
             BuildError::AdjacencyShapeMismatch(c) => {
                 write!(f, "adjacency matrix shape mismatch on cell {c}")
+            }
+            BuildError::TooManyOutputs { cell, outputs } => {
+                write!(
+                    f,
+                    "cell {cell} has {outputs} outputs (at most 32 supported)"
+                )
             }
         }
     }
@@ -87,6 +101,10 @@ mod tests {
                 pin: Pin::Output(0),
             },
             BuildError::AdjacencyShapeMismatch(CellId(0)),
+            BuildError::TooManyOutputs {
+                cell: CellId(0),
+                outputs: 33,
+            },
         ];
         for e in errs {
             let msg = e.to_string();

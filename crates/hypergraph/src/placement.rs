@@ -35,8 +35,10 @@ impl fmt::Display for PartId {
 
 /// A bitmask over a cell's output pins (bit `o` ⇔ output `o`).
 ///
-/// Cells participating in replication are limited to 32 outputs; XC3000
-/// CLBs have at most 2.
+/// Cells are limited to 32 outputs ([`HypergraphBuilder::finish`]
+/// rejects wider ones); XC3000 CLBs have at most 2.
+///
+/// [`HypergraphBuilder::finish`]: crate::HypergraphBuilder::finish
 pub type OutputMask = u32;
 
 /// One copy of a cell: the part it sits in and the outputs it keeps.
