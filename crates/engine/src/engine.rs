@@ -3,8 +3,7 @@
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::portfolio::{
-    bipartition_key, kway_key, portfolio_bipartition_ml_traced, portfolio_kway_ml_traced,
-    with_multilevel_key, KWayPortfolioResult, PortfolioResult,
+    self, bipartition_key, kway_key, with_multilevel_key, KWayPortfolioResult, PortfolioResult,
 };
 use netpart_core::{
     par_refine_sides, BipartitionConfig, BipartitionResult, EngineState, KWayConfig,
@@ -85,10 +84,19 @@ impl Engine {
     }
 
     /// Attaches a telemetry recorder: portfolio runs launched through
-    /// this engine emit their deterministic trace into it (see
-    /// [`portfolio_bipartition_traced`](crate::portfolio_bipartition_traced)),
-    /// and cache lookups emit
-    /// `engine.cache` hit/miss events.
+    /// this engine emit their deterministic trace into it, and cache
+    /// lookups emit `engine.cache` hit/miss events.
+    ///
+    /// Per-unit events (FM pass trajectories, run summaries, carve
+    /// diagnostics) are buffered on each worker and **replayed into the
+    /// recorder in ascending start/task order after the join**, so the
+    /// deterministic part of the trace is identical at every `jobs`
+    /// level (wall-budgeted runs excepted — which units survive a
+    /// mid-flight deadline is timing-dependent, exactly as for
+    /// results). Live scheduling events (claims, worker summaries) go
+    /// straight to the recorder under the reserved
+    /// [`TIMING_SCOPE`](netpart_obs::TIMING_SCOPE) and are dropped by
+    /// determinism checks.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
@@ -123,10 +131,32 @@ impl Engine {
         }
     }
 
-    /// Runs (or serves from cache) a multi-start bipartition portfolio;
-    /// see [`portfolio_bipartition`](crate::portfolio_bipartition) for
-    /// semantics and errors. The second return value is `true` on a
-    /// cache hit.
+    /// Runs (or serves from cache) a multi-start bipartition portfolio:
+    /// `n` seeded starts (seeds `base.seed + 0..n`) across this engine's
+    /// worker threads, with the winner reduced in fixed seed order. The
+    /// second return value is `true` on a cache hit.
+    ///
+    /// `base.budget.wall_ms` bounds the *whole portfolio* via a deadline
+    /// shared by every worker; `base.budget.max_moves` and `base.fault`
+    /// apply to each start individually (a shared move pool would make
+    /// the recorded set depend on thread interleaving). The first start
+    /// runs without the wall deadline, so a usable solution exists
+    /// whenever one is reachable at all, and a zero budget records
+    /// exactly that start at every `jobs` level. A balanced zero-cut
+    /// start ends the portfolio early: later starts can at best tie.
+    ///
+    /// With [`with_multilevel`](Self::with_multilevel), every start
+    /// coarsens, partitions the coarsest graph with its derived seed
+    /// and refines up; seeds and the reduction are unchanged.
+    ///
+    /// # Errors
+    ///
+    /// * [`PartitionError::InvalidInput`] if `n == 0`, `n` exceeds the
+    ///   2³¹-start cap, or the hypergraph has no cells.
+    /// * [`PartitionError::BudgetExhausted`] if the budget (or a worker
+    ///   fault) tripped before any recorded run achieved balance.
+    /// * [`PartitionError::InfeasibleLibrary`] if every recorded run
+    ///   completed but none satisfied the area bounds.
     pub fn bipartition_many(
         &self,
         hg: &Hypergraph,
@@ -134,24 +164,44 @@ impl Engine {
         n: usize,
     ) -> Result<(Arc<PortfolioResult>, bool), PartitionError> {
         let ml = self.multilevel.as_ref();
-        let _span = Span::enter(self.recorder.as_ref(), "engine", "bipartition");
+        let recorder = self.recorder.as_ref();
+        let _span = Span::enter(recorder, "engine", "bipartition");
+        let run = || portfolio::bipartition(hg, base, n, self.jobs, ml, recorder);
         if !self.cache_enabled {
-            return portfolio_bipartition_ml_traced(hg, base, n, self.jobs, ml, &self.recorder)
-                .map(|r| (Arc::new(r), false));
+            return run().map(|r| (Arc::new(r), false));
         }
         let key = with_multilevel_key(bipartition_key(hg, base, n), ml);
-        let out = self.bipartitions.try_get_or_compute(key, || {
-            portfolio_bipartition_ml_traced(hg, base, n, self.jobs, ml, &self.recorder)
-        });
+        let out = self.bipartitions.try_get_or_compute(key, run);
         if let Ok((_, hit)) = &out {
             self.record_cache("bipartition", *hit);
         }
         out
     }
 
-    /// Runs (or serves from cache) a k-way carving portfolio; see
-    /// [`portfolio_kway`](crate::portfolio_kway) for semantics and
-    /// errors. The second return value is `true` on a cache hit.
+    /// Runs (or serves from cache) a k-way carving portfolio: `tasks`
+    /// independent carving tasks (seed `cfg.seed + t`, candidate and
+    /// attempt pools split `div_ceil(tasks)`) across this engine's
+    /// worker threads, with the cheapest feasible result reduced in
+    /// fixed task order by `(total cost, average IOB utilization, task
+    /// index)`. The second return value is `true` on a cache hit.
+    ///
+    /// Escalation is two-phase: every task first runs with the ladder
+    /// *disabled* — a sibling's feasible result makes climbing
+    /// unnecessary, and racy ladder climbs would be
+    /// interleaving-dependent. Only when *no* task finds anything
+    /// feasible (and no budget or fault tripped) does a rescue phase
+    /// re-run the tasks with the full ladder enabled. The task set
+    /// depends only on `(cfg, tasks)`, so for a fixed `tasks` the
+    /// reduction is identical at every `jobs` level. Budgets follow
+    /// [`bipartition_many`](Self::bipartition_many): a shared wall
+    /// deadline that task 0 does not carry, per-task move limits.
+    ///
+    /// # Errors
+    ///
+    /// Mirrors [`kway_partition`](netpart_core::kway_partition):
+    /// [`PartitionError::InvalidInput`] for `tasks == 0` (or past the
+    /// 2³¹ cap) and invalid circuits, budget exhaustion before any
+    /// feasible result, or infeasibility after the rescue phase.
     pub fn kway(
         &self,
         hg: &Hypergraph,
@@ -159,15 +209,14 @@ impl Engine {
         tasks: usize,
     ) -> Result<(Arc<KWayPortfolioResult>, bool), PartitionError> {
         let ml = self.multilevel.as_ref();
-        let _span = Span::enter(self.recorder.as_ref(), "engine", "kway");
+        let recorder = self.recorder.as_ref();
+        let _span = Span::enter(recorder, "engine", "kway");
+        let run = || portfolio::kway(hg, cfg, tasks, self.jobs, ml, recorder);
         if !self.cache_enabled {
-            return portfolio_kway_ml_traced(hg, cfg, tasks, self.jobs, ml, &self.recorder)
-                .map(|r| (Arc::new(r), false));
+            return run().map(|r| (Arc::new(r), false));
         }
         let key = with_multilevel_key(kway_key(hg, cfg, tasks), ml);
-        let out = self.kways.try_get_or_compute(key, || {
-            portfolio_kway_ml_traced(hg, cfg, tasks, self.jobs, ml, &self.recorder)
-        });
+        let out = self.kways.try_get_or_compute(key, run);
         if let Ok((_, hit)) = &out {
             self.record_cache("kway", *hit);
         }

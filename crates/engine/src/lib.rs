@@ -1,5 +1,5 @@
 //! Parallel portfolio search engine: deterministic multi-threaded
-//! multi-start partitioning with a shared incumbent and result cache.
+//! multi-start partitioning with a result cache.
 //!
 //! The paper's quality numbers come from *portfolios* — many randomized
 //! FM starts (Table III runs 20 per circuit) and many k-way carve
@@ -7,20 +7,21 @@
 //! embarrassingly parallel *if* the reduction is kept deterministic.
 //! This crate fans those units of work across `std::thread` workers
 //! while guaranteeing that `--jobs N` reduces to the identical best
-//! solution as `--jobs 1` for a fixed seed:
+//! solution as `--jobs 1` for a fixed seed. [`Engine`] is the one
+//! request surface: [`Engine::bipartition_many`] for FM starts,
+//! [`Engine::kway`] for k-way carving tasks.
 //!
-//! * work is claimed from an ascending counter and reduced in **fixed
-//!   seed order** (lowest `(cost, index)`), never arrival order — see
-//!   [`portfolio_bipartition`] / [`portfolio_kway`];
-//! * a shared [`Incumbent`] (one atomic `fetch_min`, interleaving
-//!   -independent by construction) lets workers skip provably useless
-//!   work and gates the k-way escalation ladder behind a rescue phase;
+//! * one executor runs both kinds of unit: work is claimed from an
+//!   ascending counter and reduced in **fixed seed order** (lowest
+//!   `(cost, index)`), never arrival order;
+//! * a balanced zero-cut start sets a shared perfect flag that skips
+//!   the provably useless starts after it, and the k-way escalation
+//!   ladder runs only in a rescue phase when no task is feasible;
 //! * the shared wall deadline and [`CancelToken`](netpart_core::CancelToken)
 //!   integrate with the core's `RunClock`/`Degradation` machinery, so a
 //!   tripped budget drains every worker and still returns best-so-far;
 //! * an in-memory [`ResultCache`] keyed by stable [`ContentHash`]
-//!   digests answers repeated requests in O(1) — the [`Engine`] facade
-//!   wires it all together.
+//!   digests answers repeated requests in O(1).
 //!
 //! Everything here is std-only: no registry dependencies, per the
 //! workspace's hermetic-build policy.
@@ -31,15 +32,12 @@
 mod cache;
 mod engine;
 mod hash;
-mod incumbent;
 mod portfolio;
 
 pub use cache::{CacheStats, ResultCache};
 pub use engine::Engine;
 pub use hash::{combine, ContentHash, Fnv1a};
-pub use incumbent::Incumbent;
 pub use portfolio::{
-    bipartition_key, kway_key, portfolio_bipartition, portfolio_bipartition_ml_traced,
-    portfolio_bipartition_traced, portfolio_kway, portfolio_kway_ml_traced, portfolio_kway_traced,
-    with_multilevel_key, KWayPortfolioResult, PortfolioResult, StartResult, WorkerStats,
+    bipartition_key, kway_key, with_multilevel_key, KWayPortfolioResult, PortfolioResult,
+    StartResult, WorkerStats,
 };

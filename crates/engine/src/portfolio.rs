@@ -1,54 +1,49 @@
 //! The deterministic parallel portfolio: multi-start FM and k-way
-//! carving fanned across `std::thread` workers.
+//! carving fanned across `std::thread` workers by one executor.
 //!
 //! # Determinism model
 //!
 //! Every unit of work (a *start*: one seeded bipartition, or one k-way
 //! carving *task*) is atomic — it either runs to completion and is
-//! recorded, or it is excluded entirely. Workers claim starts from an
-//! ascending atomic counter, so start `i` always begins no later than
-//! any start `j > i` is claimed; results land in index-addressed slots
+//! recorded, or it is excluded entirely. Workers claim units from an
+//! ascending atomic counter, so unit `i` always begins no later than
+//! any unit `j > i` is claimed; results land in index-addressed slots
 //! and the winner is reduced in **fixed seed order** (lowest `(cost,
 //! index)` wins), never in arrival order. Three consequences:
 //!
-//! * **Fault-free, unbudgeted runs** record all `n` starts and are
+//! * **Fault-free, unbudgeted runs** record all `n` units and are
 //!   byte-identical for every `--jobs` level: the recorded set and the
 //!   reduction are both independent of thread interleaving.
 //! * **Zero-wall-budget runs** record exactly the guaranteed first
-//!   start (whose clock carries no deadline) at every `--jobs` level —
+//!   unit (whose clock carries no deadline) at every `--jobs` level —
 //!   degraded, and still byte-identical.
 //! * **Mid-flight wall trips** are inherently timing-dependent: which
-//!   starts finished before the deadline varies. The engine still
-//!   guarantees that every *recorded* start is bitwise-deterministic
-//!   (per-start clocks, no shared move pool) and that the reduction
+//!   units finished before the deadline varies. The engine still
+//!   guarantees that every *recorded* unit is bitwise-deterministic
+//!   (per-unit clocks, no shared move pool) and that the reduction
 //!   over the recorded set follows fixed seed order — the strongest
 //!   guarantee a physical clock allows.
 //!
-//! The shared [`Incumbent`] prunes only on *perfect* (zero-cost)
-//! incumbents: the claim counter is ascending, so when start `j`
-//! publishes cost 0 every unclaimed index exceeds `j` and can at best
-//! tie — and ties break toward the lower index. Recorded results above
-//! the perfect index are discarded after the join, making even the
-//! early-exit set identical across `--jobs` levels.
+//! A balanced zero-cut start sets a shared *perfect* flag, the only
+//! bound the executor prunes on: the claim counter is ascending, so
+//! when start `j` reaches cut 0 every unclaimed index exceeds `j` and
+//! can at best tie — and ties break toward the lower index. Recorded
+//! results above the perfect index are discarded after the join,
+//! making even the early-exit set identical across `--jobs` levels.
 
 use crate::hash::{ContentHash, Fnv1a};
-use crate::incumbent::Incumbent;
 use netpart_core::{
     kway_partition_with_clock, run_start, BipartitionConfig, BipartitionResult, Budget,
-    CancelToken, Degradation, KWayConfig, KWayResult, PartitionError, RunClock, StopReason,
+    CancelToken, Degradation, FaultPlan, KWayConfig, KWayResult, PartitionError, RunClock,
+    StopReason,
 };
 use netpart_hypergraph::Hypergraph;
 use netpart_multilevel::{ml_kway_partition_with_clock, ml_run_start, MultilevelConfig};
-use netpart_obs::{BufferRecorder, Event, Level, NoopRecorder, Recorder, Span, TIMING_SCOPE};
+use netpart_obs::{BufferRecorder, Event, Level, Recorder, Span, TIMING_SCOPE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// A shareable no-op recorder for the untraced entry points.
-fn noop_recorder() -> Arc<dyn Recorder> {
-    Arc::new(NoopRecorder)
-}
 
 /// Emits the scheduling-timeline claim event for one worker picking up
 /// one unit of work. Reserved-scope: stripped whole-line by determinism
@@ -93,7 +88,7 @@ pub struct WorkerStats {
     /// Wall time spent inside starts, in milliseconds.
     pub wall_ms: u64,
     /// Times this worker stopped early — a shared-deadline or
-    /// cancellation skip, an incumbent cutoff, or an injected worker
+    /// cancellation skip, a perfect-cut cutoff, or an injected worker
     /// fault.
     pub cutoff_hits: u64,
 }
@@ -107,7 +102,7 @@ pub struct StartResult {
     pub result: BipartitionResult,
 }
 
-/// The outcome of [`portfolio_bipartition`].
+/// The outcome of [`Engine::bipartition_many`](crate::Engine::bipartition_many).
 #[derive(Clone, Debug)]
 pub struct PortfolioResult {
     /// Recorded starts in ascending index order. Truncated (cancelled
@@ -218,17 +213,8 @@ impl PortfolioResult {
     }
 }
 
-/// What one worker decided about one claimed start.
-enum StartOutcome {
-    /// Ran to completion (or deterministic per-start truncation):
-    /// recorded.
-    Recorded(BipartitionResult),
-    /// Truncated by the shared deadline or a cancellation: excluded.
-    Truncated,
-}
-
-/// Caps the packable start index (the [`Incumbent`] packs indices into
-/// 32 bits).
+/// Caps the unit count of one request: the executor allocates a result
+/// slot per unit up front.
 const MAX_STARTS: usize = u32::MAX as usize >> 1;
 
 fn shared_deadline(budget: &Budget) -> Option<Instant> {
@@ -237,65 +223,282 @@ fn shared_deadline(budget: &Budget) -> Option<Instant> {
         .map(|ms| Instant::now() + Duration::from_millis(ms))
 }
 
-/// Runs `n` seeded bipartition starts (seeds `base.seed + 0..n`) across
-/// `jobs` worker threads and reduces the winner in fixed seed order.
-///
-/// `base.budget.wall_ms` bounds the *whole portfolio* via a deadline
-/// shared by every worker; `base.budget.max_moves` and `base.fault`
-/// apply to each start individually (a shared move pool would make the
-/// recorded set depend on thread interleaving). The first start runs
-/// without the wall deadline, so a usable solution exists whenever one
-/// is reachable at all — the same guarantee
-/// [`run_many`](netpart_core::run_many) makes.
-///
-/// # Errors
-///
-/// * [`PartitionError::InvalidInput`] if `n == 0`, `n` exceeds the
-///   2³¹-start cap, or the hypergraph has no cells.
-/// * [`PartitionError::BudgetExhausted`] if the budget (or a worker
-///   fault) tripped before any recorded run achieved balance.
-/// * [`PartitionError::InfeasibleLibrary`] if every recorded run
-///   completed but none satisfied the area bounds.
-pub fn portfolio_bipartition(
-    hg: &Hypergraph,
-    base: &BipartitionConfig,
-    n: usize,
-    jobs: usize,
-) -> Result<PortfolioResult, PartitionError> {
-    portfolio_bipartition_traced(hg, base, n, jobs, &noop_recorder())
+/// How the executor books one finished unit.
+#[derive(Default)]
+struct Verdict {
+    /// Record the unit's output for the reduction.
+    keep: bool,
+    /// A budget tripped inside the unit.
+    budget: bool,
+    /// An injected fault tripped inside the unit.
+    fault: bool,
+    /// The shared wall deadline tripped: cancel the siblings.
+    wall_trip: bool,
+    /// The unit stopped early.
+    cutoff: bool,
+    /// No later unit can beat this one: skip every unclaimed index.
+    perfect: bool,
+    /// FM passes to credit to the worker.
+    passes: u64,
 }
 
-/// [`portfolio_bipartition`] with telemetry: per-start events (FM pass
-/// trajectories, run summaries) are buffered on each worker and
-/// **replayed into `recorder` in ascending start order after the
-/// join**, so the deterministic part of the trace is identical at every
-/// `jobs` level. Live scheduling events (claims, worker summaries) go
-/// straight to the recorder under the reserved
-/// [`TIMING_SCOPE`] and are dropped by determinism checks.
-pub fn portfolio_bipartition_traced(
-    hg: &Hypergraph,
-    base: &BipartitionConfig,
-    n: usize,
-    jobs: usize,
-    recorder: &Arc<dyn Recorder>,
-) -> Result<PortfolioResult, PartitionError> {
-    portfolio_bipartition_ml_traced(hg, base, n, jobs, None, recorder)
+/// One kind of portfolio work: bipartition [`Start`]s or k-way
+/// [`Task`]s.
+trait Unit: Sync {
+    type Out: Send;
+
+    /// Runs unit `i` against its own clock.
+    fn run(&self, i: usize, clock: &RunClock) -> Self::Out;
+
+    /// Books a finished unit. `deadline_stop` is true when a budget stop
+    /// can only have come from the shared wall deadline: the unit is not
+    /// the deadline-free first one, and it did not reach the move limit
+    /// (`tick_move` checks the move limit first, so a move-limit trip
+    /// always shows the full count).
+    fn verdict(&self, out: &Self::Out, clock: &RunClock, deadline_stop: bool) -> Verdict;
 }
 
-/// [`portfolio_bipartition_traced`] with an optional multilevel
-/// V-cycle wrapped around every start: each start coarsens, partitions
-/// the coarsest graph with its derived seed, and refines up —
-/// [`ml_run_start`] derives seeds exactly like the flat
-/// [`run_start`], so the claim/record/reduce machinery (and with it
-/// jobs-invariance) is untouched. `ml = None` (or an `ml` whose chain
-/// comes up empty for this circuit) is the flat portfolio verbatim.
-pub fn portfolio_bipartition_ml_traced(
+/// What one executor call leaves for the reduction.
+struct Executed<T> {
+    /// `(index, output, buffered events)` of every kept unit, in
+    /// ascending index order.
+    kept: Vec<(usize, T, Vec<Event>)>,
+    workers: Vec<WorkerStats>,
+    budget_seen: bool,
+    fault_seen: bool,
+}
+
+/// A unit's output and buffered events, once a worker keeps it.
+type Slot<T> = Mutex<Option<(T, Vec<Event>)>>;
+
+/// The state the workers of one executor call share.
+struct Executor<'a, U: Unit> {
+    unit: &'a U,
+    per_unit: Budget,
+    fault: &'a FaultPlan,
+    deadline: Option<Instant>,
+    recorder: &'a dyn Recorder,
+    cancel: CancelToken,
+    next: AtomicUsize,
+    budget_seen: AtomicBool,
+    fault_seen: AtomicBool,
+    perfect: AtomicBool,
+    slots: Vec<Slot<U::Out>>,
+}
+
+/// Runs units `0..n` across `jobs` workers and collects the kept ones.
+///
+/// `max_moves` and `fault` apply to each unit individually (a shared
+/// move pool would make the recorded set depend on thread
+/// interleaving); `deadline` is shared by every unit but the first,
+/// which runs without it so a usable solution exists whenever one is
+/// reachable at all. Each unit's events are buffered and returned for
+/// the caller to replay in index order.
+fn execute<U: Unit>(
+    unit: &U,
+    n: usize,
+    jobs: usize,
+    max_moves: Option<u64>,
+    fault: &FaultPlan,
+    deadline: Option<Instant>,
+    recorder: &dyn Recorder,
+) -> Executed<U::Out> {
+    let ex = Executor {
+        unit,
+        per_unit: Budget {
+            wall_ms: None,
+            max_moves,
+        },
+        fault,
+        deadline,
+        recorder,
+        cancel: CancelToken::new(),
+        next: AtomicUsize::new(0),
+        budget_seen: AtomicBool::new(false),
+        fault_seen: AtomicBool::new(false),
+        perfect: AtomicBool::new(false),
+        slots: (0..n).map(|_| Mutex::new(None)).collect(),
+    };
+    let workers = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs.clamp(1, n))
+            .map(|w| {
+                let ex = &ex;
+                scope.spawn(move || ex.work(w))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_default())
+            .collect()
+    });
+    let kept = ex
+        .slots
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, slot)| {
+            let (out, events) = slot.into_inner().unwrap_or_else(PoisonError::into_inner)?;
+            Some((i, out, events))
+        })
+        .collect();
+    Executed {
+        kept,
+        workers,
+        budget_seen: ex.budget_seen.into_inner(),
+        fault_seen: ex.fault_seen.into_inner(),
+    }
+}
+
+impl<U: Unit> Executor<'_, U> {
+    /// One worker: claims units in ascending order until the counter
+    /// runs out, a sibling cancels, or the worker dies.
+    fn work(&self, w: usize) -> WorkerStats {
+        // Worker lifecycle span: presence and interleaving depend on
+        // scheduling, so it rides the reserved timing scope and is
+        // stripped whole-line.
+        let _worker_span = Span::enter_with(self.recorder, TIMING_SCOPE, "worker", "worker", w);
+        let mut stats = WorkerStats {
+            worker: w,
+            ..WorkerStats::default()
+        };
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.slots.len() {
+                break;
+            }
+            record_claim(self.recorder, w, i);
+            if i > 0 {
+                if self.perfect.load(Ordering::Acquire) || self.cancel.is_cancelled() {
+                    stats.cutoff_hits += 1;
+                    break;
+                }
+                if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                    self.budget_seen.store(true, Ordering::Release);
+                    self.cancel.cancel();
+                    stats.cutoff_hits += 1;
+                    break;
+                }
+            }
+            if self.fault.kill_start == Some(i as u64) {
+                // The worker "dies" before running the unit; the unit
+                // is lost, siblings carry on.
+                self.fault_seen.store(true, Ordering::Release);
+                stats.cutoff_hits += 1;
+                break;
+            }
+            let buffer = Arc::new(BufferRecorder::mirroring(self.recorder));
+            let clock = if i == 0 {
+                RunClock::with_shared(&self.per_unit, self.fault, None, None)
+            } else {
+                let cancel = Some(self.cancel.clone());
+                RunClock::with_shared(&self.per_unit, self.fault, self.deadline, cancel)
+            }
+            .with_recorder(buffer.clone());
+            let run_t0 = Instant::now();
+            let panic_here = self.fault.panic_in_worker == Some(i as u64);
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                assert!(!panic_here, "injected worker panic at unit {i}");
+                self.unit.run(i, &clock)
+            }));
+            stats.moves += clock.moves();
+            stats.wall_ms += run_t0.elapsed().as_millis() as u64;
+            let Ok(out) = out else {
+                // A panicking worker thread is dead; the portfolio
+                // records the loss and joins cleanly.
+                self.fault_seen.store(true, Ordering::Release);
+                stats.cutoff_hits += 1;
+                break;
+            };
+            stats.starts += 1;
+            let deadline_stop = self.deadline.is_some()
+                && i > 0
+                && self.per_unit.max_moves.is_none_or(|m| clock.moves() < m);
+            let v = self.unit.verdict(&out, &clock, deadline_stop);
+            stats.passes += v.passes;
+            stats.cutoff_hits += u64::from(v.cutoff);
+            if v.budget {
+                self.budget_seen.store(true, Ordering::Release);
+            }
+            if v.fault {
+                self.fault_seen.store(true, Ordering::Release);
+            }
+            if v.wall_trip {
+                self.cancel.cancel();
+            }
+            if v.perfect {
+                self.perfect.store(true, Ordering::Release);
+            }
+            if v.keep {
+                if let Ok(mut slot) = self.slots[i].lock() {
+                    *slot = Some((out, buffer.take()));
+                }
+            }
+        }
+        record_worker(self.recorder, &stats);
+        stats
+    }
+}
+
+/// Bipartition start `i`: seed `base.seed + i`, optionally wrapped in
+/// the multilevel V-cycle ([`ml_run_start`] derives seeds exactly like
+/// the flat [`run_start`]).
+struct Start<'a> {
+    hg: &'a Hypergraph,
+    base: &'a BipartitionConfig,
+    ml: Option<&'a MultilevelConfig>,
+}
+
+impl Unit for Start<'_> {
+    type Out = BipartitionResult;
+
+    fn run(&self, i: usize, clock: &RunClock) -> BipartitionResult {
+        match self.ml {
+            Some(m) => ml_run_start(self.hg, self.base, m, i as u64, clock),
+            None => run_start(self.hg, self.base, i as u64, clock),
+        }
+    }
+
+    fn verdict(&self, res: &BipartitionResult, _: &RunClock, deadline_stop: bool) -> Verdict {
+        // Multilevel refine passes do not tick the clock: credit the
+        // result's own count.
+        let passes = res.passes as u64;
+        match res.stop {
+            // Shared-deadline or cancellation truncation is
+            // interleaving-dependent: excluded.
+            StopReason::BudgetExhausted if deadline_stop => Verdict {
+                budget: true,
+                wall_trip: true,
+                cutoff: true,
+                passes,
+                ..Verdict::default()
+            },
+            StopReason::Cancelled => Verdict {
+                cutoff: true,
+                passes,
+                ..Verdict::default()
+            },
+            // Per-start move budgets and fault plans trip at
+            // deterministic points: recorded.
+            stop => Verdict {
+                keep: true,
+                budget: stop == StopReason::BudgetExhausted,
+                fault: stop == StopReason::FaultInjected,
+                perfect: res.balanced && res.cut == 0,
+                passes,
+                ..Verdict::default()
+            },
+        }
+    }
+}
+
+/// Runs the bipartition portfolio behind
+/// [`Engine::bipartition_many`](crate::Engine::bipartition_many).
+pub(crate) fn bipartition(
     hg: &Hypergraph,
     base: &BipartitionConfig,
     n: usize,
     jobs: usize,
     ml: Option<&MultilevelConfig>,
-    recorder: &Arc<dyn Recorder>,
+    recorder: &dyn Recorder,
 ) -> Result<PortfolioResult, PartitionError> {
     if n == 0 {
         return Err(PartitionError::invalid_input(
@@ -314,181 +517,28 @@ pub fn portfolio_bipartition_ml_traced(
     }
     let t0 = Instant::now();
     let jobs = jobs.clamp(1, n);
+    let start = Start { hg, base, ml };
     let deadline = shared_deadline(&base.budget);
-    // Per-start budgets carry the move limit but not the wall limit
-    // (the wall limit became the shared deadline above).
-    let per_start = Budget {
-        wall_ms: None,
-        max_moves: base.budget.max_moves,
-    };
-    let cancel = CancelToken::new();
-    let incumbent = Incumbent::new();
-    let next = AtomicUsize::new(0);
-    let budget_seen = AtomicBool::new(false);
-    let fault_seen = AtomicBool::new(false);
-    type BipartitionSlot = Option<(StartOutcome, Vec<Event>)>;
-    let slots: Vec<Mutex<BipartitionSlot>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let ex = execute(
+        &start,
+        n,
+        jobs,
+        base.budget.max_moves,
+        &base.fault,
+        deadline,
+        recorder,
+    );
 
-    let workers: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let cancel = cancel.clone();
-                let (incumbent, next, slots) = (&incumbent, &next, &slots);
-                let (budget_seen, fault_seen) = (&budget_seen, &fault_seen);
-                let per_start = &per_start;
-                let recorder = &recorder;
-                scope.spawn(move || {
-                    // Worker lifecycle span: presence and interleaving
-                    // depend on scheduling, so it rides the reserved
-                    // timing scope and is stripped whole-line.
-                    let _worker_span =
-                        Span::enter_with(recorder.as_ref(), TIMING_SCOPE, "worker", "worker", w);
-                    let mut stats = WorkerStats {
-                        worker: w,
-                        ..WorkerStats::default()
-                    };
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        record_claim(recorder.as_ref(), w, i);
-                        if i > 0 {
-                            // A perfect incumbent makes every unclaimed
-                            // (higher) index provably useless.
-                            if incumbent.is_perfect() {
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                            if cancel.is_cancelled() {
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                            if deadline.is_some_and(|d| Instant::now() >= d) {
-                                budget_seen.store(true, Ordering::Release);
-                                cancel.cancel();
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                        }
-                        if base.fault.kill_start == Some(i as u64) {
-                            // The worker "dies" before running the start;
-                            // the start is lost, siblings carry on.
-                            fault_seen.store(true, Ordering::Release);
-                            stats.cutoff_hits += 1;
-                            break;
-                        }
-                        let buffer: Arc<BufferRecorder> =
-                            Arc::new(BufferRecorder::mirroring(recorder.as_ref()));
-                        let clock = if i == 0 {
-                            RunClock::with_shared(per_start, &base.fault, None, None)
-                        } else {
-                            RunClock::with_shared(
-                                per_start,
-                                &base.fault,
-                                deadline,
-                                Some(cancel.clone()),
-                            )
-                        }
-                        .with_recorder(buffer.clone());
-                        let run_t0 = Instant::now();
-                        let panic_here = base.fault.panic_in_worker == Some(i as u64);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            assert!(!panic_here, "injected worker panic at start {i}");
-                            match ml {
-                                Some(m) => ml_run_start(hg, base, m, i as u64, &clock),
-                                None => run_start(hg, base, i as u64, &clock),
-                            }
-                        }));
-                        stats.moves += clock.moves();
-                        stats.wall_ms += run_t0.elapsed().as_millis() as u64;
-                        let res = match outcome {
-                            Ok(res) => res,
-                            Err(_) => {
-                                // A panicking worker thread is dead; the
-                                // portfolio records the loss and joins
-                                // cleanly.
-                                fault_seen.store(true, Ordering::Release);
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                        };
-                        stats.passes += res.passes as u64;
-                        stats.starts += 1;
-                        // A BudgetExhausted stop can come from the shared
-                        // wall deadline (interleaving-dependent) or the
-                        // per-start move limit (deterministic); tell them
-                        // apart by whether the move limit was reached —
-                        // `tick_move` checks the move limit first, so a
-                        // move-limit trip always shows the full count.
-                        let wall_trip = res.stop == StopReason::BudgetExhausted
-                            && deadline.is_some()
-                            && i > 0
-                            && per_start.max_moves.is_none_or(|m| clock.moves() < m);
-                        let outcome = match res.stop {
-                            // Shared-deadline or cancellation truncation
-                            // is interleaving-dependent: exclude (except
-                            // the guaranteed first start, which carries
-                            // neither).
-                            StopReason::BudgetExhausted if wall_trip => {
-                                budget_seen.store(true, Ordering::Release);
-                                cancel.cancel();
-                                stats.cutoff_hits += 1;
-                                StartOutcome::Truncated
-                            }
-                            StopReason::Cancelled => {
-                                stats.cutoff_hits += 1;
-                                StartOutcome::Truncated
-                            }
-                            stop => {
-                                // Per-start move budgets and fault plans
-                                // trip at deterministic points: recorded.
-                                if stop == StopReason::BudgetExhausted {
-                                    budget_seen.store(true, Ordering::Release);
-                                }
-                                if stop == StopReason::FaultInjected {
-                                    fault_seen.store(true, Ordering::Release);
-                                }
-                                if res.balanced {
-                                    incumbent.offer(res.cut as u64, i);
-                                }
-                                StartOutcome::Recorded(res)
-                            }
-                        };
-                        if let Ok(mut slot) = slots[i].lock() {
-                            *slot = Some((outcome, buffer.take()));
-                        }
-                    }
-                    record_worker(recorder.as_ref(), &stats);
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-
-    // Deterministic reduction in fixed seed order.
-    let mut recorded: Vec<(StartResult, Vec<Event>)> = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let outcome = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((StartOutcome::Recorded(result), events)) = outcome {
-            recorded.push((StartResult { index: i, result }, events));
-        }
-    }
     // Discard anything past a perfect winner, so the early-exit set is
     // jobs-invariant (starts past the winner were provably useless).
+    let mut recorded = ex.kept;
     let perfect_cutoff = recorded
         .iter()
-        .find(|(s, _)| s.result.balanced && s.result.cut == 0)
-        .map(|(s, _)| s.index);
+        .find(|(_, r, _)| r.balanced && r.cut == 0)
+        .map(|&(i, _, _)| i);
     let requested = match perfect_cutoff {
         Some(j) => {
-            recorded.retain(|(s, _)| s.index <= j);
+            recorded.retain(|&(i, _, _)| i <= j);
             recorded.len()
         }
         None => n,
@@ -508,40 +558,40 @@ pub fn portfolio_bipartition_ml_traced(
     }
     let mut incumbent_cut: Option<usize> = None;
     let mut results: Vec<StartResult> = Vec::with_capacity(recorded.len());
-    for (s, events) in recorded {
+    for (index, result, events) in recorded {
         if recorder.enabled(Level::Info) {
             recorder.record(
                 &Event::new("portfolio", "start", Level::Info)
-                    .field("index", s.index)
-                    .field("cut", s.result.cut)
-                    .field("balanced", s.result.balanced)
-                    .field("replicated", s.result.replicated_cells)
-                    .field("passes", s.result.passes)
-                    .field("stop", format!("{:?}", s.result.stop)),
+                    .field("index", index)
+                    .field("cut", result.cut)
+                    .field("balanced", result.balanced)
+                    .field("replicated", result.replicated_cells)
+                    .field("passes", result.passes)
+                    .field("stop", format!("{:?}", result.stop)),
             );
         }
         for e in &events {
             recorder.record(e);
         }
-        if s.result.balanced && incumbent_cut.is_none_or(|c| s.result.cut < c) {
-            incumbent_cut = Some(s.result.cut);
+        if result.balanced && incumbent_cut.is_none_or(|c| result.cut < c) {
+            incumbent_cut = Some(result.cut);
             if recorder.enabled(Level::Info) {
                 recorder.record(
                     &Event::new("portfolio", "incumbent", Level::Info)
-                        .field("index", s.index)
-                        .field("cut", s.result.cut),
+                        .field("index", index)
+                        .field("cut", result.cut),
                 );
-                recorder.record(&Event::gauge("portfolio", "best_cut", s.result.cut as f64));
+                recorder.record(&Event::gauge("portfolio", "best_cut", result.cut as f64));
             }
         }
-        results.push(s);
+        results.push(StartResult { index, result });
     }
 
     let degradation = Degradation {
         requested,
         completed: results.len(),
-        budget_exhausted: budget_seen.load(Ordering::Acquire),
-        fault_injected: fault_seen.load(Ordering::Acquire),
+        budget_exhausted: ex.budget_seen,
+        fault_injected: ex.fault_seen,
         relaxations: Vec::new(),
     };
     let best_pos = results
@@ -571,7 +621,7 @@ pub fn portfolio_bipartition_ml_traced(
             results,
             best_pos,
             degradation,
-            workers,
+            workers: ex.workers,
             wall: t0.elapsed(),
         }),
         None if degradation.budget_exhausted || degradation.fault_injected => {
@@ -594,7 +644,7 @@ pub fn portfolio_bipartition_ml_traced(
     }
 }
 
-/// The outcome of [`portfolio_kway`].
+/// The outcome of [`Engine::kway`](crate::Engine::kway).
 #[derive(Clone, Debug)]
 pub struct KWayPortfolioResult {
     /// The winning task's result (reduced by `(total cost, average IOB
@@ -606,8 +656,8 @@ pub struct KWayPortfolioResult {
     pub tasks: usize,
     /// Tasks that produced a feasible result.
     pub feasible_tasks: usize,
-    /// Whether the escalation rescue phase (see below) produced the
-    /// winner.
+    /// Whether the escalation rescue phase (see
+    /// [`Engine::kway`](crate::Engine::kway)) produced the winner.
     pub rescued: bool,
     /// Per-worker statistics, indexed by worker.
     pub workers: Vec<WorkerStats>,
@@ -618,225 +668,78 @@ pub struct KWayPortfolioResult {
 impl KWayPortfolioResult {
     /// Serializes the winning task's result as an independently
     /// checkable certificate. `cfg` is the base configuration handed to
-    /// [`portfolio_kway`]; the certificate is stamped with the winning
-    /// task's derived seed and embeds the library the winner was
-    /// actually judged against (floor-relaxed if escalation relaxed it).
+    /// [`Engine::kway`](crate::Engine::kway); the certificate is stamped
+    /// with the winning task's derived seed and embeds the library the
+    /// winner was actually judged against (floor-relaxed if escalation
+    /// relaxed it).
     pub fn certificate(
         &self,
         hg: &Hypergraph,
         cfg: &KWayConfig,
     ) -> netpart_verify::SolutionCertificate {
-        self.result.certificate(
-            hg,
-            &cfg.library,
-            cfg.seed.wrapping_add(self.winner as u64),
-        )
+        self.result
+            .certificate(hg, &cfg.library, cfg.seed.wrapping_add(self.winner as u64))
     }
 }
 
-/// The task-local configuration of k-way portfolio task `t` of `tasks`:
-/// a derived seed and a proportional share of the candidate/attempt
-/// pools. Depends only on `(cfg, t, tasks)` — never on `jobs` — so the
-/// task set is identical at every thread count.
-fn kway_task_config(cfg: &KWayConfig, t: usize, tasks: usize, escalate: bool) -> KWayConfig {
-    let mut task = cfg.clone();
-    task.seed = cfg.seed.wrapping_add(t as u64);
-    task.candidates = cfg.candidates.div_ceil(tasks).max(1);
-    task.max_attempts = cfg.max_attempts.div_ceil(tasks).max(1);
-    task.escalate = escalate;
-    task
-}
-
-struct KWayPhaseOutcome {
-    results: Vec<(usize, KWayResult)>,
-    errors: Vec<(usize, PartitionError)>,
-    /// Buffered per-task telemetry, `(task, events)`, for every task
-    /// whose slot was filled — replayed by the caller in task order.
-    events: Vec<(usize, Vec<Event>)>,
-    workers: Vec<WorkerStats>,
-    budget_seen: bool,
-    fault_seen: bool,
-}
-
-/// Runs every task of one phase across `jobs` workers. Task 0 runs
-/// without the shared wall deadline (the first-start guarantee); the
-/// rest drain through it and the cancel token.
-#[allow(clippy::too_many_arguments)]
-fn kway_phase(
-    hg: &Hypergraph,
-    cfg: &KWayConfig,
+/// K-way task `t` of `tasks`: a derived seed and a proportional share
+/// of the candidate/attempt pools. The task configuration depends only
+/// on `(cfg, t, tasks)` — never on `jobs` — so the task set is
+/// identical at every thread count.
+struct Task<'a> {
+    hg: &'a Hypergraph,
+    cfg: &'a KWayConfig,
     tasks: usize,
-    jobs: usize,
     escalate: bool,
-    ml: Option<&MultilevelConfig>,
-    deadline: Option<Instant>,
-    recorder: &Arc<dyn Recorder>,
-) -> KWayPhaseOutcome {
-    let per_task = Budget {
-        wall_ms: None,
-        max_moves: cfg.budget.max_moves,
-    };
-    let cancel = CancelToken::new();
-    let next = AtomicUsize::new(0);
-    let budget_seen = AtomicBool::new(false);
-    let fault_seen = AtomicBool::new(false);
-    type KWaySlot = Option<(Result<KWayResult, PartitionError>, Vec<Event>)>;
-    let slots: Vec<Mutex<KWaySlot>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    ml: Option<&'a MultilevelConfig>,
+}
 
-    let workers: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs.clamp(1, tasks))
-            .map(|w| {
-                let cancel = cancel.clone();
-                let (next, slots) = (&next, &slots);
-                let (budget_seen, fault_seen) = (&budget_seen, &fault_seen);
-                let per_task = &per_task;
-                let recorder = &recorder;
-                scope.spawn(move || {
-                    // Worker lifecycle span: presence and interleaving
-                    // depend on scheduling, so it rides the reserved
-                    // timing scope and is stripped whole-line.
-                    let _worker_span =
-                        Span::enter_with(recorder.as_ref(), TIMING_SCOPE, "worker", "worker", w);
-                    let mut stats = WorkerStats {
-                        worker: w,
-                        ..WorkerStats::default()
-                    };
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks {
-                            break;
-                        }
-                        record_claim(recorder.as_ref(), w, t);
-                        if t > 0 {
-                            if cancel.is_cancelled() {
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                            if deadline.is_some_and(|d| Instant::now() >= d) {
-                                budget_seen.store(true, Ordering::Release);
-                                cancel.cancel();
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                        }
-                        if cfg.fault.kill_start == Some(t as u64) {
-                            fault_seen.store(true, Ordering::Release);
-                            stats.cutoff_hits += 1;
-                            break;
-                        }
-                        let task_cfg = kway_task_config(cfg, t, tasks, escalate);
-                        let buffer: Arc<BufferRecorder> =
-                            Arc::new(BufferRecorder::mirroring(recorder.as_ref()));
-                        let clock = if t == 0 {
-                            RunClock::with_shared(per_task, &cfg.fault, None, None)
-                        } else {
-                            RunClock::with_shared(
-                                per_task,
-                                &cfg.fault,
-                                deadline,
-                                Some(cancel.clone()),
-                            )
-                        }
-                        .with_recorder(buffer.clone());
-                        let run_t0 = Instant::now();
-                        let panic_here = cfg.fault.panic_in_worker == Some(t as u64);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            assert!(!panic_here, "injected worker panic at task {t}");
-                            match ml {
-                                Some(m) => ml_kway_partition_with_clock(hg, &task_cfg, m, &clock),
-                                None => kway_partition_with_clock(hg, &task_cfg, &clock),
-                            }
-                        }));
-                        stats.moves += clock.moves();
-                        stats.wall_ms += run_t0.elapsed().as_millis() as u64;
-                        let res = match outcome {
-                            Ok(res) => res,
-                            Err(_) => {
-                                fault_seen.store(true, Ordering::Release);
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                        };
-                        stats.starts += 1;
-                        // Like the bipartition phase: a per-task move
-                        // limit trips at a deterministic point, so
-                        // sibling tasks (which carry their own limits)
-                        // must still run for jobs-level invariance —
-                        // only the interleaving-dependent shared wall
-                        // deadline cancels them. `tick_move` checks the
-                        // move limit first, so a move-limit trip always
-                        // shows the full count.
-                        let wall_trip = deadline.is_some()
-                            && t > 0
-                            && per_task.max_moves.is_none_or(|m| clock.moves() < m);
-                        match &res {
-                            Ok(r) => {
-                                if r.degradation.budget_exhausted {
-                                    budget_seen.store(true, Ordering::Release);
-                                    if wall_trip {
-                                        cancel.cancel();
-                                    }
-                                }
-                                if r.degradation.fault_injected {
-                                    fault_seen.store(true, Ordering::Release);
-                                }
-                            }
-                            Err(PartitionError::BudgetExhausted { budget, .. }) => {
-                                stats.cutoff_hits += 1;
-                                if budget == "injected fault" {
-                                    fault_seen.store(true, Ordering::Release);
-                                } else {
-                                    budget_seen.store(true, Ordering::Release);
-                                    if wall_trip {
-                                        cancel.cancel();
-                                    }
-                                }
-                            }
-                            Err(_) => {}
-                        }
-                        if let Ok(mut slot) = slots[t].lock() {
-                            *slot = Some((res, buffer.take()));
-                        }
-                    }
-                    record_worker(recorder.as_ref(), &stats);
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
+impl Unit for Task<'_> {
+    type Out = Result<KWayResult, PartitionError>;
 
-    let mut results = Vec::new();
-    let mut errors = Vec::new();
-    let mut events = Vec::new();
-    for (t, slot) in slots.into_iter().enumerate() {
-        match slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some((Ok(r), evs)) => {
-                results.push((t, r));
-                events.push((t, evs));
-            }
-            Some((Err(e), evs)) => {
-                errors.push((t, e));
-                events.push((t, evs));
-            }
-            None => {}
+    fn run(&self, t: usize, clock: &RunClock) -> Self::Out {
+        let mut cfg = self.cfg.clone();
+        cfg.seed = self.cfg.seed.wrapping_add(t as u64);
+        cfg.candidates = self.cfg.candidates.div_ceil(self.tasks).max(1);
+        cfg.max_attempts = self.cfg.max_attempts.div_ceil(self.tasks).max(1);
+        cfg.escalate = self.escalate;
+        match self.ml {
+            Some(m) => ml_kway_partition_with_clock(self.hg, &cfg, m, clock),
+            None => kway_partition_with_clock(self.hg, &cfg, clock),
         }
     }
-    KWayPhaseOutcome {
-        results,
-        errors,
-        events,
-        workers,
-        budget_seen: budget_seen.load(Ordering::Acquire),
-        fault_seen: fault_seen.load(Ordering::Acquire),
+
+    fn verdict(&self, res: &Self::Out, clock: &RunClock, deadline_stop: bool) -> Verdict {
+        // Every finished task is kept: a per-task move limit trips at a
+        // deterministic point, and only the shared wall deadline
+        // cancels the siblings.
+        let mut v = Verdict {
+            keep: true,
+            passes: clock.passes(),
+            ..Verdict::default()
+        };
+        match res {
+            Ok(r) => {
+                v.budget = r.degradation.budget_exhausted;
+                v.fault = r.degradation.fault_injected;
+                v.wall_trip = v.budget && deadline_stop;
+            }
+            Err(PartitionError::BudgetExhausted { budget, .. }) => {
+                v.cutoff = true;
+                if budget == "injected fault" {
+                    v.fault = true;
+                } else {
+                    v.budget = true;
+                    v.wall_trip = deadline_stop;
+                }
+            }
+            Err(_) => {}
+        }
+        v
     }
 }
+
+type TaskOutcome = (usize, Result<KWayResult, PartitionError>, Vec<Event>);
 
 fn merge_worker_stats(into: &mut Vec<WorkerStats>, from: Vec<WorkerStats>) {
     for f in from {
@@ -851,33 +754,6 @@ fn merge_worker_stats(into: &mut Vec<WorkerStats>, from: Vec<WorkerStats>) {
             None => into.push(f),
         }
     }
-}
-
-/// Runs `tasks` independent k-way carving tasks (derived seeds, split
-/// candidate pools) across `jobs` workers and reduces the cheapest
-/// feasible result in fixed task order.
-///
-/// Escalation is two-phase: every task first runs with the ladder
-/// *disabled* — a sibling's feasible result (the shared incumbent of
-/// this portfolio) makes climbing unnecessary, and racy ladder climbs
-/// would be interleaving-dependent. Only when *no* task finds anything
-/// feasible (and no budget tripped) does a rescue phase re-run the
-/// tasks with the full ladder enabled. The task set depends only on
-/// `(cfg, tasks)`, so for a fixed `tasks` the reduction is identical at
-/// every `jobs` level.
-///
-/// # Errors
-///
-/// Mirrors [`kway_partition`](netpart_core::kway_partition): invalid
-/// input, budget exhaustion before any feasible result, or
-/// infeasibility after the rescue phase.
-pub fn portfolio_kway(
-    hg: &Hypergraph,
-    cfg: &KWayConfig,
-    tasks: usize,
-    jobs: usize,
-) -> Result<KWayPortfolioResult, PartitionError> {
-    portfolio_kway_traced(hg, cfg, tasks, jobs, &noop_recorder())
 }
 
 /// A short deterministic label for a task's typed error, for trace
@@ -897,33 +773,32 @@ fn error_label(e: &PartitionError) -> &'static str {
 /// running best improves. Returns with `incumbent` updated.
 fn replay_kway_phase(
     recorder: &dyn Recorder,
-    phase: &KWayPhaseOutcome,
+    phase: &[TaskOutcome],
     phase_name: &'static str,
     lib: &netpart_fpga::DeviceLibrary,
     incumbent: &mut Option<(u64, f64)>,
 ) {
-    for (t, events) in &phase.events {
+    for (t, res, events) in phase {
         if recorder.enabled(Level::Info) {
             let mut e = Event::new("portfolio", "task", Level::Info)
                 .field("task", *t)
                 .field("phase", phase_name);
-            if let Some((_, r)) = phase.results.iter().find(|(rt, _)| rt == t) {
-                e = e
+            e = match res {
+                Ok(r) => e
                     .field("status", "ok")
                     .field("cost", r.evaluation.total_cost)
                     .field("kbar", r.evaluation.avg_iob_util)
                     .field("k", r.evaluation.k())
                     .field("attempts", r.attempts)
-                    .field("feasible", r.feasible_found);
-            } else if let Some((_, err)) = phase.errors.iter().find(|(et, _)| et == t) {
-                e = e.field("status", error_label(err));
-            }
+                    .field("feasible", r.feasible_found),
+                Err(err) => e.field("status", error_label(err)),
+            };
             recorder.record(&e);
         }
         for ev in events {
             recorder.record(ev);
         }
-        if let Some((_, r)) = phase.results.iter().find(|(rt, _)| rt == t) {
+        if let Ok(r) = res {
             let key = (r.evaluation.total_cost, r.evaluation.avg_iob_util);
             if incumbent.is_none_or(|best| key < best) {
                 *incumbent = Some(key);
@@ -942,34 +817,14 @@ fn replay_kway_phase(
     }
 }
 
-/// [`portfolio_kway`] with telemetry, under the same replay contract as
-/// [`portfolio_bipartition_traced`]: per-task events are buffered on
-/// the workers and replayed in ascending task order after each phase
-/// joins, so fixed-seed traces are identical at every `jobs` level
-/// (wall-budgeted runs excepted — which tasks survive a mid-flight
-/// deadline is inherently timing-dependent, exactly as for results).
-pub fn portfolio_kway_traced(
-    hg: &Hypergraph,
-    cfg: &KWayConfig,
-    tasks: usize,
-    jobs: usize,
-    recorder: &Arc<dyn Recorder>,
-) -> Result<KWayPortfolioResult, PartitionError> {
-    portfolio_kway_ml_traced(hg, cfg, tasks, jobs, None, recorder)
-}
-
-/// [`portfolio_kway_traced`] with an optional multilevel V-cycle
-/// wrapped around every carving task (see
-/// [`portfolio_bipartition_ml_traced`]). `ml = None` is the flat
-/// portfolio verbatim; task seeding, phases and the reduction are
-/// identical either way.
-pub fn portfolio_kway_ml_traced(
+/// Runs the k-way portfolio behind [`Engine::kway`](crate::Engine::kway).
+pub(crate) fn kway(
     hg: &Hypergraph,
     cfg: &KWayConfig,
     tasks: usize,
     jobs: usize,
     ml: Option<&MultilevelConfig>,
-    recorder: &Arc<dyn Recorder>,
+    recorder: &dyn Recorder,
 ) -> Result<KWayPortfolioResult, PartitionError> {
     if tasks == 0 {
         return Err(PartitionError::invalid_input(
@@ -983,7 +838,24 @@ pub fn portfolio_kway_ml_traced(
     }
     let t0 = Instant::now();
     let deadline = shared_deadline(&cfg.budget);
-    let mut workers = Vec::new();
+    let phase = |escalate: bool| {
+        let task = Task {
+            hg,
+            cfg,
+            tasks,
+            escalate,
+            ml,
+        };
+        execute(
+            &task,
+            tasks,
+            jobs,
+            cfg.budget.max_moves,
+            &cfg.fault,
+            deadline,
+            recorder,
+        )
+    };
 
     if recorder.enabled(Level::Info) {
         recorder.record(
@@ -995,42 +867,42 @@ pub fn portfolio_kway_ml_traced(
         );
     }
     let mut incumbent: Option<(u64, f64)> = None;
-    let phase_a = kway_phase(hg, cfg, tasks, jobs, false, ml, deadline, recorder);
-    replay_kway_phase(
-        recorder.as_ref(),
-        &phase_a,
-        "base",
-        &cfg.library,
-        &mut incumbent,
-    );
-    let mut budget_seen = phase_a.budget_seen;
-    let mut fault_seen = phase_a.fault_seen;
-    let mut errors = phase_a.errors;
-    let mut picked = phase_a.results;
-    let mut rescued = false;
-    merge_worker_stats(&mut workers, phase_a.workers);
+    let base = phase(false);
+    replay_kway_phase(recorder, &base.kept, "base", &cfg.library, &mut incumbent);
+    let mut budget_seen = base.budget_seen;
+    let mut fault_seen = base.fault_seen;
+    let mut workers = base.workers;
+    let mut last = base.kept;
 
-    if picked.is_empty() && !budget_seen && !fault_seen && cfg.escalate {
-        // Rescue phase: nothing feasible anywhere — climb the ladder.
-        rescued = true;
+    // Rescue phase: nothing feasible anywhere — climb the ladder.
+    let feasible = last.iter().any(|(_, r, _)| r.is_ok());
+    let rescued = !feasible && !budget_seen && !fault_seen && cfg.escalate;
+    if rescued {
         if recorder.enabled(Level::Info) {
             recorder.record(&Event::new("portfolio", "rescue", Level::Info).field("tasks", tasks));
         }
-        let phase_b = kway_phase(hg, cfg, tasks, jobs, true, ml, deadline, recorder);
+        let rescue = phase(true);
         replay_kway_phase(
-            recorder.as_ref(),
-            &phase_b,
+            recorder,
+            &rescue.kept,
             "rescue",
             &cfg.library,
             &mut incumbent,
         );
-        budget_seen |= phase_b.budget_seen;
-        fault_seen |= phase_b.fault_seen;
-        errors = phase_b.errors;
-        picked = phase_b.results;
-        merge_worker_stats(&mut workers, phase_b.workers);
+        budget_seen |= rescue.budget_seen;
+        fault_seen |= rescue.fault_seen;
+        merge_worker_stats(&mut workers, rescue.workers);
+        last = rescue.kept;
     }
 
+    let mut picked = Vec::new();
+    let mut errors = Vec::new();
+    for (t, res, _) in last {
+        match res {
+            Ok(r) => picked.push((t, r)),
+            Err(e) => errors.push(e),
+        }
+    }
     let feasible_tasks = picked.len();
     let winner = picked.into_iter().min_by(|(ta, a), (tb, b)| {
         (a.evaluation.total_cost, a.evaluation.avg_iob_util, *ta)
@@ -1083,16 +955,16 @@ pub fn portfolio_kway_ml_traced(
             // shared InfeasibleLibrary verdict), or synthesize one.
             let attempts: usize = errors
                 .iter()
-                .map(|(_, e)| match e {
+                .map(|e| match e {
                     PartitionError::InfeasibleLibrary { attempts, .. } => *attempts,
                     _ => 0,
                 })
                 .sum();
             match errors.into_iter().next() {
-                Some((_, PartitionError::InfeasibleLibrary { reason, .. })) => {
+                Some(PartitionError::InfeasibleLibrary { reason, .. }) => {
                     Err(PartitionError::InfeasibleLibrary { reason, attempts })
                 }
-                Some((_, e)) => Err(e),
+                Some(e) => Err(e),
                 None => Err(PartitionError::InfeasibleLibrary {
                     reason: "every portfolio task was lost before completing".into(),
                     attempts: 0,

@@ -7,12 +7,15 @@
 //! and once with `--test-threads=1`, as a loom-free cross-check that no
 //! test depends on incidental scheduling.
 
-use netpart_core::{run_many, BipartitionConfig, Budget, KWayConfig, ReplicationMode};
-use netpart_engine::{portfolio_bipartition, portfolio_kway, Engine};
+use netpart_core::{
+    run_many, BipartitionConfig, Budget, KWayConfig, PartitionError, ReplicationMode,
+};
+use netpart_engine::{Engine, KWayPortfolioResult, PortfolioResult};
 use netpart_fpga::DeviceLibrary;
 use netpart_hypergraph::Hypergraph;
 use netpart_netlist::{generate, GeneratorConfig};
 use netpart_techmap::{map, MapperConfig};
+use std::sync::Arc;
 
 fn mapped(gates: usize, dffs: usize, seed: u64) -> Hypergraph {
     let nl = generate(&GeneratorConfig::new(gates).with_dff(dffs).with_seed(seed));
@@ -23,17 +26,37 @@ fn mapped(gates: usize, dffs: usize, seed: u64) -> Hypergraph {
 
 const JOBS_LEVELS: [usize; 3] = [1, 2, 8];
 
+fn bipartition(
+    hg: &Hypergraph,
+    cfg: &BipartitionConfig,
+    n: usize,
+    jobs: usize,
+) -> Result<Arc<PortfolioResult>, PartitionError> {
+    Engine::new(jobs)
+        .bipartition_many(hg, cfg, n)
+        .map(|(r, _)| r)
+}
+
+fn kway(
+    hg: &Hypergraph,
+    cfg: &KWayConfig,
+    tasks: usize,
+    jobs: usize,
+) -> Result<Arc<KWayPortfolioResult>, PartitionError> {
+    Engine::new(jobs).kway(hg, cfg, tasks).map(|(r, _)| r)
+}
+
 #[test]
 fn bipartition_portfolio_is_jobs_invariant() {
     let hg = mapped(300, 20, 2);
     let cfg = BipartitionConfig::equal(&hg, 0.1)
         .with_seed(10)
         .with_replication(ReplicationMode::functional(0));
-    let reference = portfolio_bipartition(&hg, &cfg, 6, 1).expect("jobs=1 baseline");
+    let reference = bipartition(&hg, &cfg, 6, 1).expect("jobs=1 baseline");
     let ref_print = reference.fingerprint(&hg);
     assert_eq!(reference.results.len(), 6, "all starts recorded");
     for jobs in JOBS_LEVELS {
-        let r = portfolio_bipartition(&hg, &cfg, 6, jobs).expect("portfolio runs");
+        let r = bipartition(&hg, &cfg, 6, jobs).expect("portfolio runs");
         assert_eq!(
             r.fingerprint(&hg),
             ref_print,
@@ -50,7 +73,7 @@ fn unbudgeted_portfolio_matches_the_sequential_harness() {
     let hg = mapped(300, 20, 5);
     let cfg = BipartitionConfig::equal(&hg, 0.1).with_seed(3);
     let seq = run_many(&hg, &cfg, 5).expect("sequential harness");
-    let par = portfolio_bipartition(&hg, &cfg, 5, 4).expect("portfolio");
+    let par = bipartition(&hg, &cfg, 5, 4).expect("portfolio");
     assert_eq!(par.results.len(), seq.results.len());
     assert_eq!(par.best_cut(), seq.best_cut());
     assert_eq!(par.best_start(), seq.best_index);
@@ -67,7 +90,7 @@ fn zero_wall_budget_is_degraded_and_still_jobs_invariant() {
     let cfg = BipartitionConfig::equal(&hg, 0.1)
         .with_seed(7)
         .with_budget(Budget::wall_ms(0));
-    let reference = portfolio_bipartition(&hg, &cfg, 20, 1).expect("guaranteed first start");
+    let reference = bipartition(&hg, &cfg, 20, 1).expect("guaranteed first start");
     let ref_print = reference.fingerprint(&hg);
     assert_eq!(
         reference.results.len(),
@@ -77,7 +100,7 @@ fn zero_wall_budget_is_degraded_and_still_jobs_invariant() {
     assert!(reference.degradation.budget_exhausted);
     assert!(reference.degradation.is_degraded());
     for jobs in JOBS_LEVELS {
-        let r = portfolio_bipartition(&hg, &cfg, 20, jobs).expect("portfolio runs");
+        let r = bipartition(&hg, &cfg, 20, jobs).expect("portfolio runs");
         assert_eq!(
             r.fingerprint(&hg),
             ref_print,
@@ -95,10 +118,10 @@ fn per_start_move_budget_is_jobs_invariant() {
     let cfg = BipartitionConfig::equal(&hg, 0.1)
         .with_seed(1)
         .with_budget(Budget::none().with_max_moves(40));
-    let reference = portfolio_bipartition(&hg, &cfg, 4, 1);
+    let reference = bipartition(&hg, &cfg, 4, 1);
     let ref_print = reference.as_ref().ok().map(|r| r.fingerprint(&hg));
     for jobs in JOBS_LEVELS {
-        let r = portfolio_bipartition(&hg, &cfg, 4, jobs);
+        let r = bipartition(&hg, &cfg, 4, jobs);
         match (&reference, &r) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(Some(b.fingerprint(&hg)), ref_print);
@@ -117,9 +140,9 @@ fn kway_portfolio_is_jobs_invariant_for_fixed_tasks() {
         .with_candidates(4)
         .with_seed(1)
         .with_max_passes(8);
-    let reference = portfolio_kway(&hg, &cfg, 3, 1).expect("jobs=1 baseline");
+    let reference = kway(&hg, &cfg, 3, 1).expect("jobs=1 baseline");
     for jobs in JOBS_LEVELS {
-        let r = portfolio_kway(&hg, &cfg, 3, jobs).expect("portfolio runs");
+        let r = kway(&hg, &cfg, 3, jobs).expect("portfolio runs");
         assert_eq!(r.winner, reference.winner, "winner task at jobs={jobs}");
         assert_eq!(
             r.result.evaluation.total_cost,
@@ -186,9 +209,7 @@ fn trace_skeleton_is_jobs_invariant() {
     // event in a BufferRecorder at each jobs level, reduce each event
     // to its deterministic skeleton (drop reserved-scope events, drop
     // timing fields), and demand identical JSONL.
-    use netpart_engine::{portfolio_bipartition_traced, portfolio_kway_traced};
     use netpart_obs::{to_jsonl, BufferRecorder, Recorder};
-    use std::sync::Arc;
 
     let hg = mapped(400, 20, 3);
     let skeleton = |buffer: &BufferRecorder| -> String {
@@ -207,7 +228,10 @@ fn trace_skeleton_is_jobs_invariant() {
     let trace_bipartition = |jobs: usize| -> String {
         let buffer = Arc::new(BufferRecorder::new());
         let recorder: Arc<dyn Recorder> = Arc::clone(&buffer) as Arc<dyn Recorder>;
-        portfolio_bipartition_traced(&hg, &cfg, 6, jobs, &recorder).expect("portfolio runs");
+        Engine::new(jobs)
+            .with_recorder(recorder)
+            .bipartition_many(&hg, &cfg, 6)
+            .expect("portfolio runs");
         skeleton(&buffer)
     };
     let reference = trace_bipartition(1);
@@ -225,7 +249,10 @@ fn trace_skeleton_is_jobs_invariant() {
     let trace_kway = |jobs: usize| -> String {
         let buffer = Arc::new(BufferRecorder::new());
         let recorder: Arc<dyn Recorder> = Arc::clone(&buffer) as Arc<dyn Recorder>;
-        portfolio_kway_traced(&hg, &kcfg, 3, jobs, &recorder).expect("kway portfolio runs");
+        Engine::new(jobs)
+            .with_recorder(recorder)
+            .kway(&hg, &kcfg, 3)
+            .expect("kway portfolio runs");
         skeleton(&buffer)
     };
     let kreference = trace_kway(1);

@@ -6,11 +6,23 @@
 //! `fault_injected` set.
 
 use netpart_core::{BipartitionConfig, FaultPlan, KWayConfig, PartitionError};
-use netpart_engine::{portfolio_bipartition, portfolio_kway};
+use netpart_engine::{Engine, PortfolioResult};
 use netpart_fpga::DeviceLibrary;
 use netpart_hypergraph::Hypergraph;
 use netpart_netlist::{generate, GeneratorConfig};
 use netpart_techmap::{map, MapperConfig};
+use std::sync::Arc;
+
+fn bipartition(
+    hg: &Hypergraph,
+    cfg: &BipartitionConfig,
+    n: usize,
+    jobs: usize,
+) -> Result<Arc<PortfolioResult>, PartitionError> {
+    Engine::new(jobs)
+        .bipartition_many(hg, cfg, n)
+        .map(|(r, _)| r)
+}
 
 fn mapped(gates: usize, seed: u64) -> Hypergraph {
     let nl = generate(&GeneratorConfig::new(gates).with_dff(10).with_seed(seed));
@@ -44,7 +56,7 @@ fn bipartition_survives_a_killed_worker_at_every_start() {
         let cfg = BipartitionConfig::equal(&hg, 0.1)
             .with_seed(4)
             .with_fault(FaultPlan::none().kill_start(kill as u64));
-        let outcome = portfolio_bipartition(&hg, &cfg, n, 4);
+        let outcome = bipartition(&hg, &cfg, n, 4);
         assert_admits_fault(
             &outcome,
             |r| r.degradation.fault_injected,
@@ -68,7 +80,7 @@ fn bipartition_survives_a_panicking_worker_at_every_start() {
         let cfg = BipartitionConfig::equal(&hg, 0.1)
             .with_seed(4)
             .with_fault(FaultPlan::none().panic_in_worker(target as u64));
-        let outcome = portfolio_bipartition(&hg, &cfg, n, 4);
+        let outcome = bipartition(&hg, &cfg, n, 4);
         assert_admits_fault(
             &outcome,
             |r| r.degradation.fault_injected,
@@ -88,7 +100,7 @@ fn a_lone_worker_killed_at_the_first_start_is_a_typed_error() {
     let hg = mapped(120, 3);
     let cfg = BipartitionConfig::equal(&hg, 0.1).with_fault(FaultPlan::none().kill_start(0));
     // jobs=1: the only worker dies before running anything.
-    match portfolio_bipartition(&hg, &cfg, 4, 1) {
+    match bipartition(&hg, &cfg, 4, 1) {
         Err(PartitionError::BudgetExhausted { budget, completed }) => {
             assert_eq!(budget, "injected fault");
             assert_eq!(completed, 0);
@@ -106,9 +118,9 @@ fn per_start_fault_plans_stay_jobs_invariant() {
     let cfg = BipartitionConfig::equal(&hg, 0.1)
         .with_seed(6)
         .with_fault(FaultPlan::none().kill_after_moves(25));
-    let reference = portfolio_bipartition(&hg, &cfg, 4, 1);
+    let reference = bipartition(&hg, &cfg, 4, 1);
     for jobs in [2, 4, 8] {
-        let r = portfolio_bipartition(&hg, &cfg, 4, jobs);
+        let r = bipartition(&hg, &cfg, 4, jobs);
         match (&reference, &r) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.fingerprint(&hg), b.fingerprint(&hg));
@@ -135,7 +147,7 @@ fn kway_survives_killed_and_panicking_workers() {
             FaultPlan::none().panic_in_worker(target as u64),
         ] {
             let cfg = base.clone().with_fault(plan.clone());
-            let outcome = portfolio_kway(&hg, &cfg, tasks, 4);
+            let outcome = Engine::new(4).kway(&hg, &cfg, tasks).map(|(r, _)| r);
             assert_admits_fault(
                 &outcome,
                 |r| r.result.degradation.fault_injected,

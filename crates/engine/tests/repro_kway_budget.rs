@@ -1,10 +1,11 @@
 //! Review repro: k-way portfolio under a per-task move budget across jobs levels.
 
 use netpart_core::{Budget, KWayConfig};
-use netpart_engine::portfolio_kway;
+use netpart_engine::{Engine, KWayPortfolioResult};
 use netpart_fpga::DeviceLibrary;
 use netpart_netlist::{generate, GeneratorConfig};
 use netpart_techmap::{map, MapperConfig};
+use std::sync::Arc;
 
 #[test]
 fn kway_move_budget_across_jobs() {
@@ -13,8 +14,8 @@ fn kway_move_budget_across_jobs() {
         .expect("maps")
         .to_hypergraph(&nl);
     let describe =
-        |r: &Result<netpart_engine::KWayPortfolioResult, netpart_core::PartitionError>| match r {
-            Ok(r) => format!(
+        |r: &Result<(Arc<KWayPortfolioResult>, bool), netpart_core::PartitionError>| match r {
+            Ok((r, _)) => format!(
                 "Ok(winner={}, feasible={}, cost={}, rescued={}, budget_exhausted={})",
                 r.winner,
                 r.feasible_tasks,
@@ -31,8 +32,8 @@ fn kway_move_budget_across_jobs() {
             .with_seed(1)
             .with_max_passes(8)
             .with_budget(Budget::none().with_max_moves(moves));
-        let a = portfolio_kway(&hg, &cfg, 3, 1);
-        let b = portfolio_kway(&hg, &cfg, 3, 8);
+        let a = Engine::new(1).kway(&hg, &cfg, 3);
+        let b = Engine::new(8).kway(&hg, &cfg, 3);
         let (da, db) = (describe(&a), describe(&b));
         eprintln!("moves={moves}: jobs=1 {da} | jobs=8 {db}");
         if da != db {

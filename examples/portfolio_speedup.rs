@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prints = Vec::new();
     for jobs in [1usize, 2, 4] {
         let t0 = Instant::now();
-        let r = portfolio_bipartition(&hg, &cfg, starts, jobs)?;
+        let (r, _) = Engine::new(jobs).bipartition_many(&hg, &cfg, starts)?;
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let base = *base_ms.get_or_insert(ms);
         prints.push(r.fingerprint(&hg));
@@ -75,7 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Paper metrics for the archive: route a small k-way portfolio
     // through a MetricsRecorder so the $_k / k̄ gauges and the device
     // histogram land in the same snapshot.
-    use netpart::engine::portfolio_kway_traced;
     use netpart::obs::Recorder;
     use std::sync::Arc;
     let metrics = Arc::new(MetricsRecorder::new());
@@ -85,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_replication(ReplicationMode::functional(0));
     let t0 = Instant::now();
     let recorder: Arc<dyn Recorder> = Arc::clone(&metrics) as Arc<dyn Recorder>;
-    let k = portfolio_kway_traced(&hg, &kcfg, 3, 4, &recorder)?;
+    let (k, _) = Engine::new(4).with_recorder(recorder).kway(&hg, &kcfg, 3)?;
     let kway_snap = metrics.snapshot();
     for (key, v) in &kway_snap.gauges {
         snap.set_gauge(key, *v);

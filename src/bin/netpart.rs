@@ -27,14 +27,15 @@
 //! netpart queue       <spool-dir>
 //! ```
 //!
-//! `--jobs N` fans the multi-start portfolio across `N` worker threads
-//! via the deterministic engine: for a fixed seed the printed solution
-//! is identical at every jobs level. `--tasks N` fixes the k-way
-//! portfolio width (default 4) independently of `--jobs`, which is what
-//! keeps the k-way reduction jobs-invariant. Worker statistics go to
-//! stderr so stdout stays byte-comparable. `--cache` enables the
-//! engine's in-memory result cache (useful for repeated requests inside
-//! one process; stats are printed to stderr).
+//! Every `bipartition` and `kway` run goes through the deterministic
+//! portfolio engine. `--jobs N` fans the portfolio across `N` worker
+//! threads: for a fixed seed the printed solution is identical at every
+//! jobs level. `--tasks N` fixes the k-way portfolio width (default 4)
+//! independently of `--jobs`, which is what keeps the k-way reduction
+//! jobs-invariant. Worker statistics go to stderr so stdout stays
+//! byte-comparable. `--cache` enables the engine's in-memory result
+//! cache (useful for repeated requests inside one process; stats are
+//! printed to stderr).
 //!
 //! # Observability
 //!
@@ -62,9 +63,8 @@
 //! (queue depth, claim-to-done latency quantiles, retry/quarantine/
 //! cache counters).
 //!
-//! Any of these flags routes `bipartition`/`kway` through the portfolio
-//! engine even at `--jobs 1`, so the emission pipeline — and therefore
-//! stdout and the stripped trace — is identical at every jobs level.
+//! None of these flags changes stdout, and the stripped trace is
+//! identical at every jobs level.
 //!
 //! # Multilevel V-cycle
 //!
@@ -75,8 +75,7 @@
 //! -cell floor) fall through to the flat path byte-identically.
 //! `--max-levels N` and `--coarsen-ratio R` override the V-cycle depth
 //! and the minimum per-level shrink factor (either flag implies
-//! `--multilevel`). The multilevel path routes through the portfolio
-//! engine, so `--jobs` invariance and certificates work unchanged.
+//! `--multilevel`). `--jobs` invariance and certificates work unchanged.
 //!
 //! # Board topologies
 //!
@@ -182,7 +181,7 @@ struct Flags {
     assign: Option<String>,
     dff: usize,
     jobs: usize,
-    tasks: Option<usize>,
+    tasks: usize,
     cache: bool,
     multilevel: bool,
     max_levels: Option<usize>,
@@ -224,7 +223,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
         assign: None,
         dff: 0,
         jobs: 1,
-        tasks: None,
+        tasks: 4,
         cache: false,
         multilevel: false,
         max_levels: None,
@@ -265,7 +264,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
             "--budget-ms" => f.budget_ms = Some(val()?.parse()?),
             "--dff" => f.dff = val()?.parse()?,
             "--jobs" => f.jobs = val()?.parse::<usize>()?.max(1),
-            "--tasks" => f.tasks = Some(val()?.parse::<usize>()?.max(1)),
+            "--tasks" => f.tasks = val()?.parse::<usize>()?.max(1),
             "--cache" => f.cache = true,
             "--multilevel" => f.multilevel = true,
             "--max-levels" => f.max_levels = Some(val()?.parse()?),
@@ -313,9 +312,7 @@ struct Obs {
 }
 
 impl Obs {
-    /// Whether any observability flag was given — if so, the command
-    /// routes through the portfolio engine even at `--jobs 1`, so the
-    /// emission pipeline is identical at every jobs level.
+    /// Whether any observability flag was given.
     fn active(f: &Flags) -> bool {
         f.verbose > 0
             || f.trace_out.is_some()
@@ -497,24 +494,22 @@ fn load_board(spec: &str) -> Result<Board, Box<dyn Error>> {
 
 /// Routes the winning placement's cut nets over the `--board` topology:
 /// prints the objective line to stdout (deterministic — a pure function
-/// of the placement), emits `board.*` events when recording, and
+/// of the placement), emits `board.*` events into `recorder`, and
 /// returns the claim bundle to embed in the certificate.
 fn route_board(
     spec: &str,
     hg: &Hypergraph,
     placement: &Placement,
-    recorder: Option<&Arc<dyn Recorder>>,
+    recorder: &dyn Recorder,
 ) -> Result<(BoardClaim, u64, u64), Box<dyn Error>> {
     let board = load_board(spec)?;
-    if let Some(r) = recorder {
-        r.record(
-            &Event::new("board", "loaded", Level::Info)
-                .field("name", board.name().to_string())
-                .field("sites", board.n_sites())
-                .field("channels", board.n_channels())
-                .field("digest", format!("{:016x}", board.digest())),
-        );
-    }
+    recorder.record(
+        &Event::new("board", "loaded", Level::Info)
+            .field("name", board.name().to_string())
+            .field("sites", board.n_sites())
+            .field("channels", board.n_channels())
+            .field("digest", format!("{:016x}", board.digest())),
+    );
     let demands = board_demands(hg, placement, &board).map_err(|e| -> Box<dyn Error> {
         match &e {
             // More occupied parts than sites is the caller asking for a
@@ -528,15 +523,13 @@ fn route_board(
     let routing = route_nets(&board, &demands)?;
     let objective = TopologyObjective::evaluate(&board, &routing);
     println!("board {}: {objective}", board.name());
-    if let Some(r) = recorder {
-        r.record(
-            &Event::new("board", "routed", Level::Info)
-                .field("nets", objective.routed_nets)
-                .field("hops", objective.hops)
-                .field("congestion", objective.congestion)
-                .field("overflow_channels", objective.overflowed_channels),
-        );
-    }
+    recorder.record(
+        &Event::new("board", "routed", Level::Info)
+            .field("nets", objective.routed_nets)
+            .field("hops", objective.hops)
+            .field("congestion", objective.congestion)
+            .field("overflow_channels", objective.overflowed_channels),
+    );
     let claim = board_claim(&board, &routing);
     Ok((claim, routing.hops, routing.congestion))
 }
@@ -634,73 +627,12 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         .with_replication(mode_of(f)?)
         .with_budget(budget_of(f));
     let runs = f.runs.max(1);
-    let ml = ml_of(f);
-    if f.jobs > 1 || f.cache || ml.is_some() || f.par_refine || Obs::active(f) {
-        // Portfolio engine path: same printed solution as the
-        // sequential harness for a fixed seed, by the engine's
-        // determinism contract. Observability flags force this path
-        // even at --jobs 1 so the emission pipeline (and the stripped
-        // trace) is identical at every jobs level; --multilevel always
-        // routes here so the V-cycle keeps the engine's invariance,
-        // and --par-refine needs the engine's worker pool.
-        let obs = Obs::from_flags(f)?;
-        let engine = Engine::new(f.jobs)
-            .with_cache(f.cache)
-            .with_multilevel(ml)
-            .with_recorder(Arc::clone(&obs.recorder));
-        let (stats, _hit) = engine.bipartition_many(&hg, &cfg, runs)?;
-        note_degradation(&stats.degradation);
-        println!(
-            "{} runs: best cut {}, avg cut {:.1}, avg replicated cells {:.1}",
-            stats.results.len(),
-            stats.best_cut(),
-            stats.avg_cut(),
-            stats.avg_replicated()
-        );
-        let best = stats.best();
-        println!(
-            "best run: areas {:?}, {} passes, balanced: {}, stop: {}",
-            best.areas, best.passes, best.balanced, best.stop
-        );
-        // Post-portfolio polish: refine the winner in place with the
-        // deterministic parallel refiner, then certify the refined
-        // solution. Skipped (with a note) when the winner replicates.
-        let mut refined = None;
-        if f.par_refine {
-            let mut b = best.clone();
-            match engine.par_refine(&hg, &cfg, &mut b) {
-                Some(out) => {
-                    println!(
-                        "par-refine: cut {} -> {} ({} committed over {} rounds)",
-                        out.cut_before, out.cut_after, out.committed, out.rounds
-                    );
-                    refined = Some(b);
-                }
-                None => println!("par-refine: skipped (winner has replicas)"),
-            }
-        }
-        note_workers(&stats.workers);
-        note_cache(&engine);
-        let mut routed = None;
-        if let Some(spec) = &f.board {
-            let placement = match &refined {
-                Some(b) => b.placement.as_ref(),
-                None => best.placement.as_ref(),
-            }
-            .ok_or("nothing to route: the winning run exported no placement")?;
-            routed = Some(route_board(spec, &hg, placement, Some(&obs.recorder))?);
-        }
-        if let Some(out) = &f.certify_out {
-            let cert = match &refined {
-                Some(b) => b.certificate(&hg, cfg.seed.wrapping_add(stats.best_start() as u64)),
-                None => stats.certificate(&hg, &cfg),
-            };
-            write_certificate(attach_board(cert, routed), out, path)?;
-        }
-        obs.finish(f, "bipartition", path, &[("runs", runs.to_string())])?;
-        return Ok(());
-    }
-    let stats = run_many(&hg, &cfg, runs)?;
+    let obs = Obs::from_flags(f)?;
+    let engine = Engine::new(f.jobs)
+        .with_cache(f.cache)
+        .with_multilevel(ml_of(f))
+        .with_recorder(Arc::clone(&obs.recorder));
+    let (stats, _hit) = engine.bipartition_many(&hg, &cfg, runs)?;
     note_degradation(&stats.degradation);
     println!(
         "{} runs: best cut {}, avg cut {:.1}, avg replicated cells {:.1}",
@@ -714,18 +646,42 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         "best run: areas {:?}, {} passes, balanced: {}, stop: {}",
         best.areas, best.passes, best.balanced, best.stop
     );
+    // Post-portfolio polish: refine the winner in place with the
+    // deterministic parallel refiner, then certify the refined
+    // solution. Skipped (with a note) when the winner replicates.
+    let mut refined = None;
+    if f.par_refine {
+        let mut b = best.clone();
+        match engine.par_refine(&hg, &cfg, &mut b) {
+            Some(out) => {
+                println!(
+                    "par-refine: cut {} -> {} ({} committed over {} rounds)",
+                    out.cut_before, out.cut_after, out.committed, out.rounds
+                );
+                refined = Some(b);
+            }
+            None => println!("par-refine: skipped (winner has replicas)"),
+        }
+    }
+    note_workers(&stats.workers);
+    note_cache(&engine);
     let mut routed = None;
     if let Some(spec) = &f.board {
-        let placement = best
-            .placement
-            .as_ref()
-            .ok_or("nothing to route: the winning run exported no placement")?;
-        routed = Some(route_board(spec, &hg, placement, None)?);
+        let placement = match &refined {
+            Some(b) => b.placement.as_ref(),
+            None => best.placement.as_ref(),
+        }
+        .ok_or("nothing to route: the winning run exported no placement")?;
+        routed = Some(route_board(spec, &hg, placement, obs.recorder.as_ref())?);
     }
     if let Some(out) = &f.certify_out {
-        write_certificate(attach_board(stats.certificate(&hg, &cfg), routed), out, path)?;
+        let cert = match &refined {
+            Some(b) => b.certificate(&hg, cfg.seed.wrapping_add(stats.best_start() as u64)),
+            None => stats.certificate(&hg, &cfg),
+        };
+        write_certificate(attach_board(cert, routed), out, path)?;
     }
-    Ok(())
+    obs.finish(f, "bipartition", path, &[("runs", runs.to_string())])
 }
 
 fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
@@ -745,38 +701,24 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     if let Some(n) = f.max_attempts {
         cfg = cfg.with_max_attempts(n);
     }
-    let obs_active = Obs::active(f);
-    let ml = ml_of(f);
-    // Built unconditionally so `--board` can emit `board.*` events on
-    // the post-refinement result; with no observability flag the tee is
-    // empty and both recording and `finish` are no-ops.
     let obs = Obs::from_flags(f)?;
-    let (mut res, cert_seed) = if f.jobs > 1 || f.tasks.is_some() || f.cache || ml.is_some() || obs_active
-    {
-        // Portfolio engine path. The task count is fixed independently
-        // of --jobs (default 4), which is what makes the reduction
-        // jobs-invariant. Observability flags force this path even at
-        // --jobs 1 (see cmd_bipartition), as does --multilevel.
-        let tasks = f.tasks.unwrap_or(4);
-        let engine = Engine::new(f.jobs)
-            .with_cache(f.cache)
-            .with_multilevel(ml)
-            .with_recorder(Arc::clone(&obs.recorder));
-        let (pres, _hit) = engine.kway(&hg, &cfg, tasks)?;
-        eprintln!(
-            "portfolio: task {} of {} won ({} feasible{})",
-            pres.winner,
-            pres.tasks,
-            pres.feasible_tasks,
-            if pres.rescued { ", rescued" } else { "" }
-        );
-        note_workers(&pres.workers);
-        note_cache(&engine);
-        let winner_seed = cfg.seed.wrapping_add(pres.winner as u64);
-        (pres.result.clone(), winner_seed)
-    } else {
-        (kway_partition(&hg, &cfg)?, cfg.seed)
-    };
+    // The task count is fixed independently of --jobs, which is what
+    // makes the reduction jobs-invariant.
+    let engine = Engine::new(f.jobs)
+        .with_cache(f.cache)
+        .with_multilevel(ml_of(f))
+        .with_recorder(Arc::clone(&obs.recorder));
+    let (pres, _hit) = engine.kway(&hg, &cfg, f.tasks)?;
+    eprintln!(
+        "portfolio: task {} of {} won ({} feasible{})",
+        pres.winner,
+        pres.tasks,
+        pres.feasible_tasks,
+        if pres.rescued { ", rescued" } else { "" }
+    );
+    note_workers(&pres.workers);
+    note_cache(&engine);
+    let mut res = pres.result.clone();
     note_degradation(&res.degradation);
     if f.refine {
         let n = unreplicate_cleanup(&hg, &mut res.placement, &res.devices, &lib);
@@ -807,7 +749,7 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     }
     let mut routed = None;
     if let Some(spec) = &f.board {
-        routed = Some(route_board(spec, &hg, &res.placement, Some(&obs.recorder))?);
+        routed = Some(route_board(spec, &hg, &res.placement, obs.recorder.as_ref())?);
     }
     if let Some(out) = &f.assign {
         let mut csv = String::from("cell,part,outputs_mask\n");
@@ -826,16 +768,11 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         println!("assignment written to {out}");
     }
     if let Some(out) = &f.certify_out {
-        let cert = Some(res.certificate(&hg, &lib, cert_seed));
+        let seed = cfg.seed.wrapping_add(pres.winner as u64);
+        let cert = Some(res.certificate(&hg, &lib, seed));
         write_certificate(attach_board(cert, routed), out, path)?;
     }
-    obs.finish(
-        f,
-        "kway",
-        path,
-        &[("tasks", f.tasks.unwrap_or(4).to_string())],
-    )?;
-    Ok(())
+    obs.finish(f, "kway", path, &[("tasks", f.tasks.to_string())])
 }
 
 /// `netpart verify <cert>`: re-checks a solution certificate with the
@@ -997,7 +934,7 @@ fn cmd_submit(spool: &str, blif_path: &str, f: &Flags) -> Result<(), Box<dyn Err
         runs: f.runs.max(1),
         epsilon: f.epsilon,
         candidates: f.candidates.max(1),
-        tasks: f.tasks.unwrap_or(4),
+        tasks: f.tasks,
         replication: mode_of(f)?,
         budget_ms: f.budget_ms.unwrap_or(0),
         max_moves: f.max_moves,

@@ -21,8 +21,8 @@
 //! * [`core`] — FM bipartitioning with functional replication and the
 //!   cost-driven k-way partitioner;
 //! * [`engine`] — the deterministic parallel portfolio engine
-//!   (multi-threaded multi-start with a shared incumbent and result
-//!   cache);
+//!   (multi-threaded multi-start behind one `Engine` request surface,
+//!   with a result cache);
 //! * [`multilevel`] — the multilevel V-cycle (ψ-guarded heavy-edge
 //!   coarsening, coarse partitioning, projection + FM refinement) that
 //!   scales the flat engine to 100k+-cell circuits;
@@ -91,10 +91,7 @@ pub mod prelude {
         bipartition, kway_partition, run_many, BipartitionConfig, Budget, Degradation, FaultPlan,
         KWayConfig, PartitionError, Relaxation, ReplicationMode, SelectionStrategy, StopReason,
     };
-    pub use netpart_engine::{
-        portfolio_bipartition, portfolio_kway, ContentHash, Engine, KWayPortfolioResult,
-        PortfolioResult,
-    };
+    pub use netpart_engine::{ContentHash, Engine, KWayPortfolioResult, PortfolioResult};
     pub use netpart_fpga::{assign_devices, evaluate, Device, DeviceLibrary, ResourceVec};
     pub use netpart_hypergraph::{
         AdjacencyMatrix, CellId, CellKind, Hypergraph, HypergraphBuilder, NetId, PartId, Placement,

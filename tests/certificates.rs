@@ -67,7 +67,10 @@ fn kway_certificate_round_trips_clean_and_bit_exact() {
 fn engine_portfolio_certificates_round_trip_clean() {
     let hg = gen::mapped(500, 40, 23);
     let bcfg = BipartitionConfig::equal(&hg, 0.1).with_seed(23);
-    let pres = portfolio_bipartition(&hg, &bcfg, 6, 2).expect("portfolio completes");
+    let engine = Engine::new(2);
+    let (pres, _) = engine
+        .bipartition_many(&hg, &bcfg, 6)
+        .expect("portfolio completes");
     let cert = pres
         .certificate(&hg, &bcfg)
         .expect("winner exports a placement");
@@ -78,7 +81,7 @@ fn engine_portfolio_certificates_round_trip_clean() {
         .with_candidates(2)
         .with_seed(23)
         .with_max_passes(8);
-    let kres = portfolio_kway(&hg, &kcfg, 3, 2).expect("portfolio completes");
+    let (kres, _) = engine.kway(&hg, &kcfg, 3).expect("portfolio completes");
     let kcert = kres.certificate(&hg, &kcfg);
     let report = verify(&hg, &SolutionCertificate::parse(&kcert.to_text()).expect("parses"));
     assert!(report.is_clean(), "k-way portfolio certificate rejected: {report}");

@@ -10,14 +10,16 @@ fn netpart() -> Command {
     Command::new(env!("CARGO_BIN_EXE_netpart"))
 }
 
-fn synth(dir: &std::path::Path, gates: &str, seed: &str) -> PathBuf {
+fn synth(dir: &std::path::Path, gates: &str, dff: &str, seed: &str) -> PathBuf {
     std::fs::create_dir_all(dir).expect("temp dir");
-    let blif = dir.join(format!("synth-{gates}-{seed}.blif"));
+    let blif = dir.join(format!("synth-{gates}-{dff}-{seed}.blif"));
     let out = netpart()
         .args([
             "synth",
             gates,
             blif.to_str().expect("utf8 path"),
+            "--dff",
+            dff,
             "--seed",
             seed,
         ])
@@ -38,7 +40,7 @@ fn tmp() -> PathBuf {
 
 #[test]
 fn bipartition_stdout_is_identical_across_jobs_levels() {
-    let blif = synth(&tmp(), "300", "7");
+    let blif = synth(&tmp(), "300", "0", "7");
     let run = |jobs: &str| {
         let out = netpart()
             .args([
@@ -68,7 +70,7 @@ fn bipartition_stdout_is_identical_across_jobs_levels() {
 
 #[test]
 fn kway_stdout_is_identical_across_jobs_levels_for_fixed_tasks() {
-    let blif = synth(&tmp(), "400", "9");
+    let blif = synth(&tmp(), "400", "0", "9");
     let run = |jobs: &str| {
         let out = netpart()
             .args([
@@ -106,7 +108,7 @@ fn observability_flags_leave_stdout_identical_across_jobs_levels() {
     // to the flag-free run (trace and metrics go to files, events to
     // stderr only under -v).
     let dir = tmp();
-    let blif = synth(&dir, "300", "7");
+    let blif = synth(&dir, "300", "0", "7");
     let run = |jobs: &str, observed: bool| {
         let mut cmd = netpart();
         cmd.args([
@@ -152,7 +154,7 @@ fn observability_flags_leave_stdout_identical_across_jobs_levels() {
 fn budgeted_portfolio_bipartition_still_exits_zero() {
     // A zero wall budget leaves only the guaranteed first start — a
     // degraded result (note on stderr), never a failure.
-    let blif = synth(&tmp(), "300", "11");
+    let blif = synth(&tmp(), "300", "0", "11");
     let out = netpart()
         .args([
             "bipartition",
@@ -183,7 +185,7 @@ fn budgeted_portfolio_bipartition_still_exits_zero() {
 
 #[test]
 fn cache_flag_reports_stats_on_stderr() {
-    let blif = synth(&tmp(), "200", "13");
+    let blif = synth(&tmp(), "200", "0", "13");
     let out = netpart()
         .args([
             "bipartition",
@@ -197,4 +199,72 @@ fn cache_flag_reports_stats_on_stderr() {
     assert_eq!(out.status.code(), Some(0));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cache:"), "expected cache stats, got: {err}");
+}
+
+/// Runs `netpart <args>` and returns its stdout, asserting exit 0.
+fn stdout_of(args: &[&str]) -> Vec<u8> {
+    let out = netpart().args(args).output().expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args:?} stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+#[test]
+fn flag_free_kway_prints_what_the_observed_and_threaded_runs_print() {
+    // Every k-way run goes through the engine at the default width of
+    // four tasks, so neither the observability flags nor --jobs can
+    // change the answer.
+    let dir = tmp();
+    let blif = synth(&dir, "1200", "50", "3");
+    let blif = blif.to_str().expect("utf8 path");
+    let base = ["kway", blif, "--seed", "1", "--candidates", "4"];
+    let trace = dir.join("flag-free-kway.jsonl");
+    let metrics = dir.join("flag-free-kway.json");
+    let bare = stdout_of(&base);
+    let observed = stdout_of(
+        &[
+            &base[..],
+            &[
+                "--trace-out",
+                trace.to_str().expect("utf8 path"),
+                "--metrics-out",
+                metrics.to_str().expect("utf8 path"),
+            ],
+        ]
+        .concat(),
+    );
+    assert_eq!(observed, bare, "--trace-out/--metrics-out changed stdout");
+    let threaded = stdout_of(&[&base[..], &["--jobs", "2"]].concat());
+    assert_eq!(threaded, bare, "--jobs 2 changed stdout");
+}
+
+#[test]
+fn zero_budget_bipartition_is_identical_across_jobs_levels() {
+    // Start 0 never carries the wall deadline, so a zero budget records
+    // exactly that start, run to completion, at every jobs level.
+    // Its own directory: the k-way test synthesizes the same circuit.
+    let blif = synth(&tmp().join("zero-budget"), "1200", "50", "3");
+    let blif = blif.to_str().expect("utf8 path");
+    let run = |jobs: &str| {
+        stdout_of(&[
+            "bipartition",
+            blif,
+            "--runs",
+            "8",
+            "--seed",
+            "5",
+            "--budget-ms",
+            "0",
+            "--jobs",
+            jobs,
+        ])
+    };
+    let one = run("1");
+    assert_eq!(run("4"), one, "--jobs 4 diverged from --jobs 1");
+    let text = String::from_utf8_lossy(&one);
+    assert!(text.contains("1 runs:"), "stdout: {text}");
 }

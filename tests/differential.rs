@@ -64,8 +64,10 @@ fn bipartition_portfolio_is_jobs_invariant() {
         let texts: Vec<String> = [1, 8]
             .iter()
             .map(|&jobs| {
-                portfolio_bipartition(&hg, &cfg, 6, jobs)
+                Engine::new(jobs)
+                    .bipartition_many(&hg, &cfg, 6)
                     .expect("portfolio completes")
+                    .0
                     .certificate(&hg, &cfg)
                     .expect("winner exports a placement")
                     .to_text()
@@ -87,8 +89,10 @@ fn kway_portfolio_is_jobs_invariant() {
         let texts: Vec<String> = [1, 8]
             .iter()
             .map(|&jobs| {
-                portfolio_kway(&hg, &cfg, 3, jobs)
+                Engine::new(jobs)
+                    .kway(&hg, &cfg, 3)
                     .expect("portfolio completes")
+                    .0
                     .certificate(&hg, &cfg)
                     .to_text()
             })
@@ -105,8 +109,10 @@ fn sequential_harness_matches_single_job_portfolio() {
         let hg = gen::mapped(300, 25, seed);
         let cfg = BipartitionConfig::equal(&hg, 0.1).with_seed(seed);
         let seq = cert_text(&hg, &cfg, 5);
-        let par = portfolio_bipartition(&hg, &cfg, 5, 1)
+        let par = Engine::new(1)
+            .bipartition_many(&hg, &cfg, 5)
             .expect("portfolio completes")
+            .0
             .certificate(&hg, &cfg)
             .expect("winner exports a placement")
             .to_text();
