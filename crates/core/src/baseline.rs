@@ -1,15 +1,16 @@
-//! The pointer-chasing reference implementation of the engine state —
-//! retained for **one PR** as the differential baseline of the CSR
-//! hot-path port (`tests/csr_differential.rs`), exactly as the
-//! selection-strategy rewrite kept the lazy heap around.
+//! The pointer-chasing reference implementation of the engine state:
+//! the independent oracle the CSR-arena [`EngineState`] is checked
+//! against. Test-only.
 //!
 //! [`RefEngineState`] is the pre-CSR [`EngineState`]
 //! verbatim: per-call `incident_nets` sort+dedup, per-net rescans of the
 //! whole cell's pin list, separate sink/driver/occupancy count vectors.
 //! It shares no traversal code with the CSR arenas, so any ordering or
 //! accounting drift in the flat layout surfaces as a gain/cut/occupancy
-//! divergence under the differential move sequences. Scheduled for
-//! removal once the CSR port has soaked.
+//! divergence under the randomized move scripts of the tests below. It
+//! stays because it is the only oracle for the CSR state's incremental
+//! counters: the certificate verifier checks final solutions, not the
+//! per-move gains the FM passes select on.
 
 use crate::state::{full_mask, CellState, EngineState};
 use netpart_hypergraph::{CellId, Hypergraph, NetId, Pin};
@@ -328,5 +329,180 @@ impl RefEngineState<'_> {
             st.set_state(c, engine.cell_state(c));
         }
         st
+    }
+}
+
+mod tests {
+    //! Differential proof that the CSR-arena engine state
+    //! ([`EngineState`]) is semantically identical to the pointer-chasing
+    //! reference ([`RefEngineState`]).
+    //!
+    //! The two implementations share no traversal code: the reference
+    //! sort+dedups incident nets per call and rescans whole pin lists,
+    //! while the CSR state walks flat index ranges over packed counters.
+    //! Driving both through identical randomized move scripts — every move
+    //! kind the pass loop can elect, including replication and
+    //! unreplication — and comparing every observable (hypothetical gains,
+    //! area deltas, realized gains, cut, areas, spanning count, per-net
+    //! occupancy and cut flags) therefore catches any accounting drift the
+    //! flat layout could have introduced.
+
+    use super::*;
+    use netpart_verify::gen;
+
+    /// The pinned differential seed matrix (DESIGN.md §10).
+    const SEEDS: [u64; 3] = [11, 29, 47];
+
+    /// Moves scripted per circuit. Large enough to visit replication and
+    /// unreplication states repeatedly on every suite circuit.
+    const STEPS: usize = 400;
+
+    /// A self-contained SplitMix64 so the move script depends on nothing
+    /// but this file.
+    struct Script(u64);
+
+    impl Script {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Which replication states the script may elect.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mode {
+        None,
+        Traditional,
+        Functional,
+    }
+
+    /// Every state the pass loop could put `c` into under `mode`, minus
+    /// the current one. Functional masks are non-empty proper subsets of
+    /// the cell's outputs; terminals never replicate.
+    fn candidates(hg: &Hypergraph, c: CellId, cur: CellState, mode: Mode) -> Vec<CellState> {
+        let mut out = vec![CellState::Single { side: 0 }, CellState::Single { side: 1 }];
+        let cell = hg.cell(c);
+        if !cell.is_terminal() {
+            match mode {
+                Mode::Traditional => {
+                    out.push(CellState::Traditional { orig_side: 0 });
+                    out.push(CellState::Traditional { orig_side: 1 });
+                }
+                Mode::Functional if cell.m_outputs() >= 2 => {
+                    for mask in [1u32, (1 << (cell.m_outputs() - 1))] {
+                        out.push(CellState::Functional {
+                            orig_side: 0,
+                            replica_mask: mask,
+                        });
+                        out.push(CellState::Functional {
+                            orig_side: 1,
+                            replica_mask: mask,
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+        out.retain(|&s| s != cur);
+        out
+    }
+
+    /// Compares every per-net observable of the two states.
+    fn assert_nets_equal(hg: &Hypergraph, csr: &EngineState<'_>, base: &RefEngineState<'_>) {
+        for nt in hg.net_ids() {
+            assert_eq!(
+                csr.net_side_occupancy(nt),
+                base.net_side_occupancy(nt),
+                "occupancy diverged on net {}",
+                hg.net(nt).name()
+            );
+            assert_eq!(
+                csr.is_cut(nt),
+                base.is_cut(nt),
+                "cut flag diverged on net {}",
+                hg.net(nt).name()
+            );
+        }
+    }
+
+    fn drive(seed: u64, mode: Mode) {
+        let hg = gen::mapped(350, 30, seed);
+        let n = hg.n_cells();
+        let mut script = Script(seed ^ 0x6373_725f_6469_6666); // "csr_diff"
+        let sides: Vec<u8> = (0..n).map(|_| (script.next() & 1) as u8).collect();
+        let tw = [1i64, 2]; // asymmetric, so pad-cost gains are exercised
+        let mut csr = EngineState::new_weighted(&hg, &sides, tw);
+        let mut base = RefEngineState::new_weighted(&hg, &sides, tw);
+
+        assert_eq!(csr.cut(), base.cut(), "initial cut");
+        assert_eq!(csr.areas(), base.areas(), "initial areas");
+        assert_eq!(csr.spanning_nets(), base.spanning_nets());
+        assert_nets_equal(&hg, &csr, &base);
+
+        for step in 0..STEPS {
+            let c = CellId(script.below(n) as u32);
+            let cur = csr.cell_state(c);
+            assert_eq!(cur, base.cell_state(c), "state diverged at step {step}");
+            let cands = candidates(&hg, c, cur, mode);
+            for &cand in &cands {
+                assert_eq!(
+                    csr.peek_gain(c, cand),
+                    base.peek_gain(c, cand),
+                    "peek_gain diverged at step {step}, cell {c:?}, cand {cand:?}"
+                );
+                assert_eq!(csr.area_delta(c, cand), base.area_delta(c, cand));
+            }
+            if cands.is_empty() {
+                continue;
+            }
+            let pick = cands[script.below(cands.len())];
+            let realized = csr.set_state(c, pick);
+            assert_eq!(
+                realized,
+                base.set_state(c, pick),
+                "realized gain diverged at step {step}, cell {c:?}, move {pick:?}"
+            );
+            assert_eq!(csr.cut(), base.cut(), "cut diverged at step {step}");
+            assert_eq!(csr.areas(), base.areas(), "areas diverged at step {step}");
+            assert_eq!(csr.spanning_nets(), base.spanning_nets());
+            assert_eq!(csr.replicated_cells(), base.replicated_cells());
+        }
+
+        // Full end-of-script audit: every net, the CSR state's own
+        // rebuild-and-compare validator, and the mirror constructor.
+        assert_nets_equal(&hg, &csr, &base);
+        assert!(csr.validate(), "CSR state failed self-validation");
+        let mirror = RefEngineState::mirror_of(&csr);
+        assert_eq!(mirror.cut(), csr.cut());
+        assert_eq!(mirror.areas(), csr.areas());
+        assert_eq!(mirror.replicated_cells(), csr.replicated_cells());
+    }
+
+    #[test]
+    fn csr_state_matches_baseline_without_replication() {
+        for seed in SEEDS {
+            drive(seed, Mode::None);
+        }
+    }
+
+    #[test]
+    fn csr_state_matches_baseline_under_traditional_replication() {
+        for seed in SEEDS {
+            drive(seed, Mode::Traditional);
+        }
+    }
+
+    #[test]
+    fn csr_state_matches_baseline_under_functional_replication() {
+        for seed in SEEDS {
+            drive(seed, Mode::Functional);
+        }
     }
 }

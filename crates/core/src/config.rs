@@ -6,7 +6,6 @@ use netpart_hypergraph::Hypergraph;
 
 /// Which replication moves the bipartitioner may perform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReplicationMode {
     /// Plain FM: single-cell moves only (the baseline of \[3\]).
     None,
@@ -36,20 +35,6 @@ impl ReplicationMode {
     }
 }
 
-/// How the FM pass selects the next move to try.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum SelectionStrategy {
-    /// The classic FM gain-bucket ladder with incremental delta updates
-    /// — linear-time gain maintenance, the default.
-    #[default]
-    GainBuckets,
-    /// A lazy max-heap that re-derives every touched neighbor's best
-    /// move after each applied move. Kept as the benchmark baseline the
-    /// `fm_pass` bench compares against.
-    LazyHeap,
-}
-
 /// Configuration of one bipartitioning run.
 ///
 /// Construct with [`BipartitionConfig::equal`] (the paper's first
@@ -57,7 +42,6 @@ pub enum SelectionStrategy {
 /// [`BipartitionConfig::bounded`] (explicit per-side area windows, used
 /// by the k-way carver), then adjust with the builder methods.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BipartitionConfig {
     /// Inclusive lower area bound per side.
     pub min_area: [u64; 2],
@@ -88,10 +72,6 @@ pub struct BipartitionConfig {
     /// Deterministic fault-injection plan (testing hook); see
     /// [`FaultPlan`]. [`FaultPlan::none`] by default.
     pub fault: FaultPlan,
-    /// Move-selection structure of the FM pass;
-    /// [`SelectionStrategy::GainBuckets`] by default.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub selection: SelectionStrategy,
 }
 
 impl BipartitionConfig {
@@ -116,7 +96,6 @@ impl BipartitionConfig {
             max_growth: None,
             budget: Budget::none(),
             fault: FaultPlan::none(),
-            selection: SelectionStrategy::default(),
         }
     }
 
@@ -132,7 +111,6 @@ impl BipartitionConfig {
             max_growth: None,
             budget: Budget::none(),
             fault: FaultPlan::none(),
-            selection: SelectionStrategy::default(),
         }
     }
 
@@ -175,12 +153,6 @@ impl BipartitionConfig {
     /// Arms a fault-injection plan (testing hook).
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Sets the move-selection strategy of the FM pass.
-    pub fn with_selection(mut self, s: SelectionStrategy) -> Self {
-        self.selection = s;
         self
     }
 

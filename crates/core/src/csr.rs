@@ -22,8 +22,8 @@
 //!
 //! Both orders are part of the determinism contract: the CSR port must
 //! be byte-identical to the pointer-chasing baseline (golden tables,
-//! `tests/csr_differential.rs`), so the arenas encode the traversal
-//! orders, not merely the connectivity.
+//! the `baseline` module's differential tests), so the arenas encode
+//! the traversal orders, not merely the connectivity.
 
 use netpart_hypergraph::{CellId, Hypergraph, NetId, OutputMask, Pin};
 

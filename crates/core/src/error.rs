@@ -33,7 +33,6 @@ use std::fmt;
 ///   an invariant the engine maintains itself was observed broken.
 ///   Please report it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PartitionError {
     /// The input (netlist, hypergraph or configuration) is malformed.
     InvalidInput {
@@ -139,7 +138,6 @@ impl From<netpart_fpga::FpgaError> for PartitionError {
 
 /// Why a run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StopReason {
     /// No pass improved the objective any further.
     #[default]
@@ -171,7 +169,6 @@ impl fmt::Display for StopReason {
 /// One constraint relaxation the k-way escalation ladder performed to
 /// reach a solution.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Relaxation {
     /// The attempt pool was re-seeded and extended past
     /// [`KWayConfig::max_attempts`](crate::KWayConfig::max_attempts).
@@ -211,7 +208,6 @@ impl fmt::Display for Relaxation {
 /// A default (all-zero / empty) report means the run completed exactly
 /// as requested; [`Degradation::is_degraded`] is the quick check.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Degradation {
     /// Starts (or feasible candidates) the caller asked for.
     pub requested: usize,

@@ -16,7 +16,6 @@
 /// A deterministic fault-injection plan. [`FaultPlan::none`] (the
 /// default) injects nothing.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Report a fault once this many FM moves have been applied.
     pub kill_after_moves: Option<u64>,

@@ -2,25 +2,23 @@
 //! moves (paper §III-D): gain-ordered move selection, lock-after-move,
 //! rollback to the best balanced prefix, repeated passes to convergence.
 //!
-//! Move selection is pluggable via
-//! [`SelectionStrategy`](crate::config::SelectionStrategy): the default
-//! is the classic FM gain-bucket ladder ([`crate::buckets`]) with
-//! **incremental** gain maintenance — after each applied move only the
-//! net contributions that actually changed are re-evaluated, against
-//! before/after snapshots of the per-net endpoint counts — giving the
-//! linear-time pass the algorithm is known for. A lazy max-heap that
-//! re-derives every touched neighbor's best move from scratch is kept
-//! as the benchmark baseline (`fm_pass` bench).
+//! Moves are selected from the classic FM gain-bucket ladder
+//! ([`crate::buckets`]) with **incremental** gain maintenance — after
+//! each applied move only the net contributions that actually changed
+//! are re-evaluated, against before/after snapshots of the per-net
+//! endpoint counts — giving the linear-time pass the algorithm is known
+//! for. The unit tests keep a lazy max-heap pass that re-derives every
+//! touched neighbor's best move from scratch as the reference the
+//! bucket pass must match move for move.
 
 use crate::buckets::GainBuckets;
 use crate::budget::RunClock;
-use crate::config::{BipartitionConfig, ReplicationMode, SelectionStrategy};
+use crate::config::{BipartitionConfig, ReplicationMode};
 use crate::error::StopReason;
 use crate::state::{pins_contribution, CellState, EngineState};
 use netpart_hypergraph::{CellId, Hypergraph, Placement};
 use netpart_obs::{Event, Level, Span};
 use netpart_rng::Rng;
-use std::collections::BinaryHeap;
 
 /// The outcome of one bipartitioning run.
 #[derive(Clone, Debug)]
@@ -77,100 +75,6 @@ const TIE_UNREPLICATE: u8 = 3;
 const TIE_MOVE: u8 = 2;
 const TIE_REPLICATE: u8 = 1;
 
-#[derive(PartialEq, Eq)]
-struct HeapEntry {
-    gain: i64,
-    tie: u8,
-    /// Third-order key replicating the bucket ladder's ordering
-    /// contract so both strategies elect identical move sequences:
-    /// an insertion sequence number for in-range gains (LIFO — higher
-    /// is more recent and wins) and `!cell` for overflow gains (lowest
-    /// cell id wins). The two regimes never meet at an equal
-    /// `(gain, tie)` key, so the combined order is total.
-    ord: u64,
-    cell: u32,
-    stamp: u64,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.gain, self.tie, self.ord).cmp(&(other.gain, other.tie, other.ord))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The best move currently available for a cell, if any.
-fn best_candidate(
-    engine: &EngineState<'_>,
-    cfg: &BipartitionConfig,
-    psi: &[u32],
-    c: CellId,
-) -> Option<(i64, u8, CellState)> {
-    best_candidate_where(engine, cfg, psi, c, |_| true)
-}
-
-/// The best move of `c` among candidates satisfying `keep`, enumerated
-/// in the same order as [`push_candidates`] (earliest wins exact
-/// `(gain, tie)` ties, matching [`best_of`]).
-fn best_candidate_where(
-    engine: &EngineState<'_>,
-    cfg: &BipartitionConfig,
-    psi: &[u32],
-    c: CellId,
-    keep: impl Fn(CellState) -> bool,
-) -> Option<(i64, u8, CellState)> {
-    let cur = engine.cell_state(c);
-    let cell = engine.hypergraph().cell(c);
-    let mut best: Option<(i64, u8, CellState)> = None;
-    let consider = |gain: i64, tie: u8, st: CellState, best: &mut Option<(i64, u8, CellState)>| {
-        if !keep(st) {
-            return;
-        }
-        if best.as_ref().is_none_or(|(g, t, _)| (gain, tie) > (*g, *t)) {
-            *best = Some((gain, tie, st));
-        }
-    };
-    match cur {
-        CellState::Single { side } => {
-            let mv = CellState::Single { side: 1 - side };
-            consider(engine.peek_gain(c, mv), TIE_MOVE, mv, &mut best);
-            if !cell.is_terminal() {
-                match cfg.replication {
-                    ReplicationMode::None => {}
-                    ReplicationMode::Traditional => {
-                        let st = CellState::Traditional { orig_side: side };
-                        consider(engine.peek_gain(c, st), TIE_REPLICATE, st, &mut best);
-                    }
-                    ReplicationMode::Functional { threshold } => {
-                        let m = cell.m_outputs();
-                        if m >= 2 && psi[c.index()] >= threshold {
-                            for o in 0..m {
-                                let st = CellState::Functional {
-                                    orig_side: side,
-                                    replica_mask: 1 << o,
-                                };
-                                consider(engine.peek_gain(c, st), TIE_REPLICATE, st, &mut best);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        CellState::Functional { .. } | CellState::Traditional { .. } => {
-            for side in 0..2u8 {
-                let st = CellState::Single { side };
-                consider(engine.peek_gain(c, st), TIE_UNREPLICATE, st, &mut best);
-            }
-        }
-    }
-    best
-}
-
 /// Upper-bound legality of a state change against the area limits and
 /// the replication growth budget.
 fn legal(
@@ -224,8 +128,8 @@ struct Candidate {
     gain: i64,
 }
 
-/// Enumerates the candidate moves of `c` (same set and order as
-/// [`best_candidate`]), seeding each gain from a full [`EngineState::peek_gain`].
+/// Enumerates the candidate moves of `c`, seeding each gain from a full
+/// [`EngineState::peek_gain`].
 fn push_candidates(
     engine: &EngineState<'_>,
     cfg: &BipartitionConfig,
@@ -276,7 +180,7 @@ fn push_candidates(
 }
 
 /// The maximum-`(gain, tie)` candidate of `c` in the arena; earliest
-/// wins on exact ties, matching [`best_candidate`].
+/// wins on exact ties.
 fn best_of(cands: &[Candidate], range: &[(u32, u32)], c: CellId) -> Option<(i64, u8, usize)> {
     let (s, e) = range[c.index()];
     let mut best: Option<(i64, u8, usize)> = None;
@@ -293,9 +197,9 @@ struct PassOutcome {
     any_balanced: bool,
     /// Selection telemetry: candidates popped for consideration,
     /// selection-structure scan work (bucket slots walked by the
-    /// max-gain pointer, or stale heap pops skipped), stale-gain
-    /// repairs, deferred cells retried after a drain, moves applied,
-    /// and the balanced prefix kept after rollback.
+    /// max-gain pointer), stale-gain repairs, deferred cells retried
+    /// after a drain, moves applied, and the balanced prefix kept after
+    /// rollback.
     selects: u64,
     scans: u64,
     repairs: u64,
@@ -304,17 +208,10 @@ struct PassOutcome {
     kept: u64,
 }
 
-fn run_pass(
-    engine: &mut EngineState<'_>,
-    cfg: &BipartitionConfig,
-    psi: &[u32],
-    clock: &RunClock,
-) -> PassOutcome {
-    match cfg.selection {
-        SelectionStrategy::GainBuckets => run_pass_buckets(engine, cfg, psi, clock),
-        SelectionStrategy::LazyHeap => run_pass_heap(engine, cfg, psi, clock),
-    }
-}
+/// One FM pass over the engine. Production always runs
+/// [`run_pass_buckets`]; the unit tests hand [`phase_loop`] the lazy
+/// heap reference through this type instead.
+type PassFn = fn(&mut EngineState<'_>, &BipartitionConfig, &[u32], &RunClock) -> PassOutcome;
 
 /// One FM pass over the gain-bucket ladder with incremental updates.
 ///
@@ -323,8 +220,8 @@ fn run_pass(
 /// endpoint counts actually changed are revisited, and each unlocked
 /// endpoint's candidate gains are adjusted by the *difference* of that
 /// net's contribution between the before/after count snapshots
-/// ([`EngineState::net_contribution`]) — no candidate is recomputed
-/// from scratch on the hot path.
+/// ([`pins_contribution`]) — no candidate is recomputed from scratch on
+/// the hot path.
 ///
 /// When a cell's best candidate is area-illegal, the cell is re-keyed
 /// by its best *legal* candidate (strictly lower, so this terminates)
@@ -519,227 +416,6 @@ fn run_pass_buckets(
     }
 }
 
-/// One FM pass over a lazy max-heap: the differential baseline for
-/// [`run_pass_buckets`].
-///
-/// Selection *policy* is identical to the bucket pass — same candidate
-/// enumeration, same `(gain, tie)` keys, same LIFO / lowest-cell-id
-/// ordering (see [`HeapEntry::ord`]), same re-key-to-legal-best rule at
-/// selection time, same deferred-retry protocol — so for a fixed seed
-/// both strategies elect the same move sequence and produce
-/// certificate-identical solutions (enforced by `tests/differential.rs`).
-///
-/// The *mechanism* is deliberately different: priorities live in a lazy
-/// `BinaryHeap` with stamp-invalidated entries, and every touched
-/// neighbor's key is re-derived from scratch via
-/// [`EngineState::peek_gain`] instead of the bucket pass's incremental
-/// delta maintenance. Any inexactness in the incremental updates
-/// surfaces as a certificate divergence between the two.
-fn run_pass_heap(
-    engine: &mut EngineState<'_>,
-    cfg: &BipartitionConfig,
-    psi: &[u32],
-    clock: &RunClock,
-) -> PassOutcome {
-    let hg = engine.hypergraph();
-    let total0 = hg.total_area();
-    let n = hg.n_cells();
-    let csr = engine.csr().clone();
-    // Same in-range bound as the bucket ladder: inside it, equal keys
-    // order LIFO by insertion sequence; outside, by lowest cell id.
-    let p_max = csr.max_cell_degree() as i64;
-    let ord_of = |gain: i64, cell: u32, seq: u64| -> u64 {
-        if (-p_max..=p_max).contains(&gain) {
-            seq
-        } else {
-            u64::from(!cell)
-        }
-    };
-
-    let mut locked = vec![false; n];
-    let mut stamps = vec![0u64; n];
-    // Key of each cell's live entry; `present` gates the same-key no-op
-    // (which preserves the LIFO position, exactly like the ladder's
-    // `update` with an unchanged key).
-    let mut key: Vec<(i64, u8)> = vec![(0, 0); n];
-    let mut present = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-
-    let mut push_entry = |heap: &mut BinaryHeap<HeapEntry>,
-                          stamps: &mut [u64],
-                          key: &mut [(i64, u8)],
-                          present: &mut [bool],
-                          c: CellId,
-                          g: i64,
-                          t: u8| {
-        stamps[c.index()] += 1;
-        seq += 1;
-        key[c.index()] = (g, t);
-        present[c.index()] = true;
-        heap.push(HeapEntry {
-            gain: g,
-            tie: t,
-            ord: ord_of(g, c.0, seq),
-            cell: c.0,
-            stamp: stamps[c.index()],
-        });
-    };
-    // (Re)keys `c` by its best candidate ignoring legality — the
-    // ladder's `update(best_of(..))` — keeping the live entry when the
-    // key is unchanged.
-    macro_rules! push_best {
-        ($c:expr) => {{
-            let c: CellId = $c;
-            if let Some((g, t, _)) = best_candidate(engine, cfg, psi, c) {
-                if !(present[c.index()] && key[c.index()] == (g, t)) {
-                    push_entry(&mut heap, &mut stamps, &mut key, &mut present, c, g, t);
-                }
-            } else if present[c.index()] {
-                present[c.index()] = false;
-                stamps[c.index()] += 1;
-            }
-        }};
-    }
-
-    for c in hg.cell_ids() {
-        push_best!(c);
-    }
-
-    let mut log: Vec<(CellId, CellState)> = Vec::new();
-    let mut cum = 0i64;
-    let mut best: Option<(i64, usize)> = cfg.balanced(engine.areas()).then_some((0, 0));
-    let mut deferred: Vec<CellId> = Vec::new();
-    let mut drained_retry = false;
-    let mut selects = 0u64;
-    let mut scans = 0u64;
-    let mut repairs = 0u64;
-    let mut retried = 0u64;
-
-    // Reused per-move scratch, mirroring the bucket pass.
-    let mut before: Vec<([u32; 2], [u32; 2])> = Vec::new();
-    let mut in_touched = vec![false; n];
-    let mut touched: Vec<u32> = Vec::new();
-
-    loop {
-        let Some(e) = heap.pop() else {
-            // Drained: give deferred cells one retry (see the bucket
-            // pass for rationale).
-            if !deferred.is_empty() && !drained_retry {
-                drained_retry = true;
-                retried += deferred.len() as u64;
-                for c in std::mem::take(&mut deferred) {
-                    if !locked[c.index()] {
-                        push_best!(c);
-                    }
-                }
-                continue;
-            }
-            break;
-        };
-        let c = CellId(e.cell);
-        if locked[c.index()] || e.stamp != stamps[c.index()] {
-            // Superseded entry: the heap's analogue of a bucket-walk
-            // scan.
-            scans += 1;
-            continue;
-        }
-        selects += 1;
-        // Select the best candidate still legal at the current areas,
-        // re-deriving every gain from scratch; re-key and revisit when
-        // it differs from the popped key (the ladder's exact rule).
-        let pick =
-            best_candidate_where(engine, cfg, psi, c, |st| legal(engine, cfg, total0, c, st));
-        let Some((bg, bt, new)) = pick else {
-            // No legal candidate at the current areas; retry once they
-            // change (or at the end-of-pass drain retry).
-            present[c.index()] = false;
-            stamps[c.index()] += 1;
-            deferred.push(c);
-            continue;
-        };
-        if (bg, bt) != (e.gain, e.tie) {
-            push_entry(&mut heap, &mut stamps, &mut key, &mut present, c, bg, bt);
-            continue;
-        }
-        let prev = engine.cell_state(c);
-        let nets = csr.nets_of(c);
-        before.clear();
-        before.extend(nets.iter().map(|&nt| engine.net_counts(nt)));
-        if apply_exact(engine, c, new, bg).is_err() {
-            // Stale gain (unreachable while peek_gain is exact):
-            // refresh the cell and reselect instead of applying the
-            // move under a wrong priority.
-            repairs += 1;
-            if let Some((g, t, _)) = best_candidate(engine, cfg, psi, c) {
-                push_entry(&mut heap, &mut stamps, &mut key, &mut present, c, g, t);
-            } else {
-                present[c.index()] = false;
-                stamps[c.index()] += 1;
-            }
-            continue;
-        }
-        locked[c.index()] = true;
-        log.push((c, prev));
-        cum += bg;
-        if cfg.balanced(engine.areas()) && best.is_none_or(|(b, _)| cum > b) {
-            best = Some((cum, log.len()));
-        }
-        // A tripped budget or injected fault abandons the rest of the
-        // pass; the rollback below still restores the best balanced
-        // prefix, so interruption only costs unexplored moves.
-        if clock.tick_move().is_some() {
-            break;
-        }
-        // Re-key every unlocked cell on a net whose endpoint counts
-        // changed, plus anything deferred on area limits — collected in
-        // the same first-seen order as the bucket pass so both
-        // strategies reposition equal-key cells identically.
-        touched.clear();
-        for (i, &nt) in nets.iter().enumerate() {
-            if engine.net_counts(nt) == before[i] {
-                continue;
-            }
-            for &t in csr.cells_of(nt) {
-                if t == c || locked[t.index()] {
-                    continue;
-                }
-                if !in_touched[t.index()] {
-                    in_touched[t.index()] = true;
-                    touched.push(t.0);
-                }
-            }
-        }
-        for d in deferred.drain(..) {
-            if !locked[d.index()] && !in_touched[d.index()] {
-                in_touched[d.index()] = true;
-                touched.push(d.0);
-            }
-        }
-        drained_retry = false;
-        for &t in &touched {
-            in_touched[t as usize] = false;
-            push_best!(CellId(t));
-        }
-    }
-
-    let keep = best.map_or(0, |(_, k)| k);
-    let applied = log.len() as u64;
-    for (c, prev) in log.drain(keep..).rev() {
-        engine.set_state(c, prev);
-    }
-    PassOutcome {
-        improvement: best.map_or(0, |(g, _)| g),
-        any_balanced: best.is_some(),
-        selects,
-        scans,
-        repairs,
-        retried,
-        applied,
-        kept: keep as u64,
-    }
-}
-
 /// A random initial assignment that fills side 0 up to the midpoint of
 /// its area window (respecting side 1's upper bound), in shuffled order.
 pub(crate) fn initial_sides(hg: &Hypergraph, cfg: &BipartitionConfig) -> Vec<u8> {
@@ -805,6 +481,20 @@ pub fn bipartition_from_sides(
     sides: &[u8],
     clock: &RunClock,
 ) -> BipartitionResult {
+    phase_loop(hg, cfg, sides, clock, run_pass_buckets)
+}
+
+/// The phase and pass loop behind [`bipartition_from_sides`], running
+/// each FM pass through `pass` — a test seam for the lazy-heap
+/// reference, not an option: every production caller passes
+/// [`run_pass_buckets`].
+fn phase_loop(
+    hg: &Hypergraph,
+    cfg: &BipartitionConfig,
+    sides: &[u8],
+    clock: &RunClock,
+    pass: PassFn,
+) -> BipartitionResult {
     let mut engine = EngineState::new_weighted(hg, sides, cfg.terminal_weight);
     let psi: Vec<u32> = hg
         .cells()
@@ -841,7 +531,7 @@ pub fn bipartition_from_sides(
         stop = StopReason::PassLimit; // overwritten on convergence/interruption
         for _ in 0..cfg.max_passes {
             let pass_span = Span::enter(recorder, "fm", "pass");
-            let out = run_pass(&mut engine, &phase_cfg, &psi, clock);
+            let out = pass(&mut engine, &phase_cfg, &psi, clock);
             drop(pass_span);
             passes += 1;
             gain_repairs += out.repairs as usize;
@@ -924,14 +614,355 @@ pub fn bipartition_from_sides(
     }
 }
 
+/// A lazy max-heap FM pass: the reference the bucket pass must match
+/// move for move. Test-only: it reaches the phase loop through
+/// [`phase_loop`]'s `pass` argument.
+#[cfg(test)]
+mod lazy_heap {
+    use super::*;
+    use std::collections::BinaryHeap;
+
+    #[derive(PartialEq, Eq)]
+    struct HeapEntry {
+        gain: i64,
+        tie: u8,
+        /// Third-order key replicating the bucket ladder's ordering
+        /// contract so both passes elect identical move sequences:
+        /// an insertion sequence number for in-range gains (LIFO — higher
+        /// is more recent and wins) and `!cell` for overflow gains (lowest
+        /// cell id wins). The two regimes never meet at an equal
+        /// `(gain, tie)` key, so the combined order is total.
+        ord: u64,
+        cell: u32,
+        stamp: u64,
+    }
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            (self.gain, self.tie, self.ord).cmp(&(other.gain, other.tie, other.ord))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The best move currently available for a cell, if any.
+    fn best_candidate(
+        engine: &EngineState<'_>,
+        cfg: &BipartitionConfig,
+        psi: &[u32],
+        c: CellId,
+    ) -> Option<(i64, u8, CellState)> {
+        best_candidate_where(engine, cfg, psi, c, |_| true)
+    }
+
+    /// The best move of `c` among candidates satisfying `keep`, enumerated
+    /// in the same order as [`push_candidates`] (earliest wins exact
+    /// `(gain, tie)` ties, matching [`best_of`]).
+    fn best_candidate_where(
+        engine: &EngineState<'_>,
+        cfg: &BipartitionConfig,
+        psi: &[u32],
+        c: CellId,
+        keep: impl Fn(CellState) -> bool,
+    ) -> Option<(i64, u8, CellState)> {
+        let cur = engine.cell_state(c);
+        let cell = engine.hypergraph().cell(c);
+        let mut best: Option<(i64, u8, CellState)> = None;
+        let consider =
+            |gain: i64, tie: u8, st: CellState, best: &mut Option<(i64, u8, CellState)>| {
+                if !keep(st) {
+                    return;
+                }
+                if best.as_ref().is_none_or(|(g, t, _)| (gain, tie) > (*g, *t)) {
+                    *best = Some((gain, tie, st));
+                }
+            };
+        match cur {
+            CellState::Single { side } => {
+                let mv = CellState::Single { side: 1 - side };
+                consider(engine.peek_gain(c, mv), TIE_MOVE, mv, &mut best);
+                if !cell.is_terminal() {
+                    match cfg.replication {
+                        ReplicationMode::None => {}
+                        ReplicationMode::Traditional => {
+                            let st = CellState::Traditional { orig_side: side };
+                            consider(engine.peek_gain(c, st), TIE_REPLICATE, st, &mut best);
+                        }
+                        ReplicationMode::Functional { threshold } => {
+                            let m = cell.m_outputs();
+                            if m >= 2 && psi[c.index()] >= threshold {
+                                for o in 0..m {
+                                    let st = CellState::Functional {
+                                        orig_side: side,
+                                        replica_mask: 1 << o,
+                                    };
+                                    consider(engine.peek_gain(c, st), TIE_REPLICATE, st, &mut best);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            CellState::Functional { .. } | CellState::Traditional { .. } => {
+                for side in 0..2u8 {
+                    let st = CellState::Single { side };
+                    consider(engine.peek_gain(c, st), TIE_UNREPLICATE, st, &mut best);
+                }
+            }
+        }
+        best
+    }
+
+    /// One FM pass over a lazy max-heap: the differential reference for
+    /// [`run_pass_buckets`].
+    ///
+    /// Selection *policy* is identical to the bucket pass — same candidate
+    /// enumeration, same `(gain, tie)` keys, same LIFO / lowest-cell-id
+    /// ordering (see [`HeapEntry::ord`]), same re-key-to-legal-best rule at
+    /// selection time, same deferred-retry protocol — so for a fixed seed
+    /// both passes elect the same move sequence and produce
+    /// certificate-identical solutions (enforced by
+    /// `gain_buckets_and_lazy_heap_are_certificate_identical`).
+    ///
+    /// The *mechanism* is deliberately different: priorities live in a lazy
+    /// `BinaryHeap` with stamp-invalidated entries, and every touched
+    /// neighbor's key is re-derived from scratch via
+    /// [`EngineState::peek_gain`] instead of the bucket pass's incremental
+    /// delta maintenance. Any inexactness in the incremental updates
+    /// surfaces as a certificate divergence between the two.
+    pub(super) fn run_pass_heap(
+        engine: &mut EngineState<'_>,
+        cfg: &BipartitionConfig,
+        psi: &[u32],
+        clock: &RunClock,
+    ) -> PassOutcome {
+        let hg = engine.hypergraph();
+        let total0 = hg.total_area();
+        let n = hg.n_cells();
+        let csr = engine.csr().clone();
+        // Same in-range bound as the bucket ladder: inside it, equal keys
+        // order LIFO by insertion sequence; outside, by lowest cell id.
+        let p_max = csr.max_cell_degree() as i64;
+        let ord_of = |gain: i64, cell: u32, seq: u64| -> u64 {
+            if (-p_max..=p_max).contains(&gain) {
+                seq
+            } else {
+                u64::from(!cell)
+            }
+        };
+
+        let mut locked = vec![false; n];
+        let mut stamps = vec![0u64; n];
+        // Key of each cell's live entry; `present` gates the same-key no-op
+        // (which preserves the LIFO position, exactly like the ladder's
+        // `update` with an unchanged key).
+        let mut key: Vec<(i64, u8)> = vec![(0, 0); n];
+        let mut present = vec![false; n];
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+
+        let mut push_entry = |heap: &mut BinaryHeap<HeapEntry>,
+                              stamps: &mut [u64],
+                              key: &mut [(i64, u8)],
+                              present: &mut [bool],
+                              c: CellId,
+                              g: i64,
+                              t: u8| {
+            stamps[c.index()] += 1;
+            seq += 1;
+            key[c.index()] = (g, t);
+            present[c.index()] = true;
+            heap.push(HeapEntry {
+                gain: g,
+                tie: t,
+                ord: ord_of(g, c.0, seq),
+                cell: c.0,
+                stamp: stamps[c.index()],
+            });
+        };
+        // (Re)keys `c` by its best candidate ignoring legality — the
+        // ladder's `update(best_of(..))` — keeping the live entry when the
+        // key is unchanged.
+        macro_rules! push_best {
+            ($c:expr) => {{
+                let c: CellId = $c;
+                if let Some((g, t, _)) = best_candidate(engine, cfg, psi, c) {
+                    if !(present[c.index()] && key[c.index()] == (g, t)) {
+                        push_entry(&mut heap, &mut stamps, &mut key, &mut present, c, g, t);
+                    }
+                } else if present[c.index()] {
+                    present[c.index()] = false;
+                    stamps[c.index()] += 1;
+                }
+            }};
+        }
+
+        for c in hg.cell_ids() {
+            push_best!(c);
+        }
+
+        let mut log: Vec<(CellId, CellState)> = Vec::new();
+        let mut cum = 0i64;
+        let mut best: Option<(i64, usize)> = cfg.balanced(engine.areas()).then_some((0, 0));
+        let mut deferred: Vec<CellId> = Vec::new();
+        let mut drained_retry = false;
+        let mut selects = 0u64;
+        let mut scans = 0u64;
+        let mut repairs = 0u64;
+        let mut retried = 0u64;
+
+        // Reused per-move scratch, mirroring the bucket pass.
+        let mut before: Vec<([u32; 2], [u32; 2])> = Vec::new();
+        let mut in_touched = vec![false; n];
+        let mut touched: Vec<u32> = Vec::new();
+
+        loop {
+            let Some(e) = heap.pop() else {
+                // Drained: give deferred cells one retry (see the bucket
+                // pass for rationale).
+                if !deferred.is_empty() && !drained_retry {
+                    drained_retry = true;
+                    retried += deferred.len() as u64;
+                    for c in std::mem::take(&mut deferred) {
+                        if !locked[c.index()] {
+                            push_best!(c);
+                        }
+                    }
+                    continue;
+                }
+                break;
+            };
+            let c = CellId(e.cell);
+            if locked[c.index()] || e.stamp != stamps[c.index()] {
+                // Superseded entry: the heap's analogue of a bucket-walk
+                // scan.
+                scans += 1;
+                continue;
+            }
+            selects += 1;
+            // Select the best candidate still legal at the current areas,
+            // re-deriving every gain from scratch; re-key and revisit when
+            // it differs from the popped key (the ladder's exact rule).
+            let pick =
+                best_candidate_where(engine, cfg, psi, c, |st| legal(engine, cfg, total0, c, st));
+            let Some((bg, bt, new)) = pick else {
+                // No legal candidate at the current areas; retry once they
+                // change (or at the end-of-pass drain retry).
+                present[c.index()] = false;
+                stamps[c.index()] += 1;
+                deferred.push(c);
+                continue;
+            };
+            if (bg, bt) != (e.gain, e.tie) {
+                push_entry(&mut heap, &mut stamps, &mut key, &mut present, c, bg, bt);
+                continue;
+            }
+            let prev = engine.cell_state(c);
+            let nets = csr.nets_of(c);
+            before.clear();
+            before.extend(nets.iter().map(|&nt| engine.net_counts(nt)));
+            if apply_exact(engine, c, new, bg).is_err() {
+                // Stale gain (unreachable while peek_gain is exact):
+                // refresh the cell and reselect instead of applying the
+                // move under a wrong priority.
+                repairs += 1;
+                if let Some((g, t, _)) = best_candidate(engine, cfg, psi, c) {
+                    push_entry(&mut heap, &mut stamps, &mut key, &mut present, c, g, t);
+                } else {
+                    present[c.index()] = false;
+                    stamps[c.index()] += 1;
+                }
+                continue;
+            }
+            locked[c.index()] = true;
+            log.push((c, prev));
+            cum += bg;
+            if cfg.balanced(engine.areas()) && best.is_none_or(|(b, _)| cum > b) {
+                best = Some((cum, log.len()));
+            }
+            // A tripped budget or injected fault abandons the rest of the
+            // pass; the rollback below still restores the best balanced
+            // prefix, so interruption only costs unexplored moves.
+            if clock.tick_move().is_some() {
+                break;
+            }
+            // Re-key every unlocked cell on a net whose endpoint counts
+            // changed, plus anything deferred on area limits — collected in
+            // the same first-seen order as the bucket pass so both
+            // strategies reposition equal-key cells identically.
+            touched.clear();
+            for (i, &nt) in nets.iter().enumerate() {
+                if engine.net_counts(nt) == before[i] {
+                    continue;
+                }
+                for &t in csr.cells_of(nt) {
+                    if t == c || locked[t.index()] {
+                        continue;
+                    }
+                    if !in_touched[t.index()] {
+                        in_touched[t.index()] = true;
+                        touched.push(t.0);
+                    }
+                }
+            }
+            for d in deferred.drain(..) {
+                if !locked[d.index()] && !in_touched[d.index()] {
+                    in_touched[d.index()] = true;
+                    touched.push(d.0);
+                }
+            }
+            drained_retry = false;
+            for &t in &touched {
+                in_touched[t as usize] = false;
+                push_best!(CellId(t));
+            }
+        }
+
+        let keep = best.map_or(0, |(_, k)| k);
+        let applied = log.len() as u64;
+        for (c, prev) in log.drain(keep..).rev() {
+            engine.set_state(c, prev);
+        }
+        PassOutcome {
+            improvement: best.map_or(0, |(g, _)| g),
+            any_balanced: best.is_some(),
+            selects,
+            scans,
+            repairs,
+            retried,
+            applied,
+            kept: keep as u64,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::lazy_heap::run_pass_heap;
     use super::*;
     use crate::budget::Budget;
     use crate::fault::FaultPlan;
     use netpart_hypergraph::{AdjacencyMatrix, CellKind, HypergraphBuilder};
     use netpart_netlist::{generate, GeneratorConfig};
     use netpart_techmap::{map, MapperConfig};
+    use netpart_verify::gen;
+
+    /// The production bucket pass and the lazy-heap reference.
+    const PASSES: [(&str, PassFn); 2] = [("buckets", run_pass_buckets), ("heap", run_pass_heap)];
+
+    /// [`bipartition`] with every FM pass run through `pass`.
+    fn bipartition_with_pass(
+        hg: &Hypergraph,
+        cfg: &BipartitionConfig,
+        pass: PassFn,
+    ) -> BipartitionResult {
+        let clock = RunClock::new(&cfg.budget, &cfg.fault);
+        phase_loop(hg, cfg, &initial_sides(hg, cfg), &clock, pass)
+    }
 
     fn mapped(gates: usize, dffs: usize, seed: u64) -> netpart_hypergraph::Hypergraph {
         let nl = generate(&GeneratorConfig::new(gates).with_dff(dffs).with_seed(seed));
@@ -1058,11 +1089,11 @@ mod tests {
         // model, so a selection structure that mispredicted their gains
         // would silently apply mis-prioritized moves in release builds.
         // With per-net exact accounting no repair may ever fire, in any
-        // replication mode and under either selection strategy.
+        // replication mode, in the bucket pass or the heap reference.
         let (hg, d) = shared_net_circuit();
         let e = crate::gain::extract_vectors(&EngineState::new(&hg, &[0; 6]), d);
         assert!(e.is_none(), "fixture must hit the extract_vectors reject");
-        for selection in [SelectionStrategy::GainBuckets, SelectionStrategy::LazyHeap] {
+        for (label, pass) in PASSES {
             for mode in [
                 ReplicationMode::None,
                 ReplicationMode::Traditional,
@@ -1070,13 +1101,9 @@ mod tests {
             ] {
                 let cfg = BipartitionConfig::bounded([0, 0], [hg.total_area(), hg.total_area()])
                     .with_seed(3)
-                    .with_replication(mode)
-                    .with_selection(selection);
-                let res = bipartition(&hg, &cfg);
-                assert_eq!(
-                    res.gain_repairs, 0,
-                    "stale gain under {selection:?}/{mode:?}"
-                );
+                    .with_replication(mode);
+                let res = bipartition_with_pass(&hg, &cfg, pass);
+                assert_eq!(res.gain_repairs, 0, "stale gain under {label}/{mode:?}");
                 assert!(res.balanced);
                 if let Some(p) = &res.placement {
                     p.validate(&hg).unwrap();
@@ -1129,15 +1156,14 @@ mod tests {
         b.connect_output(n1, c1, 0).unwrap();
         b.connect_input(n1, c0, 0).unwrap();
         let hg = b.finish().unwrap();
-        for selection in [SelectionStrategy::GainBuckets, SelectionStrategy::LazyHeap] {
+        for (label, pass) in PASSES {
             // A tight `u_i·c_i` ceiling: side 1 admits no area at all.
-            let cfg = BipartitionConfig::bounded([0, 0], [hg.total_area(), 0])
-                .with_selection(selection);
+            let cfg = BipartitionConfig::bounded([0, 0], [hg.total_area(), 0]);
             let mut engine = EngineState::new(&hg, &[0, 0]);
             let cut0 = engine.cut();
             let clock = RunClock::new(&Budget::none(), &FaultPlan::none());
-            let out = run_pass(&mut engine, &cfg, &[0, 0], &clock);
-            assert_eq!(out.retried, 2, "both deferred cells retried once");
+            let out = pass(&mut engine, &cfg, &[0, 0], &clock);
+            assert_eq!(out.retried, 2, "{label}: both deferred cells retried once");
             assert_eq!(out.applied, 0);
             assert_eq!(out.repairs, 0);
             assert_eq!(engine.cut(), cut0, "pass must not corrupt the state");
@@ -1147,12 +1173,12 @@ mod tests {
 
     #[test]
     fn strategies_agree_on_quality_and_never_repair() {
-        // The heap baseline replicates the bucket ladder's selection
+        // The heap reference replicates the bucket ladder's selection
         // policy exactly (ordering, legality re-keying, deferral), so
-        // both strategies must elect identical solutions — not merely
+        // both passes must elect identical solutions — not merely
         // comparable ones — with zero stale-gain repairs across all
-        // replication modes on a real mapped circuit. The full
-        // certificate-level equivalence runs in tests/differential.rs.
+        // replication modes on a real mapped circuit. The
+        // certificate-level equivalence is the next test.
         let hg = mapped(350, 25, 6);
         for mode in [
             ReplicationMode::None,
@@ -1163,10 +1189,7 @@ mod tests {
                 .with_seed(13)
                 .with_replication(mode);
             let buckets = bipartition(&hg, &base);
-            let heap = bipartition(
-                &hg,
-                &base.clone().with_selection(SelectionStrategy::LazyHeap),
-            );
+            let heap = bipartition_with_pass(&hg, &base, run_pass_heap);
             for (label, r) in [("buckets", &buckets), ("heap", &heap)] {
                 assert!(r.balanced, "{label} unbalanced under {mode:?}");
                 assert_eq!(r.gain_repairs, 0, "{label} repaired under {mode:?}");
@@ -1174,7 +1197,7 @@ mod tests {
                     assert_eq!(p.cut_size(&hg), r.cut, "{label} cut mismatch");
                 }
             }
-            assert_eq!(buckets.cut, heap.cut, "strategies diverged under {mode:?}");
+            assert_eq!(buckets.cut, heap.cut, "passes diverged under {mode:?}");
             assert_eq!(buckets.areas, heap.areas, "areas diverged under {mode:?}");
             assert_eq!(
                 buckets.replicated_cells, heap.replicated_cells,
@@ -1184,6 +1207,38 @@ mod tests {
                 buckets.placement, heap.placement,
                 "placements diverged under {mode:?}"
             );
+        }
+    }
+
+    /// The pinned differential seed matrix (DESIGN.md §10); change it
+    /// together with the cross-references there.
+    const SEEDS: [u64; 3] = [11, 29, 47];
+
+    #[test]
+    fn gain_buckets_and_lazy_heap_are_certificate_identical() {
+        // Both passes select identical move sequences (LIFO +
+        // lowest-cell-id tie order), so every start of a three-start
+        // portfolio — not only its winner — serializes to the same
+        // certificate bytes.
+        for seed in SEEDS {
+            let hg = gen::mapped(350, 30, seed);
+            for mode in [ReplicationMode::None, ReplicationMode::functional(0)] {
+                for start in 0..3 {
+                    let cfg = BipartitionConfig::equal(&hg, 0.1)
+                        .with_seed(seed + start)
+                        .with_replication(mode);
+                    let [buckets, heap] = PASSES.map(|(_, pass)| {
+                        bipartition_with_pass(&hg, &cfg, pass)
+                            .certificate(&hg, cfg.seed)
+                            .expect("placement exports")
+                            .to_text()
+                    });
+                    assert_eq!(
+                        buckets, heap,
+                        "passes diverged at seed {seed}, start {start}, {mode:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -29,7 +29,7 @@
 //! dies first) does the driver return a typed [`PartitionError`].
 
 use crate::budget::{Budget, RunClock};
-use crate::config::{BipartitionConfig, ReplicationMode, SelectionStrategy};
+use crate::config::{BipartitionConfig, ReplicationMode};
 use crate::error::{Degradation, PartitionError, Relaxation, StopReason};
 use crate::extract::{extract_rest, Extraction};
 use crate::fault::FaultPlan;
@@ -77,9 +77,6 @@ pub struct KWayConfig {
     pub budget: Budget,
     /// Deterministic fault-injection plan (testing hook).
     pub fault: FaultPlan,
-    /// Move-selection structure used inside each carve bipartition;
-    /// [`SelectionStrategy::GainBuckets`] by default.
-    pub selection: SelectionStrategy,
 }
 
 impl KWayConfig {
@@ -97,7 +94,6 @@ impl KWayConfig {
             escalate: true,
             budget: Budget::none(),
             fault: FaultPlan::none(),
-            selection: SelectionStrategy::default(),
         }
     }
 
@@ -166,12 +162,6 @@ impl KWayConfig {
     /// Arms a fault-injection plan (testing hook).
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Sets the move-selection strategy of the carve FM passes.
-    pub fn with_selection(mut self, s: SelectionStrategy) -> Self {
-        self.selection = s;
         self
     }
 }
@@ -394,8 +384,7 @@ fn carve_once(
                 .with_seed(rng.next_u64())
                 .with_max_passes(cfg.max_passes)
                 .with_terminal_weight(tweight)
-                .with_max_growth(Some((area / 16).max(4)))
-                .with_selection(cfg.selection);
+                .with_max_growth(Some((area / 16).max(4)));
             let res = bipartition_with_clock(&piece.hypergraph, &bcfg, clock);
             if clock.stopped().is_some() {
                 return None;

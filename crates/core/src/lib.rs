@@ -39,7 +39,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
+#[cfg(test)]
+mod baseline;
 mod buckets;
 mod budget;
 mod config;
@@ -57,7 +58,7 @@ mod runs;
 mod state;
 
 pub use budget::{Budget, CancelToken, RunClock};
-pub use config::{BipartitionConfig, ReplicationMode, SelectionStrategy};
+pub use config::{BipartitionConfig, ReplicationMode};
 pub use error::{Degradation, PartitionError, Relaxation, StopReason};
 pub use extract::{extract_rest, Extraction};
 pub use fault::FaultPlan;

@@ -31,11 +31,9 @@
 //! moves a solution out of its area window.
 
 use crate::config::BipartitionConfig;
-use crate::csr::CsrGraph;
 use crate::state::{CellState, EngineState};
 use netpart_hypergraph::{CellId, Hypergraph};
 use netpart_obs::{Event, Level, Recorder, Span};
-use std::sync::Arc;
 
 /// Fixed proposal-region count. Part of the determinism contract: the
 /// region partition must not depend on the worker count, so any `jobs`
@@ -217,23 +215,6 @@ pub fn par_refine_sides(
         );
     }
     out
-}
-
-/// [`par_refine_sides`] exposed over a shared CSR handle so repeated
-/// refinements on one hypergraph skip re-flattening. Currently the CSR
-/// build is cheap enough that [`par_refine_sides`] simply rebuilds; this
-/// seam exists for the multilevel rung integration.
-#[allow(dead_code)]
-pub(crate) fn par_refine_sides_with_csr(
-    hg: &Hypergraph,
-    _csr: Arc<CsrGraph>,
-    cfg: &BipartitionConfig,
-    sides: &mut [u8],
-    jobs: usize,
-    max_rounds: usize,
-    recorder: &dyn Recorder,
-) -> ParRefineOutcome {
-    par_refine_sides(hg, cfg, sides, jobs, max_rounds, recorder)
 }
 
 #[cfg(test)]

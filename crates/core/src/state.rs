@@ -287,12 +287,13 @@ impl<'a> EngineState<'a> {
     /// `c` on `net` (looked up as a CSR pin group — only that net's
     /// pins are touched, never the whole cell).
     ///
-    /// [`EngineState::peek_gain`] sums this over a cell's incident nets
-    /// against the live counts, and the incremental bucket pass
-    /// re-evaluates it against before/after count snapshots of the nets
-    /// a move touched — so delta-updated candidate gains agree with the
-    /// from-scratch gains by construction.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// [`EngineState::peek_gain`] sums [`pins_contribution`] over a
+    /// cell's incident nets against the live counts, and the incremental
+    /// bucket pass re-evaluates it against before/after count snapshots
+    /// of the nets a move touched — so delta-updated candidate gains
+    /// agree with the from-scratch gains by construction. Test-only: the
+    /// unit tests check that these per-net terms sum to the peeked gain.
+    #[cfg(test)]
     pub(crate) fn net_contribution(
         &self,
         c: CellId,

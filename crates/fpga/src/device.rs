@@ -19,7 +19,6 @@ use std::fmt;
 /// terminal axis; further axes (DSPs, BRAM, …) ride along and are
 /// checked component-wise by [`Device::fits_vec`].
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Device {
     name: String,
     resources: ResourceVec,

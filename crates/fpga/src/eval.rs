@@ -8,7 +8,6 @@ use netpart_hypergraph::{Hypergraph, Placement};
 
 /// Per-part evaluation detail.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartEval {
     /// The part.
     pub part: u16,
@@ -28,7 +27,6 @@ pub struct PartEval {
 
 /// Evaluation of a complete k-way partition.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Evaluation {
     /// Per-part detail, one entry per non-empty part.
     pub parts: Vec<PartEval>,

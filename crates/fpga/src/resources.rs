@@ -25,7 +25,6 @@ pub const CANONICAL_AXES: [&str; 2] = ["clbs", "iobs"];
 
 /// A named, ordered resource vector.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResourceVec {
     axes: Vec<String>,
     amounts: Vec<u64>,

@@ -23,7 +23,6 @@ use std::fmt;
 /// assert_eq!(adj.replication_potential(), 4);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdjacencyMatrix {
     n_inputs: usize,
     rows: Vec<BitVec>,

@@ -21,7 +21,6 @@ use std::fmt;
 /// assert_eq!(a_x2.complement().norm(), 3);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,

@@ -7,7 +7,6 @@
 /// [`min_cells`](Self::min_cells) — while 100k-cell synthetics collapse
 /// through ~`max_levels` rungs before the flat partitioner runs.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultilevelConfig {
     /// Maximum number of coarsening levels; `0` disables coarsening
     /// entirely (the run is then *identical* to the flat path, which

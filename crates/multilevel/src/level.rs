@@ -15,7 +15,7 @@ use netpart_hypergraph::{CellId, Hypergraph, PartId, Placement};
 ///
 /// Invariants (enforced by construction in
 /// [`coarsen_once`](crate::coarsen_once), re-checked by the
-/// feature-gated property suite):
+/// property suite `tests/props_multilevel.rs`):
 ///
 /// * total cell area is conserved: `Σ fine area = Σ coarse area`;
 /// * `cell_map` is total and surjective onto the coarse cell ids;

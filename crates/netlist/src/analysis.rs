@@ -105,7 +105,6 @@ pub fn transitive_support(nl: &Netlist, signal: SignalId) -> BTreeSet<SignalId> 
 
 /// Aggregate netlist statistics.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetlistStats {
     /// Total gate count, including DFFs.
     pub gates: usize,

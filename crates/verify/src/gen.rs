@@ -2,9 +2,9 @@
 //! property harnesses.
 //!
 //! Promoted from the `tests/props_*` suites so the certificate
-//! differential tests, the proptest suites and the examples all draw
-//! from one source of truth. Everything here is a pure function of its
-//! seeds.
+//! differential tests (including `netpart-core`'s unit tests), the
+//! seeded property suites and the examples all draw from one source of
+//! truth. Everything here is a pure function of its seeds.
 
 use netpart_hypergraph::Hypergraph;
 use netpart_netlist::{generate, GeneratorConfig, Netlist};

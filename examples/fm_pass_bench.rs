@@ -1,7 +1,5 @@
-//! Measures the FM selection-structure rewrite: the same seeded
-//! bipartition runs under the incremental `GainBuckets` ladder (the
-//! default) and the retained `LazyHeap` baseline, timed per strategy
-//! across a small circuit suite.
+//! Times the FM gain-bucket pass: the same seeded bipartition runs,
+//! with functional replication, across a small circuit suite.
 //!
 //! ```text
 //! cargo run --release --example fm_pass_bench [reps]
@@ -10,18 +8,15 @@
 //! This is the source of the README "Performance" numbers; re-run it
 //! on your own hardware. Besides the table, the run is archived as
 //! `BENCH_fm.json` in the current directory — a metrics snapshot with
-//! per-size wall times for both strategies and the per-pass averages
-//! (`pass_ms_*` gauges, the series `scripts/perf_gate.sh` regresses
-//! against).
+//! per-size wall times and the per-pass averages (`pass_ms_*` gauges,
+//! the series `scripts/perf_gate.sh` regresses against).
 //!
-//! After the strategy table, a single flat `GainBuckets` run times the
-//! 100k-gate Rent-rule synthetic (`rent100k_*` fields) — the circuit
-//! the CSR hot path is sized for. The `LazyHeap` baseline is omitted
-//! there: it is a minutes-not-seconds detour that the small-size
-//! speedup column already characterizes.
+//! After the suite table, a single flat run without replication times
+//! the 100k-gate Rent-rule synthetic (`rent100k_*` fields) — the
+//! circuit the CSR hot path is sized for.
 //!
-//! Both strategies must finish every run with `gain_repairs == 0`
-//! (the incremental updates are exact); the example asserts it.
+//! Every run must finish with `gain_repairs == 0` (the incremental
+//! updates are exact); the example asserts it.
 
 use netpart::prelude::*;
 use netpart::report::{f2, Table};
@@ -45,15 +40,10 @@ fn circuit(gates: usize) -> Result<Hypergraph, Box<dyn std::error::Error>> {
     Ok(map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl))
 }
 
-fn time_strategy(
-    hg: &Hypergraph,
-    strategy: SelectionStrategy,
-    reps: usize,
-) -> (f64, usize, usize) {
+fn time_buckets(hg: &Hypergraph, reps: usize) -> (f64, usize, usize) {
     let cfg = BipartitionConfig::equal(hg, 0.1)
         .with_seed(1)
-        .with_replication(ReplicationMode::functional(0))
-        .with_selection(strategy);
+        .with_replication(ReplicationMode::functional(0));
     let mut best_ms = f64::INFINITY;
     let mut last = None;
     for _ in 0..reps {
@@ -62,9 +52,9 @@ fn time_strategy(
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             r.gain_repairs, 0,
-            "{strategy:?}: incremental gains diverged from realized deltas"
+            "incremental gains diverged from realized deltas"
         );
-        assert!(r.balanced, "{strategy:?}: unbalanced result");
+        assert!(r.balanced, "unbalanced result");
         best_ms = best_ms.min(ms);
         last = Some(r);
     }
@@ -77,10 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reps: usize = args.next().map_or(Ok(3), |a| a.parse())?;
 
     let mut t = Table::new(
-        "FM pass selection: heap baseline vs incremental gain buckets",
-        &[
-            "gates", "CLBs", "heap (ms)", "buckets (ms)", "speedup", "cut h/b", "passes h/b",
-        ],
+        "FM gain-bucket pass, functional replication",
+        &["gates", "CLBs", "run (ms)", "pass (ms)", "cut", "passes"],
     );
     let mut snap = MetricsSnapshot::new();
     snap.set_meta("bench", "fm_pass_bench");
@@ -90,27 +78,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &gates in SIZES {
         let hg = circuit(gates)?;
         let clbs = hg.stats().clbs;
-        let (heap_ms, heap_cut, heap_passes) = time_strategy(&hg, SelectionStrategy::LazyHeap, reps);
-        let (bkt_ms, bkt_cut, bkt_passes) = time_strategy(&hg, SelectionStrategy::GainBuckets, reps);
-        snap.set_timing(&format!("heap_ms_{gates}"), heap_ms as u64);
-        snap.set_timing(&format!("buckets_ms_{gates}"), bkt_ms as u64);
-        snap.set_gauge(&format!("cut_buckets_{gates}"), bkt_cut as f64);
-        snap.set_gauge(&format!("cut_heap_{gates}"), heap_cut as f64);
-        snap.set_gauge(&format!("speedup_{gates}"), heap_ms / bkt_ms);
-        snap.set_gauge(&format!("pass_ms_heap_{gates}"), heap_ms / heap_passes as f64);
-        snap.set_gauge(&format!("pass_ms_buckets_{gates}"), bkt_ms / bkt_passes as f64);
+        let (ms, cut, passes) = time_buckets(&hg, reps);
+        let pass_ms = ms / passes as f64;
+        snap.set_timing(&format!("buckets_ms_{gates}"), ms as u64);
+        snap.set_gauge(&format!("cut_buckets_{gates}"), cut as f64);
+        snap.set_gauge(&format!("pass_ms_buckets_{gates}"), pass_ms);
         t.row([
             gates.to_string(),
             clbs.to_string(),
-            f2(heap_ms),
-            f2(bkt_ms),
-            format!("{}x", f2(heap_ms / bkt_ms)),
-            format!("{heap_cut}/{bkt_cut}"),
-            format!("{heap_passes}/{bkt_passes}"),
+            f2(ms),
+            f2(pass_ms),
+            cut.to_string(),
+            passes.to_string(),
         ]);
     }
     println!("{t}");
-    println!("(both strategies: gain_repairs == 0 on every run)");
+    println!("(gain_repairs == 0 on every run)");
 
     // Large-circuit leg: flat FM over the 100k-gate Rent synthetic,
     // single rep (the pass count is high enough that best-of-reps adds

@@ -89,7 +89,7 @@ pub mod prelude {
     };
     pub use netpart_core::{
         bipartition, kway_partition, run_many, BipartitionConfig, Budget, Degradation, FaultPlan,
-        KWayConfig, PartitionError, Relaxation, ReplicationMode, SelectionStrategy, StopReason,
+        KWayConfig, PartitionError, Relaxation, ReplicationMode, StopReason,
     };
     pub use netpart_engine::{ContentHash, Engine, KWayPortfolioResult, PortfolioResult};
     pub use netpart_fpga::{assign_devices, evaluate, Device, DeviceLibrary, ResourceVec};

@@ -1,9 +1,9 @@
 //! Randomized property suite for the board-topology subsystem.
 //!
 //! Hand-rolled generators over `netpart-rng` (the hermetic build has no
-//! `proptest` registry crate; see the `proptest-tests` feature note in
-//! `Cargo.toml`) — every case is a pure function of its seed, so a
-//! failure report is a two-integer reproducer. The cheap sweeps run in
+//! `proptest` registry crate; see the policy note in `Cargo.toml`) —
+//! every case is a pure function of its seed, so a failure report is a
+//! two-integer reproducer. The cheap sweeps run in
 //! the default pass; the `#[ignore]`d deep sweeps ride CI's release
 //! `--ignored` step.
 //!
