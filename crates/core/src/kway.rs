@@ -57,11 +57,6 @@ pub struct KWayConfig {
     pub seed: u64,
     /// FM pass limit inside each carve bipartition.
     pub max_passes: usize,
-    /// Run the direct multi-way refinement pass (an extension beyond the
-    /// paper: [`refine_kway`](crate::refine_kway) plus
-    /// [`unreplicate_cleanup`](crate::unreplicate_cleanup)) on the winning
-    /// partition.
-    pub refine: bool,
     /// Whether the escalation ladder (reseed → relax floor → larger
     /// devices) may climb when the base attempt pool finds nothing
     /// feasible. `true` by default; the parallel portfolio engine turns
@@ -90,7 +85,6 @@ impl KWayConfig {
             max_attempts: 200,
             seed: 0,
             max_passes: 8,
-            refine: false,
             escalate: true,
             budget: Budget::none(),
             fault: FaultPlan::none(),
@@ -103,12 +97,6 @@ impl KWayConfig {
     /// [`with_candidates`](Self::with_candidates), which rescales the cap.
     pub fn with_max_attempts(mut self, n: usize) -> Self {
         self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Enables the post-carve multi-way refinement extension.
-    pub fn with_refine(mut self, refine: bool) -> Self {
-        self.refine = refine;
         self
     }
 
@@ -641,7 +629,6 @@ pub fn kway_partition_with_clock(
     };
     let mut attempts = 0usize;
     let mut feasible = 0usize;
-    let mut floor_relaxed = false;
 
     // Rung 0: exactly as configured.
     let s = run_stage(
@@ -696,7 +683,6 @@ pub fn kway_partition_with_clock(
     let relaxed = if cfg.escalate && best.is_none() && clock.stopped().is_none() {
         escalate_event("relaxed_floor", attempts);
         degradation.relaxations.push(Relaxation::RelaxedFloor);
-        floor_relaxed = true;
         let relaxed = cfg.library.relaxed_floor();
         let s = run_stage(
             hg,
@@ -753,7 +739,7 @@ pub fn kway_partition_with_clock(
         );
     }
 
-    let Some(mut b) = best else {
+    let Some(b) = best else {
         return Err(match clock.stopped() {
             Some(StopReason::BudgetExhausted) => PartitionError::BudgetExhausted {
                 budget: cfg.budget.describe(),
@@ -782,17 +768,6 @@ pub fn kway_partition_with_clock(
         });
     };
 
-    if cfg.refine {
-        let lib = if floor_relaxed {
-            relaxed.as_ref().unwrap_or(&cfg.library)
-        } else {
-            &cfg.library
-        };
-        crate::refine::unreplicate_cleanup(hg, &mut b.placement, &b.devices, lib);
-        crate::refine::refine_kway(hg, &mut b.placement, &b.devices, lib, 4);
-        b.evaluation = try_evaluate(hg, &b.placement, lib, &b.devices)
-            .map_err(|e| PartitionError::internal(e.to_string()))?;
-    }
     if recorder.enabled(Level::Info) {
         recorder.record(
             &Event::new("kway", "done", Level::Info)
@@ -1010,30 +985,5 @@ mod tests {
             Ok(res) => assert!(res.degradation.fault_injected),
             other => panic!("expected fault outcome, got {other:?}"),
         }
-    }
-}
-#[cfg(test)]
-mod refine_flag_tests {
-    use super::*;
-    use netpart_netlist::{generate, GeneratorConfig};
-    use netpart_techmap::{map, MapperConfig};
-
-    #[test]
-    fn refine_flag_improves_or_matches_interconnect() {
-        let nl = generate(&GeneratorConfig::new(1200).with_dff(60).with_seed(13));
-        let hg = map(&nl, &MapperConfig::xc3000())
-            .unwrap()
-            .to_hypergraph(&nl);
-        let base = KWayConfig::new(DeviceLibrary::xc3000())
-            .with_candidates(2)
-            .with_seed(3)
-            .with_max_passes(8)
-            .with_replication(crate::ReplicationMode::functional(1));
-        let plain = kway_partition(&hg, &base).unwrap();
-        let refined = kway_partition(&hg, &base.clone().with_refine(true)).unwrap();
-        assert!(refined.evaluation.feasible);
-        assert!(refined.evaluation.avg_iob_util <= plain.evaluation.avg_iob_util + 1e-9);
-        assert_eq!(refined.evaluation.total_cost, plain.evaluation.total_cost);
-        refined.placement.validate(&hg).unwrap();
     }
 }

@@ -54,7 +54,6 @@ pub mod kway;
 mod parallel;
 mod refine;
 pub mod rent;
-mod runs;
 mod state;
 
 pub use budget::{Budget, CancelToken, RunClock};
@@ -68,5 +67,4 @@ pub use kway::{
 };
 pub use parallel::{par_refine_sides, ParRefineOutcome};
 pub use refine::{refine_kway, unreplicate_cleanup, RefineStats};
-pub use runs::{run_many, run_start, MultiRunStats};
 pub use state::{CellState, EngineState};

@@ -1,62 +1,50 @@
-//! The [`Engine`] facade: a configured portfolio runner with an
-//! optional request-level result cache.
+//! The [`Engine`] facade: a configured portfolio runner, the one
+//! request surface for multi-start bipartitioning and k-way carving.
 
-use crate::cache::{CacheStats, ResultCache};
-use crate::portfolio::{
-    self, bipartition_key, kway_key, with_multilevel_key, KWayPortfolioResult, PortfolioResult,
-};
+use crate::portfolio::{self, KWayPortfolioResult, PortfolioResult};
 use netpart_core::{
     par_refine_sides, BipartitionConfig, BipartitionResult, EngineState, KWayConfig,
     ParRefineOutcome, PartitionError,
 };
 use netpart_hypergraph::Hypergraph;
 use netpart_multilevel::MultilevelConfig;
-use netpart_obs::{Event, Level, NoopRecorder, Recorder, Span};
+use netpart_obs::{NoopRecorder, Recorder, Span};
 use std::sync::Arc;
 
 /// Refinement round cap for [`Engine::par_refine`]: each round makes
 /// monotone progress, so this is a safety bound, not a tuning knob.
 const PAR_REFINE_MAX_ROUNDS: usize = 64;
 
-/// A portfolio engine instance: thread count plus (optionally) a
-/// request cache that lives as long as the engine.
+/// A portfolio engine instance: thread count, optional multilevel
+/// V-cycle and telemetry recorder.
 ///
-/// Caching is keyed by the content hash of `(hypergraph, configuration,
-/// start count)` — see [`ContentHash`](crate::ContentHash) — and is
-/// therefore *jobs-invariant*: a request computed at `--jobs 1` serves
-/// an identical later request at `--jobs 8` and vice versa, which is
-/// only sound because the portfolio reduction itself is deterministic
-/// across thread counts. Only successful results are cached; errors are
-/// recomputed. Budgeted requests are cached like any other (the budget
-/// is part of the key): a cache hit then simply replays the degraded
-/// solution the budget originally allowed, which keeps repeated
-/// requests consistent with each other.
+/// Every multi-start request — the CLI, the durable service, the paper
+/// experiments (`netpart::experiments`) and the benchmark — runs through
+/// [`bipartition_many`](Self::bipartition_many) or [`kway`](Self::kway),
+/// so one set of budget, seed and reduction rules applies everywhere.
+/// Repeated requests are the durable service's concern: its verified
+/// disk cache is keyed by [`bipartition_key`](crate::bipartition_key) /
+/// [`kway_key`](crate::kway_key).
 #[derive(Debug)]
 pub struct Engine {
     jobs: usize,
-    cache_enabled: bool,
     multilevel: Option<MultilevelConfig>,
     recorder: Arc<dyn Recorder>,
-    bipartitions: ResultCache<PortfolioResult>,
-    kways: ResultCache<KWayPortfolioResult>,
 }
 
 impl Default for Engine {
     fn default() -> Self {
         Engine {
             jobs: 1,
-            cache_enabled: false,
             multilevel: None,
             recorder: Arc::new(NoopRecorder),
-            bipartitions: ResultCache::default(),
-            kways: ResultCache::default(),
         }
     }
 }
 
 impl Engine {
     /// An engine fanning work across `jobs` worker threads (clamped to
-    /// at least 1), with the cache disabled.
+    /// at least 1).
     pub fn new(jobs: usize) -> Self {
         Engine {
             jobs: jobs.max(1),
@@ -64,19 +52,12 @@ impl Engine {
         }
     }
 
-    /// Enables or disables the result cache.
-    pub fn with_cache(mut self, on: bool) -> Self {
-        self.cache_enabled = on;
-        self
-    }
-
     /// Enables (`Some`) or disables (`None`) the multilevel V-cycle:
     /// every portfolio start/task coarsens the circuit, partitions the
     /// coarsest graph and refines back up (see
-    /// [`netpart_multilevel`]). Cache keys fold in the configuration,
-    /// so flat and multilevel requests never serve each other; seed
-    /// derivation and reduction order are unchanged, so `--jobs`
-    /// invariance holds exactly as in the flat engine.
+    /// [`netpart_multilevel`]). Seed derivation and reduction order are
+    /// unchanged, so `--jobs` invariance holds exactly as in the flat
+    /// engine.
     #[must_use]
     pub fn with_multilevel(mut self, ml: Option<MultilevelConfig>) -> Self {
         self.multilevel = ml;
@@ -84,8 +65,7 @@ impl Engine {
     }
 
     /// Attaches a telemetry recorder: portfolio runs launched through
-    /// this engine emit their deterministic trace into it, and cache
-    /// lookups emit `engine.cache` hit/miss events.
+    /// this engine emit their deterministic trace into it.
     ///
     /// Per-unit events (FM pass trajectories, run summaries, carve
     /// diagnostics) are buffered on each worker and **replayed into the
@@ -108,33 +88,16 @@ impl Engine {
         self.jobs
     }
 
-    /// Whether the result cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
     /// The multilevel configuration, when the V-cycle is enabled.
     pub fn multilevel(&self) -> Option<&MultilevelConfig> {
         self.multilevel.as_ref()
     }
 
-    fn record_cache(&self, kind: &'static str, hit: bool) {
-        if self.recorder.enabled(Level::Debug) {
-            self.recorder.record(
-                &Event::new("engine", "cache", Level::Debug)
-                    .field("kind", kind)
-                    .field("hit", hit),
-            );
-            let name = if hit { "cache_hits" } else { "cache_misses" };
-            self.recorder
-                .record(&Event::counter("engine", name, 1).at(Level::Debug));
-        }
-    }
-
-    /// Runs (or serves from cache) a multi-start bipartition portfolio:
-    /// `n` seeded starts (seeds `base.seed + 0..n`) across this engine's
-    /// worker threads, with the winner reduced in fixed seed order. The
-    /// second return value is `true` on a cache hit.
+    /// Runs a multi-start bipartition portfolio: `n` seeded starts
+    /// (seeds `base.seed + 0..n`) across this engine's worker threads,
+    /// with the winner reduced in fixed seed order. The second return
+    /// value is always `false`; it is kept so existing callers that
+    /// destructure the pair still compile.
     ///
     /// `base.budget.wall_ms` bounds the *whole portfolio* via a deadline
     /// shared by every worker; `base.budget.max_moves` and `base.fault`
@@ -166,24 +129,16 @@ impl Engine {
         let ml = self.multilevel.as_ref();
         let recorder = self.recorder.as_ref();
         let _span = Span::enter(recorder, "engine", "bipartition");
-        let run = || portfolio::bipartition(hg, base, n, self.jobs, ml, recorder);
-        if !self.cache_enabled {
-            return run().map(|r| (Arc::new(r), false));
-        }
-        let key = with_multilevel_key(bipartition_key(hg, base, n), ml);
-        let out = self.bipartitions.try_get_or_compute(key, run);
-        if let Ok((_, hit)) = &out {
-            self.record_cache("bipartition", *hit);
-        }
-        out
+        portfolio::bipartition(hg, base, n, self.jobs, ml, recorder).map(|r| (Arc::new(r), false))
     }
 
-    /// Runs (or serves from cache) a k-way carving portfolio: `tasks`
-    /// independent carving tasks (seed `cfg.seed + t`, candidate and
-    /// attempt pools split `div_ceil(tasks)`) across this engine's
-    /// worker threads, with the cheapest feasible result reduced in
-    /// fixed task order by `(total cost, average IOB utilization, task
-    /// index)`. The second return value is `true` on a cache hit.
+    /// Runs a k-way carving portfolio: `tasks` independent carving
+    /// tasks (seed `cfg.seed + t`, candidate and attempt pools split
+    /// `div_ceil(tasks)`) across this engine's worker threads, with the
+    /// cheapest feasible result reduced in fixed task order by `(total
+    /// cost, average IOB utilization, task index)`. The second return
+    /// value is always `false`, as for
+    /// [`bipartition_many`](Self::bipartition_many).
     ///
     /// Escalation is two-phase: every task first runs with the ladder
     /// *disabled* — a sibling's feasible result makes climbing
@@ -211,16 +166,7 @@ impl Engine {
         let ml = self.multilevel.as_ref();
         let recorder = self.recorder.as_ref();
         let _span = Span::enter(recorder, "engine", "kway");
-        let run = || portfolio::kway(hg, cfg, tasks, self.jobs, ml, recorder);
-        if !self.cache_enabled {
-            return run().map(|r| (Arc::new(r), false));
-        }
-        let key = with_multilevel_key(kway_key(hg, cfg, tasks), ml);
-        let out = self.kways.try_get_or_compute(key, run);
-        if let Ok((_, hit)) = &out {
-            self.record_cache("kway", *hit);
-        }
-        out
+        portfolio::kway(hg, cfg, tasks, self.jobs, ml, recorder).map(|r| (Arc::new(r), false))
     }
 
     /// Polishes a replication-free bipartition in place with the
@@ -262,22 +208,5 @@ impl Engine {
         result.balanced = cfg.balanced(refined.areas());
         result.placement = Some(refined.to_placement());
         Some(out)
-    }
-
-    /// Combined hit/miss/size counters over both caches.
-    pub fn cache_stats(&self) -> CacheStats {
-        let b = self.bipartitions.stats();
-        let k = self.kways.stats();
-        CacheStats {
-            hits: b.hits + k.hits,
-            misses: b.misses + k.misses,
-            entries: b.entries + k.entries,
-        }
-    }
-
-    /// Drops every cached result (counters are kept).
-    pub fn clear_cache(&self) {
-        self.bipartitions.clear();
-        self.kways.clear();
     }
 }

@@ -1,4 +1,5 @@
-//! Stable content hashing — the result-cache key foundation.
+//! Stable content hashing — the request keys of the durable service's
+//! verified result cache and write-ahead log.
 //!
 //! [`ContentHash`] produces a 64-bit FNV-1a digest over a *canonical
 //! byte encoding* of a value: every field is serialized in declaration
@@ -139,7 +140,7 @@ pub trait ContentHash {
     }
 }
 
-/// Combines several digests into one (used for composite cache keys
+/// Combines several digests into one (used for composite request keys
 /// such as `(hypergraph, config, n_runs)`).
 pub fn combine(parts: &[u64]) -> u64 {
     let mut h = Fnv1a::new();
@@ -296,7 +297,6 @@ impl ContentHash for KWayConfig {
         h.write_usize(self.max_attempts);
         h.write_u64(self.seed);
         h.write_usize(self.max_passes);
-        h.write_u8(u8::from(self.refine));
         h.write_u8(u8::from(self.escalate));
         self.budget.hash_into(h);
         self.fault.hash_into(h);
@@ -393,7 +393,6 @@ mod tests {
         assert_eq!(kbase, k.clone().content_hash());
         assert_ne!(kbase, k.clone().with_candidates(7).content_hash());
         assert_ne!(kbase, k.clone().with_escalation(false).content_hash());
-        assert_ne!(kbase, k.clone().with_refine(true).content_hash());
     }
 
     #[test]

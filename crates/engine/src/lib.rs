@@ -1,5 +1,5 @@
 //! Parallel portfolio search engine: deterministic multi-threaded
-//! multi-start partitioning with a result cache.
+//! multi-start partitioning.
 //!
 //! The paper's quality numbers come from *portfolios* — many randomized
 //! FM starts (Table III runs 20 per circuit) and many k-way carve
@@ -20,8 +20,9 @@
 //! * the shared wall deadline and [`CancelToken`](netpart_core::CancelToken)
 //!   integrate with the core's `RunClock`/`Degradation` machinery, so a
 //!   tripped budget drains every worker and still returns best-so-far;
-//! * an in-memory [`ResultCache`] keyed by stable [`ContentHash`]
-//!   digests answers repeated requests in O(1).
+//! * stable [`ContentHash`] digests ([`bipartition_key`], [`kway_key`])
+//!   name a request, which is what the durable service's verified disk
+//!   cache and write-ahead log key on.
 //!
 //! Everything here is std-only: no registry dependencies, per the
 //! workspace's hermetic-build policy.
@@ -29,12 +30,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod engine;
 mod hash;
 mod portfolio;
 
-pub use cache::{CacheStats, ResultCache};
 pub use engine::Engine;
 pub use hash::{combine, ContentHash, Fnv1a};
 pub use portfolio::{

@@ -33,12 +33,14 @@
 
 use crate::hash::{ContentHash, Fnv1a};
 use netpart_core::{
-    kway_partition_with_clock, run_start, BipartitionConfig, BipartitionResult, Budget,
-    CancelToken, Degradation, FaultPlan, KWayConfig, KWayResult, PartitionError, RunClock,
+    bipartition_with_clock, kway_partition_with_clock, BipartitionConfig, BipartitionResult,
+    Budget, CancelToken, Degradation, FaultPlan, KWayConfig, KWayResult, PartitionError, RunClock,
     StopReason,
 };
 use netpart_hypergraph::Hypergraph;
-use netpart_multilevel::{ml_kway_partition_with_clock, ml_run_start, MultilevelConfig};
+use netpart_multilevel::{
+    ml_bipartition_with_clock, ml_kway_partition_with_clock, MultilevelConfig,
+};
 use netpart_obs::{BufferRecorder, Event, Level, Recorder, Span, TIMING_SCOPE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -439,8 +441,9 @@ impl<U: Unit> Executor<'_, U> {
 }
 
 /// Bipartition start `i`: seed `base.seed + i`, optionally wrapped in
-/// the multilevel V-cycle ([`ml_run_start`] derives seeds exactly like
-/// the flat [`run_start`]).
+/// the multilevel V-cycle. Like [`Task`], the start's configuration
+/// depends only on `(base, i)`, so the start set is identical at every
+/// thread count.
 struct Start<'a> {
     hg: &'a Hypergraph,
     base: &'a BipartitionConfig,
@@ -451,9 +454,13 @@ impl Unit for Start<'_> {
     type Out = BipartitionResult;
 
     fn run(&self, i: usize, clock: &RunClock) -> BipartitionResult {
+        let cfg = self
+            .base
+            .clone()
+            .with_seed(self.base.seed.wrapping_add(i as u64));
         match self.ml {
-            Some(m) => ml_run_start(self.hg, self.base, m, i as u64, clock),
-            None => run_start(self.hg, self.base, i as u64, clock),
+            Some(m) => ml_bipartition_with_clock(self.hg, &cfg, m, clock),
+            None => bipartition_with_clock(self.hg, &cfg, clock),
         }
     }
 
@@ -974,19 +981,20 @@ pub(crate) fn kway(
     }
 }
 
-/// The composite cache key of a bipartition portfolio request.
+/// The content key of a bipartition portfolio request: what the durable
+/// service's disk cache and WAL name a job by.
 pub fn bipartition_key(hg: &Hypergraph, base: &BipartitionConfig, n: usize) -> u64 {
     crate::hash::combine(&[hg.content_hash(), base.content_hash(), n as u64])
 }
 
-/// The composite cache key of a k-way portfolio request.
+/// The content key of a k-way portfolio request (see
+/// [`bipartition_key`]).
 pub fn kway_key(hg: &Hypergraph, cfg: &KWayConfig, tasks: usize) -> u64 {
     crate::hash::combine(&[hg.content_hash(), cfg.content_hash(), tasks as u64])
 }
 
 /// Extends a flat request key with an optional multilevel
-/// configuration. A `None` key is the flat key unchanged, so enabling
-/// the cache never invalidates pre-multilevel entries; a `Some` key
+/// configuration. A `None` key is the flat key unchanged; a `Some` key
 /// folds in every V-cycle knob, so flat and multilevel requests (and
 /// multilevel requests with different knobs) never collide.
 pub fn with_multilevel_key(flat: u64, ml: Option<&MultilevelConfig>) -> u64 {

@@ -1,8 +1,9 @@
 //! Executor paths the everyday determinism suite does not reach: the
-//! perfect-cut early exit, the k-way rescue phase, invalid requests,
-//! and the per-worker FM pass counts of k-way tasks.
+//! perfect-cut early exit, the k-way rescue phase, invalid and
+//! unsatisfiable requests, the per-worker FM pass counts of k-way
+//! tasks, and the multi-start statistics Table III reports.
 
-use netpart_core::{BipartitionConfig, KWayConfig, PartitionError};
+use netpart_core::{BipartitionConfig, KWayConfig, PartitionError, ReplicationMode};
 use netpart_engine::Engine;
 use netpart_fpga::{Device, DeviceLibrary};
 use netpart_hypergraph::{AdjacencyMatrix, CellKind, Hypergraph, HypergraphBuilder};
@@ -156,4 +157,51 @@ fn kway_workers_count_fm_passes() {
     let one = passes(1);
     assert!(one > 0, "k-way tasks run FM passes");
     assert_eq!(passes(8), one, "pass totals are per-task deterministic");
+}
+
+#[test]
+fn impossible_bounds_are_infeasible_not_a_panic() {
+    let hg = mapped(100, 20, 1);
+    // Both sides must exceed the total area: unsatisfiable.
+    let total = hg.total_area();
+    let cfg = BipartitionConfig::bounded([total, total], [2 * total, 2 * total]);
+    match Engine::new(1).bipartition_many(&hg, &cfg, 3) {
+        Err(PartitionError::InfeasibleLibrary { attempts, .. }) => assert_eq!(attempts, 3),
+        other => panic!("expected InfeasibleLibrary, got {other:?}"),
+    }
+}
+
+#[test]
+fn replication_beats_plain_on_average() {
+    let hg = mapped(400, 20, 6);
+    let base = BipartitionConfig::equal(&hg, 0.1).with_seed(1);
+    let avg = |mode: ReplicationMode| {
+        Engine::new(2)
+            .bipartition_many(&hg, &base.clone().with_replication(mode), 5)
+            .expect("portfolio runs")
+            .0
+            .avg_cut()
+    };
+    let (plain, repl) = (
+        avg(ReplicationMode::None),
+        avg(ReplicationMode::functional(0)),
+    );
+    assert!(
+        repl <= plain,
+        "functional replication should help on average: {repl} vs {plain}"
+    );
+}
+
+#[test]
+fn best_cut_is_at_most_the_average_cut() {
+    let hg = mapped(300, 20, 2);
+    let cfg = BipartitionConfig::equal(&hg, 0.1).with_seed(10);
+    let (r, _) = Engine::new(2)
+        .bipartition_many(&hg, &cfg, 5)
+        .expect("portfolio runs");
+    assert_eq!(r.results.len(), 5);
+    assert!(r.best_cut() as f64 <= r.avg_cut());
+    assert!(r.best().balanced);
+    assert_eq!(r.avg_replicated(), 0.0);
+    assert!(!r.degradation.is_degraded());
 }

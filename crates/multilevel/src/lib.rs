@@ -50,5 +50,5 @@ pub use level::{cut_of_sides, CoarseLevel};
 pub use refine::refine_sides;
 pub use vcycle::{
     build_chain, ml_bipartition, ml_bipartition_with_clock, ml_kway_partition,
-    ml_kway_partition_with_clock, ml_run_start,
+    ml_kway_partition_with_clock,
 };

@@ -267,22 +267,6 @@ pub fn ml_bipartition(
     ml_bipartition_with_clock(hg, cfg, ml, &clock)
 }
 
-/// One portfolio start of a multilevel bipartition: start `index`
-/// derives its seed exactly like the flat
-/// [`run_start`](netpart_core::run_start) (`base.seed + index`), so a
-/// multilevel portfolio keeps the flat engine's jobs-invariance and
-/// reduction semantics unchanged.
-pub fn ml_run_start(
-    hg: &Hypergraph,
-    base: &BipartitionConfig,
-    ml: &MultilevelConfig,
-    index: u64,
-    clock: &RunClock,
-) -> BipartitionResult {
-    let cfg = base.clone().with_seed(base.seed.wrapping_add(index));
-    ml_bipartition_with_clock(hg, &cfg, ml, clock)
-}
-
 /// Multilevel k-way partitioning against an externally owned clock:
 /// coarsen once, carve devices at the coarsest level, then project the
 /// placement up rung by rung with the direct k-way refiner.

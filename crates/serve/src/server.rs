@@ -692,7 +692,7 @@ impl Server {
         match prep.spec.cmd {
             JobCmd::Bipartition => {
                 let cfg = prep.spec.bipartition_config(&prep.hg);
-                let (stats, _hit) = engine.bipartition_many(&prep.hg, &cfg, prep.spec.runs)?;
+                let (stats, _) = engine.bipartition_many(&prep.hg, &cfg, prep.spec.runs)?;
                 let mut s = String::new();
                 if stats.degradation.is_degraded() {
                     let _ = writeln!(s, "note: {}", stats.degradation);
@@ -719,7 +719,7 @@ impl Server {
             JobCmd::Kway => {
                 let lib = DeviceLibrary::xc3000();
                 let cfg = prep.spec.kway_config(lib.clone());
-                let (pres, _hit) = engine.kway(&prep.hg, &cfg, prep.spec.tasks)?;
+                let (pres, _) = engine.kway(&prep.hg, &cfg, prep.spec.tasks)?;
                 let res = &pres.result;
                 let mut s = String::new();
                 if res.degradation.is_degraded() {

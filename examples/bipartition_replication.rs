@@ -30,20 +30,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{name}: {} CLBs, {} IOBs, {} nets", s.clbs, s.iobs, s.nets);
 
     let base = BipartitionConfig::equal(&hg, 0.1).with_seed(7);
-    let plain = run_many(&hg, &base, runs)?;
+    let engine = Engine::new(1);
+    let run = |mode: ReplicationMode| {
+        engine
+            .bipartition_many(&hg, &base.clone().with_replication(mode), runs)
+            .map(|(r, _)| r)
+    };
+    let plain = run(ReplicationMode::None)?;
     println!(
         "F-M min-cut:            best {:4}  avg {:7.1}",
         plain.best_cut(),
         plain.avg_cut()
     );
 
-    let func = run_many(
-        &hg,
-        &base
-            .clone()
-            .with_replication(ReplicationMode::functional(0)),
-        runs,
-    )?;
+    let func = run(ReplicationMode::functional(0))?;
     println!(
         "+ functional repl (T=0): best {:4}  avg {:7.1}  ({:.1} cells replicated on avg)",
         func.best_cut(),
@@ -51,11 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         func.avg_replicated()
     );
 
-    let trad = run_many(
-        &hg,
-        &base.clone().with_replication(ReplicationMode::Traditional),
-        runs,
-    )?;
+    let trad = run(ReplicationMode::Traditional)?;
     println!(
         "+ traditional repl:      best {:4}  avg {:7.1}  ({:.1} cells replicated on avg)",
         trad.best_cut(),
@@ -72,13 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Threshold sweep: T limits which cells may replicate (eq. 6).
     println!("\nthreshold sweep (avg cut over {runs} runs):");
     for t in [0u32, 1, 2, 3, 5] {
-        let r = run_many(
-            &hg,
-            &base
-                .clone()
-                .with_replication(ReplicationMode::functional(t)),
-            runs,
-        )?;
+        let r = run(ReplicationMode::functional(t))?;
         println!(
             "  T = {t}: avg cut {:7.1}, avg replicated cells {:5.1}",
             r.avg_cut(),

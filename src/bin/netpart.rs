@@ -5,13 +5,13 @@
 //! netpart stats       <file.blif>
 //! netpart bipartition <file.blif> [--replication none|traditional|functional]
 //!                     [--threshold T] [--runs N] [--epsilon E] [--seed S]
-//!                     [--budget-ms MS] [--jobs N] [--cache] [--certify-out C.cert]
+//!                     [--budget-ms MS] [--jobs N] [--certify-out C.cert]
 //!                     [--multilevel] [--max-levels N] [--coarsen-ratio R]
 //!                     [--par-refine]
 //! netpart kway        <file.blif> [--replication none|functional] [--threshold T]
 //!                     [--candidates N] [--max-attempts N] [--seed S] [--refine]
 //!                     [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N]
-//!                     [--cache] [--certify-out C.cert]
+//!                     [--certify-out C.cert]
 //!                     [--multilevel] [--max-levels N] [--coarsen-ratio R]
 //! netpart verify      <file.cert> [--netlist file.blif]
 //! netpart serve       <spool-dir> [--drain] [--jobs N] [--max-queue N]
@@ -33,9 +33,10 @@
 //! jobs level. `--tasks N` fixes the k-way portfolio width (default 4)
 //! independently of `--jobs`, which is what keeps the k-way reduction
 //! jobs-invariant. Worker statistics go to stderr so stdout stays
-//! byte-comparable. `--cache` enables the engine's in-memory result
-//! cache (useful for repeated requests inside one process; stats are
-//! printed to stderr).
+//! byte-comparable. `kway --refine` polishes the winner with the direct
+//! multi-way refiner, judged against the library the winner was carved
+//! under (floor-relaxed when the escalation ladder relaxed it), so the
+//! certificate it writes verifies.
 //!
 //! # Observability
 //!
@@ -162,7 +163,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  netpart stats <file.blif>\n  netpart bipartition <file.blif> [--replication none|traditional|functional] [--threshold T] [--runs N] [--epsilon E] [--seed S] [--budget-ms MS] [--jobs N] [--cache] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--par-refine] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart kway <file.blif> [--replication none|functional] [--threshold T] [--candidates N] [--max-attempts N] [--seed S] [--refine] [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N] [--cache] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart verify <file.cert> [--netlist file.blif] [-v|-vv]\n  netpart serve <spool-dir> [--drain] [--jobs N] [--max-queue N] [--max-retries N] [--backoff-base R] [--poll-ms MS] [--budget-ms MS] [--seed S] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart serve-status <spool-dir>\n  netpart trace summarize <trace.jsonl>\n  netpart trace validate <trace.jsonl>\n  netpart trace diff <a.jsonl> <b.jsonl>\n  netpart submit <spool-dir> <file.blif> [--cmd bipartition|kway] [--id ID] [--seed S] [--runs N] [--epsilon E] [--candidates N] [--tasks N] [--replication M] [--threshold T] [--budget-ms MS] [--max-retries N] [--max-queue N]\n  netpart queue <spool-dir>\n  netpart synth <gates> [out.blif] [--dff N] [--seed S] [--rent P]"
+        "usage:\n  netpart stats <file.blif>\n  netpart bipartition <file.blif> [--replication none|traditional|functional] [--threshold T] [--runs N] [--epsilon E] [--seed S] [--budget-ms MS] [--jobs N] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--par-refine] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart kway <file.blif> [--replication none|functional] [--threshold T] [--candidates N] [--max-attempts N] [--seed S] [--refine] [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart verify <file.cert> [--netlist file.blif] [-v|-vv]\n  netpart serve <spool-dir> [--drain] [--jobs N] [--max-queue N] [--max-retries N] [--backoff-base R] [--poll-ms MS] [--budget-ms MS] [--seed S] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart serve-status <spool-dir>\n  netpart trace summarize <trace.jsonl>\n  netpart trace validate <trace.jsonl>\n  netpart trace diff <a.jsonl> <b.jsonl>\n  netpart submit <spool-dir> <file.blif> [--cmd bipartition|kway] [--id ID] [--seed S] [--runs N] [--epsilon E] [--candidates N] [--tasks N] [--replication M] [--threshold T] [--budget-ms MS] [--max-retries N] [--max-queue N]\n  netpart queue <spool-dir>\n  netpart synth <gates> [out.blif] [--dff N] [--seed S] [--rent P]"
     );
     std::process::exit(2)
 }
@@ -182,7 +183,6 @@ struct Flags {
     dff: usize,
     jobs: usize,
     tasks: usize,
-    cache: bool,
     multilevel: bool,
     max_levels: Option<usize>,
     coarsen_ratio: Option<f64>,
@@ -224,7 +224,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
         dff: 0,
         jobs: 1,
         tasks: 4,
-        cache: false,
         multilevel: false,
         max_levels: None,
         coarsen_ratio: None,
@@ -265,7 +264,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
             "--dff" => f.dff = val()?.parse()?,
             "--jobs" => f.jobs = val()?.parse::<usize>()?.max(1),
             "--tasks" => f.tasks = val()?.parse::<usize>()?.max(1),
-            "--cache" => f.cache = true,
             "--multilevel" => f.multilevel = true,
             "--max-levels" => f.max_levels = Some(val()?.parse()?),
             "--coarsen-ratio" => f.coarsen_ratio = Some(val()?.parse()?),
@@ -580,16 +578,6 @@ fn note_workers(workers: &[WorkerStats]) {
     eprintln!("{}", worker_table("portfolio workers", &rows));
 }
 
-fn note_cache(engine: &Engine) {
-    if engine.cache_enabled() {
-        let s = engine.cache_stats();
-        eprintln!(
-            "cache: {} hits, {} misses, {} entries",
-            s.hits, s.misses, s.entries
-        );
-    }
-}
-
 fn cmd_stats(path: &str) -> Result<(), Box<dyn Error>> {
     let (nl, hg) = load(path)?;
     let s = hg.stats();
@@ -629,10 +617,9 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     let runs = f.runs.max(1);
     let obs = Obs::from_flags(f)?;
     let engine = Engine::new(f.jobs)
-        .with_cache(f.cache)
         .with_multilevel(ml_of(f))
         .with_recorder(Arc::clone(&obs.recorder));
-    let (stats, _hit) = engine.bipartition_many(&hg, &cfg, runs)?;
+    let (stats, _) = engine.bipartition_many(&hg, &cfg, runs)?;
     note_degradation(&stats.degradation);
     println!(
         "{} runs: best cut {}, avg cut {:.1}, avg replicated cells {:.1}",
@@ -664,7 +651,6 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         }
     }
     note_workers(&stats.workers);
-    note_cache(&engine);
     let mut routed = None;
     if let Some(spec) = &f.board {
         let placement = match &refined {
@@ -705,10 +691,9 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     // The task count is fixed independently of --jobs, which is what
     // makes the reduction jobs-invariant.
     let engine = Engine::new(f.jobs)
-        .with_cache(f.cache)
         .with_multilevel(ml_of(f))
         .with_recorder(Arc::clone(&obs.recorder));
-    let (pres, _hit) = engine.kway(&hg, &cfg, f.tasks)?;
+    let (pres, _) = engine.kway(&hg, &cfg, f.tasks)?;
     eprintln!(
         "portfolio: task {} of {} won ({} feasible{})",
         pres.winner,
@@ -717,17 +702,19 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         if pres.rescued { ", rescued" } else { "" }
     );
     note_workers(&pres.workers);
-    note_cache(&engine);
     let mut res = pres.result.clone();
     note_degradation(&res.degradation);
     if f.refine {
-        let n = unreplicate_cleanup(&hg, &mut res.placement, &res.devices, &lib);
-        let st = refine_kway(&hg, &mut res.placement, &res.devices, &lib, 4);
+        // Judge against the library the winner was carved under, which
+        // is also the one its certificate embeds.
+        let eff = res.effective_library(&lib);
+        let n = unreplicate_cleanup(&hg, &mut res.placement, &res.devices, &eff);
+        let st = refine_kway(&hg, &mut res.placement, &res.devices, &eff, 4);
         println!(
             "refinement: {} moves, {} unreplications, Σt {} → {}",
             st.moves, n, st.terminals_before, st.terminals_after
         );
-        res.evaluation = evaluate(&hg, &res.placement, &lib, &res.devices);
+        res.evaluation = evaluate(&hg, &res.placement, &eff, &res.devices);
     }
     println!(
         "k = {}, total cost = {}, avg CLB util {:.0}%, avg IOB util {:.0}%",

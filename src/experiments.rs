@@ -8,8 +8,9 @@
 
 use netpart_board::{demands, route_nets, Board, TopologyObjective};
 use netpart_core::{
-    kway_partition, run_many, BipartitionConfig, KWayConfig, PartitionError, ReplicationMode,
+    kway_partition, BipartitionConfig, KWayConfig, PartitionError, ReplicationMode,
 };
+use netpart_engine::Engine;
 use netpart_fpga::DeviceLibrary;
 use netpart_hypergraph::Hypergraph;
 use netpart_netlist::bench_suite;
@@ -290,16 +291,20 @@ pub fn table3_record(
         Timing::Deterministic => 0.0,
     };
     let base = BipartitionConfig::equal(hg, 0.1).with_seed(1000);
+    let engine = Engine::new(1);
     let t0 = Instant::now();
-    let plain = run_many(hg, &base, runs).map_err(fail)?;
+    let (plain, _) = engine.bipartition_many(hg, &base, runs).map_err(fail)?;
     let plain_secs = clock(t0);
     let t0 = Instant::now();
-    let repl = run_many(
-        hg,
-        &base.clone().with_replication(ReplicationMode::functional(0)),
-        runs,
-    )
-    .map_err(fail)?;
+    let (repl, _) = engine
+        .bipartition_many(
+            hg,
+            &base
+                .clone()
+                .with_replication(ReplicationMode::functional(0)),
+            runs,
+        )
+        .map_err(fail)?;
     let repl_secs = clock(t0);
     Ok(Table3Record {
         name: name.to_string(),
@@ -634,7 +639,9 @@ pub fn board_matrix(
         let bi_cfg = BipartitionConfig::equal(hg, 0.1)
             .with_seed(seed)
             .with_replication(ReplicationMode::functional(0));
-        let bi = run_many(hg, &bi_cfg, 3).map_err(fail)?;
+        let (bi, _) = Engine::new(1)
+            .bipartition_many(hg, &bi_cfg, 3)
+            .map_err(fail)?;
         let bi_placement =
             bi.best()
                 .placement

@@ -88,7 +88,7 @@ pub mod prelude {
         BoardError, NetDemand, Route, Routing, TopologyObjective,
     };
     pub use netpart_core::{
-        bipartition, kway_partition, run_many, BipartitionConfig, Budget, Degradation, FaultPlan,
+        bipartition, kway_partition, BipartitionConfig, Budget, Degradation, FaultPlan,
         KWayConfig, PartitionError, Relaxation, ReplicationMode, StopReason,
     };
     pub use netpart_engine::{ContentHash, Engine, KWayPortfolioResult, PortfolioResult};

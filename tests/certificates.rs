@@ -11,7 +11,9 @@ fn bipartition_cert(gates: usize, seed: u64, mode: ReplicationMode) -> (Hypergra
     let cfg = BipartitionConfig::equal(&hg, 0.1)
         .with_seed(seed)
         .with_replication(mode);
-    let stats = run_many(&hg, &cfg, 4).expect("suite circuit partitions");
+    let (stats, _) = Engine::new(1)
+        .bipartition_many(&hg, &cfg, 4)
+        .expect("suite circuit partitions");
     let cert = stats
         .certificate(&hg, &cfg)
         .expect("winning run exports a placement");

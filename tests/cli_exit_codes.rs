@@ -129,11 +129,16 @@ fn truncated_mid_token_blif_exits_one_with_line_number() {
 
 #[test]
 fn unknown_flag_exits_two() {
-    let out = netpart()
-        .args(["stats", data("good_tiny.blif").to_str().unwrap(), "--bogus"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    // `--cache` named an in-process result cache that no longer exists.
+    for (cmd, flag) in [("stats", "--bogus"), ("bipartition", "--cache")] {
+        let out = netpart()
+            .args([cmd, data("good_tiny.blif").to_str().unwrap(), flag])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
 }
 
 /// Runs `bipartition` on the good netlist with a corpus `.board` file,
@@ -352,5 +357,59 @@ fn certify_then_verify_round_trips_through_the_cli() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("certificate OK"), "no verdict: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn refined_relaxed_floor_kway_certificate_verifies() {
+    // One carve attempt cannot meet the XC3000 utilization floors on
+    // this circuit, so the winner comes from the relaxed-floor rung.
+    // `--refine` must re-evaluate it against that relaxed library — the
+    // one its certificate embeds — or `netpart verify` reports a
+    // feasibility mismatch (exit 6).
+    let dir = std::env::temp_dir().join(format!("netpart-refine-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let blif = dir.join("c.blif");
+    let cert = dir.join("r.cert");
+    let blif = blif.to_str().unwrap();
+    let out = netpart()
+        .args(["synth", "1200", blif, "--dff", "50", "--seed", "3"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "synth failed");
+    let out = netpart()
+        .args([
+            "kway",
+            blif,
+            "--seed",
+            "3",
+            "--tasks",
+            "1",
+            "--max-attempts",
+            "1",
+            "--candidates",
+            "1",
+            "--refine",
+            "--certify-out",
+            cert.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "kway failed: {err}");
+    assert!(
+        err.contains("relaxed"),
+        "expected a relaxed-floor winner: {err}"
+    );
+    let out = netpart()
+        .args(["verify", cert.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "refined certificate rejected: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

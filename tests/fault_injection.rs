@@ -101,7 +101,7 @@ fn blif_corpus_errors_are_line_numbered() {
 }
 
 // ---------------------------------------------------------------------
-// Fault sweeps: bipartition / run_many
+// Fault sweeps: bipartition / multi-start portfolio
 // ---------------------------------------------------------------------
 
 /// Killing FM after N moves, for N swept across pass boundaries and the
@@ -152,9 +152,9 @@ fn bipartition_pass_kill_sweep_never_panics() {
     }
 }
 
-/// Multi-start runs under faults and budgets: a typed error or a
-/// best-so-far stats object, never a panic, and the first start always
-/// completes when any start does.
+/// Multi-start portfolios under faults and budgets (per start for move
+/// limits and fault plans, shared for the wall deadline): a typed error
+/// or a best-so-far result, never a panic.
 #[test]
 fn run_many_fault_and_budget_sweep() {
     let hg = small_hg(17);
@@ -193,9 +193,9 @@ fn run_many_fault_and_budget_sweep() {
         ),
     ];
     for (ctx, cfg) in scenarios {
-        let out = no_panic(&ctx, || run_many(&hg, &cfg, 6));
+        let out = no_panic(&ctx, || Engine::new(1).bipartition_many(&hg, &cfg, 6));
         match out {
-            Ok(stats) => {
+            Ok((stats, _)) => {
                 assert!(!stats.results.is_empty(), "{ctx}: empty stats");
                 assert!(
                     stats.degradation.completed <= stats.degradation.requested,
@@ -361,14 +361,19 @@ fn wall_budget_on_table_iii_netlist_returns_promptly() {
     // Calibrate: one unbudgeted start, timed. The budgeted run below is
     // allowed that long (its first start always completes) plus 2×budget.
     let t0 = std::time::Instant::now();
-    let one = run_many(&hg, &base, 1).expect("single start succeeds");
+    let engine = Engine::new(1);
+    let (one, _) = engine
+        .bipartition_many(&hg, &base, 1)
+        .expect("single start succeeds");
     let one_start = t0.elapsed();
     assert_eq!(one.degradation.completed, 1);
 
     const BUDGET_MS: u64 = 50;
     let budgeted = base.clone().with_budget(Budget::wall_ms(BUDGET_MS));
     let t1 = std::time::Instant::now();
-    let stats = run_many(&hg, &budgeted, 20).expect("budgeted run keeps its first start");
+    let (stats, _) = engine
+        .bipartition_many(&hg, &budgeted, 20)
+        .expect("budgeted run keeps its first start");
     let elapsed = t1.elapsed();
 
     assert!(stats.degradation.completed >= 1, "first start is mandatory");
