@@ -7,6 +7,7 @@
 //! enforces this along with name uniqueness and positive attributes.
 
 use crate::error::BoardError;
+use netpart_rng::Fnv1a;
 
 /// A device site on the board — the physical slot part `j` of a
 /// placement is hosted on (the mapping is the identity: part 0 → site 0).
@@ -168,16 +169,8 @@ impl Board {
     /// sites or reordering channel declarations never changes the
     /// digest (the rename-invariance contract, DESIGN.md §17).
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |value: u64| {
-            for byte in value.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.sites.len() as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.sites.len() as u64);
         let mut keys: Vec<[u64; 5]> = self
             .channels
             .iter()
@@ -193,13 +186,11 @@ impl Board {
             })
             .collect();
         keys.sort_unstable();
-        mix(keys.len() as u64);
-        for key in keys {
-            for v in key {
-                mix(v);
-            }
+        h.write_u64(keys.len() as u64);
+        for v in keys.into_iter().flatten() {
+            h.write_u64(v);
         }
-        hash
+        h.finish()
     }
 
     /// Serializes the board back to `.board` text; `parse` round-trips

@@ -57,14 +57,6 @@ pub struct KWayConfig {
     pub seed: u64,
     /// FM pass limit inside each carve bipartition.
     pub max_passes: usize,
-    /// Whether the escalation ladder (reseed → relax floor → larger
-    /// devices) may climb when the base attempt pool finds nothing
-    /// feasible. `true` by default; the parallel portfolio engine turns
-    /// it off for its first phase so that a sibling task's feasible
-    /// result (the shared incumbent) can make the ladder unnecessary,
-    /// and only re-enables it in a dedicated rescue phase when *no* task
-    /// found anything.
-    pub escalate: bool,
     /// Work limits shared across every attempt and escalation rung; on
     /// exhaustion the best feasible partition found so far is returned
     /// (with [`KWayResult::degradation`] set), or
@@ -85,7 +77,6 @@ impl KWayConfig {
             max_attempts: 200,
             seed: 0,
             max_passes: 8,
-            escalate: true,
             budget: Budget::none(),
             fault: FaultPlan::none(),
         }
@@ -97,13 +88,6 @@ impl KWayConfig {
     /// [`with_candidates`](Self::with_candidates), which rescales the cap.
     pub fn with_max_attempts(mut self, n: usize) -> Self {
         self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Enables or disables the escalation ladder (see
-    /// [`KWayConfig::escalate`]).
-    pub fn with_escalation(mut self, on: bool) -> Self {
-        self.escalate = on;
         self
     }
 
@@ -569,7 +553,7 @@ fn run_stage(
 ///   fault) trips before the first feasible partition exists.
 pub fn kway_partition(hg: &Hypergraph, cfg: &KWayConfig) -> Result<KWayResult, PartitionError> {
     let clock = RunClock::new(&cfg.budget, &cfg.fault);
-    kway_partition_with_clock(hg, cfg, &clock)
+    kway_partition_with_clock(hg, cfg, &clock, true)
 }
 
 /// [`kway_partition`] against an externally owned [`RunClock`], so a
@@ -577,10 +561,17 @@ pub fn kway_partition(hg: &Hypergraph, cfg: &KWayConfig) -> Result<KWayResult, P
 /// [`CancelToken`](crate::CancelToken) across concurrently carving
 /// tasks. The clock's budget/fault plan (not `cfg.budget`/`cfg.fault`)
 /// is what is enforced here.
+///
+/// `escalate` lets the escalation ladder climb when the base attempt
+/// pool finds nothing feasible. The portfolio engine turns it off for
+/// its base phase, where a sibling task's feasible result makes the
+/// ladder unnecessary, and on for the rescue phase that runs only when
+/// no task found anything.
 pub fn kway_partition_with_clock(
     hg: &Hypergraph,
     cfg: &KWayConfig,
     clock: &RunClock,
+    escalate: bool,
 ) -> Result<KWayResult, PartitionError> {
     if hg.n_cells() == 0 {
         return Err(PartitionError::invalid_input(
@@ -659,7 +650,7 @@ pub fn kway_partition_with_clock(
             );
         }
     };
-    if cfg.escalate && best.is_none() && clock.stopped().is_none() {
+    if escalate && best.is_none() && clock.stopped().is_none() {
         escalate_event("reseed", attempts);
         degradation.relaxations.push(Relaxation::Reseeded {
             extra_attempts: cfg.max_attempts,
@@ -680,7 +671,7 @@ pub fn kway_partition_with_clock(
         attempts += s.attempts;
         feasible += s.feasible;
     }
-    let relaxed = if cfg.escalate && best.is_none() && clock.stopped().is_none() {
+    let relaxed = if escalate && best.is_none() && clock.stopped().is_none() {
         escalate_event("relaxed_floor", attempts);
         degradation.relaxations.push(Relaxation::RelaxedFloor);
         let relaxed = cfg.library.relaxed_floor();
@@ -702,7 +693,7 @@ pub fn kway_partition_with_clock(
     } else {
         None
     };
-    if cfg.escalate && best.is_none() && clock.stopped().is_none() {
+    if escalate && best.is_none() && clock.stopped().is_none() {
         escalate_event("larger_device", attempts);
         degradation.relaxations.push(Relaxation::NextLargerDevice);
         let lib = relaxed.as_ref().unwrap_or(&cfg.library);
@@ -754,7 +745,7 @@ pub fn kway_partition_with_clock(
                 completed: attempts,
             },
             _ => PartitionError::InfeasibleLibrary {
-                reason: if cfg.escalate {
+                reason: if escalate {
                     "no feasible k-way partition found, even after reseeding, \
                      floor relaxation and larger-device escalation"
                         .into()

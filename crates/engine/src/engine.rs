@@ -23,8 +23,7 @@ const PAR_REFINE_MAX_ROUNDS: usize = 64;
 /// [`bipartition_many`](Self::bipartition_many) or [`kway`](Self::kway),
 /// so one set of budget, seed and reduction rules applies everywhere.
 /// Repeated requests are the durable service's concern: its verified
-/// disk cache is keyed by [`bipartition_key`](crate::bipartition_key) /
-/// [`kway_key`](crate::kway_key).
+/// disk cache keys a job by the request it received.
 #[derive(Debug)]
 pub struct Engine {
     jobs: usize,

@@ -19,10 +19,7 @@
 //!   ladder runs only in a rescue phase when no task is feasible;
 //! * the shared wall deadline and [`CancelToken`](netpart_core::CancelToken)
 //!   integrate with the core's `RunClock`/`Degradation` machinery, so a
-//!   tripped budget drains every worker and still returns best-so-far;
-//! * stable [`ContentHash`] digests ([`bipartition_key`], [`kway_key`])
-//!   name a request, which is what the durable service's verified disk
-//!   cache and write-ahead log key on.
+//!   tripped budget drains every worker and still returns best-so-far.
 //!
 //! Everything here is std-only: no registry dependencies, per the
 //! workspace's hermetic-build policy.
@@ -31,12 +28,7 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod hash;
 mod portfolio;
 
 pub use engine::Engine;
-pub use hash::{combine, ContentHash, Fnv1a};
-pub use portfolio::{
-    bipartition_key, kway_key, with_multilevel_key, KWayPortfolioResult, PortfolioResult,
-    StartResult, WorkerStats,
-};
+pub use portfolio::{KWayPortfolioResult, PortfolioResult, StartResult, WorkerStats};

@@ -31,7 +31,6 @@
 //! results above the perfect index are discarded after the join,
 //! making even the early-exit set identical across `--jobs` levels.
 
-use crate::hash::{ContentHash, Fnv1a};
 use netpart_core::{
     bipartition_with_clock, kway_partition_with_clock, BipartitionConfig, BipartitionResult,
     Budget, CancelToken, Degradation, FaultPlan, KWayConfig, KWayResult, PartitionError, RunClock,
@@ -42,6 +41,7 @@ use netpart_multilevel::{
     ml_bipartition_with_clock, ml_kway_partition_with_clock, MultilevelConfig,
 };
 use netpart_obs::{BufferRecorder, Event, Level, Recorder, Span, TIMING_SCOPE};
+use std::hash::{DefaultHasher, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -171,13 +171,15 @@ impl PortfolioResult {
             / balanced.len() as f64
     }
 
-    /// A stable digest of the complete recorded outcome — every start's
-    /// cut, areas, replication count, stop reason and full placement,
-    /// plus the winner. Two portfolio runs are byte-identical exactly
-    /// when their fingerprints agree, which is what the `--jobs`
-    /// determinism tests pin.
+    /// A digest of the complete recorded outcome — every start's cut,
+    /// areas, replication count, stop reason and full placement, plus
+    /// the winner. Two portfolio runs are byte-identical exactly when
+    /// their fingerprints agree, which is what the `--jobs` determinism
+    /// tests pin. Compare fingerprints within one process only: this is
+    /// [`DefaultHasher`], which std does not keep stable across
+    /// releases.
     pub fn fingerprint(&self, hg: &Hypergraph) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = DefaultHasher::new();
         h.write_usize(self.best_pos);
         h.write_usize(self.results.len());
         for s in &self.results {
@@ -189,13 +191,7 @@ impl PortfolioResult {
             h.write_usize(r.replicated_cells);
             h.write_usize(r.passes);
             h.write_u8(u8::from(r.balanced));
-            h.write_u8(match r.stop {
-                StopReason::Converged => 0,
-                StopReason::PassLimit => 1,
-                StopReason::BudgetExhausted => 2,
-                StopReason::FaultInjected => 3,
-                StopReason::Cancelled => 4,
-            });
+            h.write_u8(r.stop as u8);
             match &r.placement {
                 None => h.write_u8(0),
                 Some(p) => {
@@ -697,6 +693,8 @@ struct Task<'a> {
     hg: &'a Hypergraph,
     cfg: &'a KWayConfig,
     tasks: usize,
+    /// Whether the carve's escalation ladder may climb: off in the base
+    /// phase, on in the rescue phase.
     escalate: bool,
     ml: Option<&'a MultilevelConfig>,
 }
@@ -709,10 +707,9 @@ impl Unit for Task<'_> {
         cfg.seed = self.cfg.seed.wrapping_add(t as u64);
         cfg.candidates = self.cfg.candidates.div_ceil(self.tasks).max(1);
         cfg.max_attempts = self.cfg.max_attempts.div_ceil(self.tasks).max(1);
-        cfg.escalate = self.escalate;
         match self.ml {
-            Some(m) => ml_kway_partition_with_clock(self.hg, &cfg, m, clock),
-            None => kway_partition_with_clock(self.hg, &cfg, clock),
+            Some(m) => ml_kway_partition_with_clock(self.hg, &cfg, m, clock, self.escalate),
+            None => kway_partition_with_clock(self.hg, &cfg, clock, self.escalate),
         }
     }
 
@@ -883,7 +880,7 @@ pub(crate) fn kway(
 
     // Rescue phase: nothing feasible anywhere — climb the ladder.
     let feasible = last.iter().any(|(_, r, _)| r.is_ok());
-    let rescued = !feasible && !budget_seen && !fault_seen && cfg.escalate;
+    let rescued = !feasible && !budget_seen && !fault_seen;
     if rescued {
         if recorder.enabled(Level::Info) {
             recorder.record(&Event::new("portfolio", "rescue", Level::Info).field("tasks", tasks));
@@ -978,28 +975,5 @@ pub(crate) fn kway(
                 }),
             }
         }
-    }
-}
-
-/// The content key of a bipartition portfolio request: what the durable
-/// service's disk cache and WAL name a job by.
-pub fn bipartition_key(hg: &Hypergraph, base: &BipartitionConfig, n: usize) -> u64 {
-    crate::hash::combine(&[hg.content_hash(), base.content_hash(), n as u64])
-}
-
-/// The content key of a k-way portfolio request (see
-/// [`bipartition_key`]).
-pub fn kway_key(hg: &Hypergraph, cfg: &KWayConfig, tasks: usize) -> u64 {
-    crate::hash::combine(&[hg.content_hash(), cfg.content_hash(), tasks as u64])
-}
-
-/// Extends a flat request key with an optional multilevel
-/// configuration. A `None` key is the flat key unchanged; a `Some` key
-/// folds in every V-cycle knob, so flat and multilevel requests (and
-/// multilevel requests with different knobs) never collide.
-pub fn with_multilevel_key(flat: u64, ml: Option<&MultilevelConfig>) -> u64 {
-    match ml {
-        None => flat,
-        Some(m) => crate::hash::combine(&[flat, m.content_hash()]),
     }
 }

@@ -107,15 +107,6 @@ fn the_rescue_phase_is_jobs_invariant() {
 }
 
 #[test]
-fn without_escalation_the_rescue_case_is_infeasible() {
-    let (hg, cfg) = rescue_case();
-    match Engine::new(2).kway(&hg, &cfg.with_escalation(false), 2) {
-        Err(PartitionError::InfeasibleLibrary { .. }) => {}
-        other => panic!("expected InfeasibleLibrary, got {other:?}"),
-    }
-}
-
-#[test]
 fn invalid_requests_are_typed_invalid_input() {
     let hg = mapped(120, 6, 3);
     let engine = Engine::new(2);

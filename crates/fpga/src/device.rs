@@ -1,34 +1,25 @@
 //! A single FPGA device type `D_i = (c_i, t_i, d_i, l_i, u_i)`.
-//!
-//! Since the resource-vector generalization, a device's capacities live
-//! in a [`ResourceVec`] with named axes; the paper's `(c, t)` pair is
-//! the canonical two-axis instance and every accessor below reproduces
-//! the historical 5-tuple arithmetic bit for bit (pinned by
-//! `tests/resourcevec_differential.rs`).
 
 use crate::error::FpgaError;
-use crate::resources::ResourceVec;
 use std::fmt;
 
 /// One device type of the heterogeneous library.
 ///
 /// Fields follow the paper's Table I: `c` elementary circuit units (CLBs),
 /// `t` terminals (IOBs), price `d`, and lower/upper bounds `l`, `u` on CLB
-/// utilization of a feasible partition. Capacities are held as a
-/// [`ResourceVec`] — axis 0 is the window-bounded area axis, axis 1 the
-/// terminal axis; further axes (DSPs, BRAM, …) ride along and are
-/// checked component-wise by [`Device::fits_vec`].
+/// utilization of a feasible partition.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Device {
     name: String,
-    resources: ResourceVec,
+    clbs: u32,
+    iobs: u32,
     price: u64,
     min_util: f64,
     max_util: f64,
 }
 
 impl Device {
-    /// Creates a canonical (paper 5-tuple) device type.
+    /// Creates a device type.
     ///
     /// # Panics
     ///
@@ -68,25 +59,6 @@ impl Device {
                 what: format!("capacities must be positive (c={clbs}, t={iobs})"),
             });
         }
-        Self::try_with_resources(name, ResourceVec::canonical(clbs, iobs), price, min_util, max_util)
-    }
-
-    /// Builds a device from an arbitrary resource vector (axis 0 bounded
-    /// by the utilization window, axis 1 capped absolutely, the rest
-    /// checked component-wise by [`Device::fits_vec`]).
-    ///
-    /// # Errors
-    ///
-    /// [`FpgaError::InvalidDevice`] when the utilization bounds are out
-    /// of order or outside `[0, 1]`.
-    pub fn try_with_resources(
-        name: impl Into<String>,
-        resources: ResourceVec,
-        price: u64,
-        min_util: f64,
-        max_util: f64,
-    ) -> Result<Self, FpgaError> {
-        let name = name.into();
         if !((0.0..=1.0).contains(&min_util)
             && (0.0..=1.0).contains(&max_util)
             && min_util <= max_util)
@@ -100,7 +72,8 @@ impl Device {
         }
         Ok(Device {
             name,
-            resources,
+            clbs,
+            iobs,
             price,
             min_util,
             max_util,
@@ -123,19 +96,14 @@ impl Device {
         &self.name
     }
 
-    /// The named resource vector (axis 0 = area, axis 1 = terminals).
-    pub fn resources(&self) -> &ResourceVec {
-        &self.resources
-    }
-
-    /// CLB capacity `c_i` (the resource vector's area axis).
+    /// CLB capacity `c_i`.
     pub fn clbs(&self) -> u32 {
-        self.resources.area()
+        self.clbs
     }
 
-    /// Terminal (IOB) count `t_i` (the resource vector's terminal axis).
+    /// Terminal (IOB) count `t_i`.
     pub fn iobs(&self) -> u32 {
-        self.resources.terminals()
+        self.iobs
     }
 
     /// Unit price `d_i`.
@@ -171,13 +139,6 @@ impl Device {
         clbs >= self.min_clbs() && clbs <= self.max_clbs() && terminals <= u64::from(self.iobs())
     }
 
-    /// Vector feasibility: the paper's window test on the area/terminal
-    /// axes plus component-wise cover of every further demand axis.
-    pub fn fits_vec(&self, demand: &ResourceVec) -> bool {
-        self.fits(u64::from(demand.area()), u64::from(demand.terminals()))
-            && self.resources.covers_extra(demand)
-    }
-
     /// Price per CLB, the marginal-cost figure of Table I's last column.
     pub fn cost_per_clb(&self) -> f64 {
         self.price as f64 / f64::from(self.clbs())
@@ -198,26 +159,9 @@ impl fmt::Display for Device {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} (c={}, t={}, d={}, l={:.2}, u={:.2}",
-            self.name,
-            self.clbs(),
-            self.iobs(),
-            self.price,
-            self.min_util,
-            self.max_util
-        )?;
-        // Canonical devices print the historical 5-tuple byte for byte;
-        // extra axes are appended before the closing paren.
-        for (axis, amount) in self
-            .resources
-            .axes()
-            .iter()
-            .zip(self.resources.amounts())
-            .skip(2)
-        {
-            write!(f, ", {axis}={amount}")?;
-        }
-        write!(f, ")")
+            "{} (c={}, t={}, d={}, l={:.2}, u={:.2})",
+            self.name, self.clbs, self.iobs, self.price, self.min_util, self.max_util
+        )
     }
 }
 
@@ -266,36 +210,11 @@ mod tests {
 
     #[test]
     fn canonical_device_is_backed_by_the_canonical_vector() {
+        // The canonical capacity vector is the paper's two axes: c CLBs, t IOBs.
         let d = Device::new("XC3020", 64, 58, 100, 0.0, 0.9);
-        assert!(d.resources().is_canonical());
-        assert_eq!(d.resources().get("clbs"), Some(64));
-        assert_eq!(d.resources().get("iobs"), Some(58));
-        // Display is byte-identical to the pre-ResourceVec format.
+        assert_eq!(d.clbs(), 64);
+        assert_eq!(d.iobs(), 58);
+        // The exact 5-tuple format, byte for byte.
         assert_eq!(d.to_string(), "XC3020 (c=64, t=58, d=100, l=0.00, u=0.90)");
-    }
-
-    #[test]
-    fn multi_axis_device_fits_componentwise() {
-        let resources = ResourceVec::new(
-            vec!["clbs".into(), "iobs".into(), "dsp".into()],
-            vec![100, 50, 8],
-        )
-        .expect("valid");
-        let d = Device::try_with_resources("V7", resources, 500, 0.0, 1.0).expect("valid");
-        assert_eq!(d.clbs(), 100);
-        assert_eq!(d.iobs(), 50);
-        let need = ResourceVec::new(
-            vec!["clbs".into(), "iobs".into(), "dsp".into()],
-            vec![60, 20, 8],
-        )
-        .expect("valid");
-        assert!(d.fits_vec(&need));
-        let over = ResourceVec::new(
-            vec!["clbs".into(), "iobs".into(), "dsp".into()],
-            vec![60, 20, 9],
-        )
-        .expect("valid");
-        assert!(!d.fits_vec(&over));
-        assert!(d.to_string().contains("dsp=8"));
     }
 }

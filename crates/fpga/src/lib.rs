@@ -27,10 +27,8 @@ mod device;
 mod error;
 pub mod eval;
 mod library;
-mod resources;
 
 pub use device::Device;
 pub use error::FpgaError;
 pub use eval::{assign_devices, evaluate, try_evaluate, Evaluation, PartEval};
 pub use library::DeviceLibrary;
-pub use resources::{ResourceVec, CANONICAL_AXES};

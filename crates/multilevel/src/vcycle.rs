@@ -277,6 +277,9 @@ pub fn ml_bipartition(
 /// area accounting exactly, and [`refine_kway`] only accepts
 /// feasibility-preserving moves.
 ///
+/// `escalate` is the flat driver's escalation switch, applied to the
+/// coarsest-level carve.
+///
 /// # Errors
 ///
 /// Exactly the flat [`kway_partition_with_clock`] error taxonomy.
@@ -285,20 +288,21 @@ pub fn ml_kway_partition_with_clock(
     cfg: &KWayConfig,
     ml: &MultilevelConfig,
     clock: &RunClock,
+    escalate: bool,
 ) -> Result<KWayResult, PartitionError> {
     let recorder = clock.recorder();
     let chain_span = Span::enter(recorder, "ml", "chain");
     let chain = build_chain_traced(hg, ml, cfg.replication, cfg.seed, recorder);
     drop(chain_span);
     if chain.is_empty() {
-        return kway_partition_with_clock(hg, cfg, clock);
+        return kway_partition_with_clock(hg, cfg, clock, escalate);
     }
 
     let mut coarse_cfg = cfg.clone();
     coarse_cfg.replication = ReplicationMode::None;
     let coarsest = &chain[chain.len() - 1].hg;
     let initial_span = Span::enter(recorder, "ml", "initial");
-    let carved = kway_partition_with_clock(coarsest, &coarse_cfg, clock);
+    let carved = kway_partition_with_clock(coarsest, &coarse_cfg, clock, escalate);
     drop(initial_span);
     let mut result = carved?;
     let lib = result.effective_library(&cfg.library);
@@ -366,5 +370,5 @@ pub fn ml_kway_partition(
     ml: &MultilevelConfig,
 ) -> Result<KWayResult, PartitionError> {
     let clock = RunClock::new(&cfg.budget, &cfg.fault);
-    ml_kway_partition_with_clock(hg, cfg, ml, &clock)
+    ml_kway_partition_with_clock(hg, cfg, ml, &clock, true)
 }

@@ -13,10 +13,15 @@
 //!
 //! The generator is xoshiro256\*\* (Blackman–Vigna) seeded through
 //! SplitMix64, the standard recommendation for turning a single `u64`
-//! seed into a full 256-bit state.
+//! seed into a full 256-bit state. [`Fnv1a`] is the matching stable
+//! hash, for digests that must survive the process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod hash;
+
+pub use hash::Fnv1a;
 
 /// One step of SplitMix64: advances `state` and returns the next output.
 ///

@@ -1,10 +1,9 @@
 //! The certificate-carrying disk result cache.
 //!
 //! Completed results are persisted under `spool/cache/` keyed by the
-//! engine's request content hash ([`bipartition_key`] /
-//! [`kway_key`]), so an identical resubmission — same netlist, same
-//! configuration, same portfolio width — replays from disk across
-//! restarts without re-running the optimizer.
+//! job's request key ([`JobSpec::request_key`]), so an identical
+//! resubmission — same netlist bytes, same request fields — replays
+//! from disk across restarts without re-running the optimizer.
 //!
 //! A cache hit is **never trusted blindly**: every entry embeds the
 //! solution certificate of the run that produced it, the whole entry is
@@ -16,13 +15,12 @@
 //! the job re-runs. Runs that export no certificate are simply not
 //! cached.
 //!
-//! [`bipartition_key`]: netpart_engine::bipartition_key
-//! [`kway_key`]: netpart_engine::kway_key
+//! [`JobSpec::request_key`]: crate::JobSpec::request_key
 
 use crate::fsio::{atomic_write, Injector};
 use crate::ServeError;
-use netpart_engine::Fnv1a;
 use netpart_hypergraph::Hypergraph;
+use netpart_rng::Fnv1a;
 use netpart_verify::verify_text;
 use std::path::{Path, PathBuf};
 
@@ -33,7 +31,7 @@ const HEADER: &str = "netpart-cache v1";
 /// job's result file, plus the certificate that makes it checkable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheEntry {
-    /// The request content key.
+    /// The request key ([`JobSpec::request_key`](crate::JobSpec::request_key)).
     pub key: u64,
     /// Result summary text (the body of the `.result` artifact).
     pub summary: String,

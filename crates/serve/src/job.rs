@@ -25,9 +25,9 @@
 use netpart_core::{
     BipartitionConfig, Budget, KWayConfig, PartitionError, ReplicationMode,
 };
-use netpart_engine::Fnv1a;
 use netpart_fpga::DeviceLibrary;
 use netpart_hypergraph::Hypergraph;
+use netpart_rng::Fnv1a;
 
 /// Which partitioning command a job runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -236,6 +236,24 @@ impl JobSpec {
         Ok(spec)
     }
 
+    /// The key the result cache and the journal name this request by:
+    /// an FNV-1a digest of the spec text with the netlist path and
+    /// max-retries cleared, followed by the netlist file bytes. Two jobs
+    /// share a key exactly when the engine sees the same request; the
+    /// job id, where the netlist copy lives and how often a failure may
+    /// be retried do not change the result.
+    pub fn request_key(&self, netlist: &[u8]) -> u64 {
+        let request = JobSpec {
+            netlist: String::new(),
+            max_retries: None,
+            ..self.clone()
+        };
+        let mut h = Fnv1a::new();
+        h.write(request.to_text().as_bytes());
+        h.write(netlist);
+        h.finish()
+    }
+
     /// The work budget this spec requests.
     pub fn budget(&self) -> Budget {
         let mut b = Budget::none();
@@ -332,6 +350,71 @@ mod tests {
         body.push_str(&format!("#fnv={:016x}\n", h.finish()));
         let err = JobSpec::parse(&body).expect_err("missing cmd");
         assert!(err.to_string().contains("missing cmd"), "{err}");
+    }
+
+    #[test]
+    fn request_key_distinguishes_every_knob() {
+        let nl = b".model m\n.end\n";
+        let edited = |base: &JobSpec, edit: fn(&mut JobSpec)| {
+            let mut spec = base.clone();
+            edit(&mut spec);
+            spec.request_key(nl)
+        };
+        let kw = JobSpec {
+            netlist: "jobs/a.blif".into(),
+            ..JobSpec::default()
+        };
+        let bi = JobSpec {
+            cmd: JobCmd::Bipartition,
+            ..kw.clone()
+        };
+        assert_ne!(bi.request_key(nl), kw.request_key(nl));
+        let shared: [fn(&mut JobSpec); 5] = [
+            |s| s.seed = 2,
+            |s| s.replication = ReplicationMode::None,
+            |s| s.replication = ReplicationMode::functional(1),
+            |s| s.budget_ms = 5,
+            |s| s.max_moves = 5,
+        ];
+        for base in [&bi, &kw] {
+            let key = base.request_key(nl);
+            // Where the netlist copy lives and the retry allowance name
+            // or schedule the job; they do not change the request.
+            assert_eq!(key, edited(base, |s| s.netlist = "jobs/b.blif".into()));
+            assert_eq!(key, edited(base, |s| s.max_retries = Some(3)));
+            for edit in shared {
+                assert_ne!(key, edited(base, edit));
+            }
+            assert_ne!(key, base.request_key(b".model m\n.end\n\n"));
+        }
+        // Each command's own fields count; the other command's do not.
+        let bi_only: [fn(&mut JobSpec); 2] = [|s| s.runs = 3, |s| s.epsilon = 0.2];
+        let kw_only: [fn(&mut JobSpec); 2] = [|s| s.candidates = 3, |s| s.tasks = 2];
+        for edit in bi_only {
+            assert_ne!(bi.request_key(nl), edited(&bi, edit));
+            assert_eq!(kw.request_key(nl), edited(&kw, edit));
+        }
+        for edit in kw_only {
+            assert_ne!(kw.request_key(nl), edited(&kw, edit));
+            assert_eq!(bi.request_key(nl), edited(&bi, edit));
+        }
+    }
+
+    /// Request keys name cache files and journal records that outlive
+    /// the process, so the encoding is pinned: a change here orphans
+    /// every cache entry written before it.
+    #[test]
+    fn request_key_is_pinned() {
+        let spec = JobSpec {
+            netlist: "jobs/j1.blif".into(),
+            seed: 7,
+            budget_ms: 2000,
+            ..JobSpec::default()
+        };
+        assert_eq!(
+            spec.request_key(b".model m\n.end\n"),
+            4_569_179_829_887_034_150
+        );
     }
 
     #[test]

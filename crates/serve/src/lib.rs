@@ -10,7 +10,7 @@
 //!   jobs/<id>.job         job specifications (+ their copied netlists)
 //!   results/<id>.result   result summaries   (atomic temp + rename)
 //!   results/<id>.cert     solution certificates (atomic temp + rename)
-//!   cache/<key>.entry     content-hash result cache, certificate-carrying
+//!   cache/<key>.entry     request-keyed result cache, certificate-carrying
 //!   quarantine/<id>.err   poison jobs with their PartitionError attached
 //!   drain                 sentinel: graceful-drain shutdown request
 //! ```

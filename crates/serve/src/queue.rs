@@ -62,7 +62,7 @@ pub enum JobState {
         attempt: u32,
         /// Whether the result came from the disk cache.
         cached: bool,
-        /// The request content key.
+        /// The request key.
         key: u64,
     },
     /// Declared poison and removed from rotation.

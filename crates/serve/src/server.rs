@@ -32,11 +32,12 @@ use crate::queue::{backoff_rounds, JobState, QueueState};
 use crate::wal::{Recovery, Wal, WalRecord};
 use crate::ServeError;
 use netpart_core::PartitionError;
-use netpart_engine::{bipartition_key, kway_key, Engine, Fnv1a};
+use netpart_engine::Engine;
 use netpart_fpga::DeviceLibrary;
 use netpart_hypergraph::Hypergraph;
 use netpart_netlist::parse_blif;
 use netpart_obs::{Event, Level, MetricsRegistry, NoopRecorder, Recorder, Span, Tee, TIMING_SCOPE};
+use netpart_rng::Fnv1a;
 use netpart_techmap::{decompose_wide_gates, map, MapperConfig};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -136,16 +137,18 @@ pub enum SubmitOutcome {
 /// Drops a job into `spool` for the server to pick up: copies the
 /// netlist to `jobs/<id>.blif`, then writes the checksummed spec to
 /// `jobs/<id>.job` (both atomically; the spec lands last because its
-/// appearance is what triggers admission). Refuses duplicates and —
-/// counting open journal jobs plus job files awaiting admission —
-/// submissions beyond `max_queue`.
+/// appearance is what triggers admission). Refuses duplicates, specs
+/// the server would quarantine and — counting open journal jobs plus
+/// job files awaiting admission — submissions beyond `max_queue`.
 ///
 /// This function never touches the journal: the server is its single
 /// writer, which is what makes concurrent submitters safe.
 ///
 /// # Errors
 ///
-/// Invalid ids, duplicate ids and spool I/O failures.
+/// Invalid ids, duplicate ids and spool I/O failures; a spec whose text
+/// [`JobSpec::parse`] rejects is [`PartitionError::InvalidInput`], and
+/// nothing is written for it.
 pub fn submit_job(
     spool: &Path,
     id: &str,
@@ -158,6 +161,10 @@ pub fn submit_job(
             "invalid job id {id:?} (want [A-Za-z0-9._-], no leading dot)"
         )));
     }
+    let mut spec = spec.clone();
+    spec.netlist = format!("jobs/{id}.blif");
+    let text = spec.to_text();
+    JobSpec::parse(&text)?;
     let jobs_dir = spool.join("jobs");
     std::fs::create_dir_all(&jobs_dir)
         .map_err(|e| ServeError::io(format!("create {}: {e}", jobs_dir.display())))?;
@@ -176,10 +183,8 @@ pub fn submit_job(
         return Ok(SubmitOutcome::QueueFull { open, max: max_queue });
     }
     let inj = Injector::none();
-    let mut spec = spec.clone();
-    spec.netlist = format!("jobs/{id}.blif");
     atomic_write(&jobs_dir.join(format!("{id}.blif")), blif.as_bytes(), &inj)?;
-    atomic_write(&spec_path, spec.to_text().as_bytes(), &inj)?;
+    atomic_write(&spec_path, text.as_bytes(), &inj)?;
     Ok(SubmitOutcome::Submitted { job: id.to_string() })
 }
 
@@ -571,7 +576,7 @@ impl Server {
     }
 
     /// Parses the spec, loads + maps its netlist, derives the request
-    /// content key. Pure preparation — no journal writes.
+    /// key. Pure preparation — no journal writes.
     fn prepare(&self, job: &str) -> Result<Prepared, ServeError> {
         let path = self.spool.join("jobs").join(format!("{job}.job"));
         let text = std::fs::read_to_string(&path)
@@ -593,16 +598,7 @@ impl Server {
         let hg = map(&nl, &MapperConfig::xc3000())
             .map_err(|e| invalid(format!("{}: {e}", spec.netlist)))?
             .to_hypergraph(&nl);
-        let key = match spec.cmd {
-            JobCmd::Bipartition => {
-                bipartition_key(&hg, &spec.bipartition_config(&hg), spec.runs)
-            }
-            JobCmd::Kway => kway_key(
-                &hg,
-                &spec.kway_config(DeviceLibrary::xc3000()),
-                spec.tasks,
-            ),
-        };
+        let key = spec.request_key(blif.as_bytes());
         Ok(Prepared { spec, hg, key })
     }
 

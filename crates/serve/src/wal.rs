@@ -22,7 +22,7 @@
 
 use crate::fsio::{Injector, WriteFault};
 use crate::ServeError;
-use netpart_engine::Fnv1a;
+use netpart_rng::Fnv1a;
 use std::io::{Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -64,10 +64,7 @@ pub enum WalRecord {
         attempt: u32,
         /// Whether the result was replayed from the disk cache.
         cached: bool,
-        /// The request content key ([`bipartition_key`]/[`kway_key`]).
-        ///
-        /// [`bipartition_key`]: netpart_engine::bipartition_key
-        /// [`kway_key`]: netpart_engine::kway_key
+        /// The request key ([`JobSpec::request_key`](crate::JobSpec::request_key)).
         key: u64,
     },
     /// The attempt failed with a typed error.

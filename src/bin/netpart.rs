@@ -548,7 +548,12 @@ fn mode_of(f: &Flags) -> Result<ReplicationMode, Box<dyn Error>> {
         "none" => ReplicationMode::None,
         "traditional" => ReplicationMode::Traditional,
         "functional" => ReplicationMode::functional(f.threshold),
-        other => return Err(format!("unknown replication mode {other:?}").into()),
+        other => {
+            return Err(PartitionError::invalid_input(format!(
+                "unknown replication mode {other:?}"
+            ))
+            .into())
+        }
     })
 }
 
@@ -607,7 +612,11 @@ fn cmd_stats(path: &str) -> Result<(), Box<dyn Error>> {
 
 fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     if !(0.0..=1.0).contains(&f.epsilon) {
-        return Err(format!("--epsilon must be within [0, 1], got {}", f.epsilon).into());
+        return Err(PartitionError::invalid_input(format!(
+            "--epsilon must be within [0, 1], got {}",
+            f.epsilon
+        ))
+        .into());
     }
     let (_, hg) = load(path)?;
     let cfg = BipartitionConfig::equal(&hg, f.epsilon)
@@ -680,7 +689,10 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         .with_budget(budget_of(f))
         .with_replication(match mode_of(f)? {
             ReplicationMode::Traditional => {
-                return Err("k-way does not support traditional replication".into())
+                return Err(PartitionError::invalid_input(
+                    "k-way does not support traditional replication",
+                )
+                .into())
             }
             m => m,
         });
@@ -914,7 +926,11 @@ fn cmd_submit(spool: &str, blif_path: &str, f: &Flags) -> Result<(), Box<dyn Err
         cmd: match f.cmd.as_str() {
             "bipartition" => JobCmd::Bipartition,
             "kway" => JobCmd::Kway,
-            other => return Err(format!("unknown --cmd {other:?}").into()),
+            other => {
+                return Err(
+                    PartitionError::invalid_input(format!("unknown --cmd {other:?}")).into(),
+                )
+            }
         },
         netlist: String::new(), // submit_job rewrites to the spool copy
         seed: f.seed,

@@ -7,9 +7,7 @@
 //! in every wall-clock cell so regenerated tables are byte-stable.
 
 use netpart_board::{demands, route_nets, Board, TopologyObjective};
-use netpart_core::{
-    kway_partition, BipartitionConfig, KWayConfig, PartitionError, ReplicationMode,
-};
+use netpart_core::{BipartitionConfig, KWayConfig, PartitionError, ReplicationMode};
 use netpart_engine::Engine;
 use netpart_fpga::DeviceLibrary;
 use netpart_hypergraph::Hypergraph;
@@ -437,12 +435,12 @@ pub fn kway_experiment(
                 .with_max_passes(8)
                 .with_replication(mode);
             let t0 = Instant::now();
-            let out = kway_partition(hg, &cfg);
+            let out = Engine::new(1).kway(hg, &cfg, 1);
             let secs = match timing {
                 Timing::Wall => t0.elapsed().as_secs_f64(),
                 Timing::Deterministic => 0.0,
             };
-            match out {
+            match out.as_ref().map(|(res, _)| &res.result) {
                 Ok(r) => KWayRecord {
                     name: name.to_string(),
                     threshold: th,
@@ -655,12 +653,12 @@ pub fn board_matrix(
             .with_seed(seed)
             .with_max_passes(8)
             .with_replication(ReplicationMode::functional(1));
-        let kw = kway_partition(hg, &kw_cfg).map_err(fail)?;
+        let (kw, _) = Engine::new(1).kway(hg, &kw_cfg, 1).map_err(fail)?;
         for board in &boards {
             let placement = if board.n_sites() == 2 {
                 &bi_placement
             } else {
-                &kw.placement
+                &kw.result.placement
             };
             let parts = placement
                 .part_areas(hg)

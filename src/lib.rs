@@ -91,8 +91,8 @@ pub mod prelude {
         bipartition, kway_partition, BipartitionConfig, Budget, Degradation, FaultPlan,
         KWayConfig, PartitionError, Relaxation, ReplicationMode, StopReason,
     };
-    pub use netpart_engine::{ContentHash, Engine, KWayPortfolioResult, PortfolioResult};
-    pub use netpart_fpga::{assign_devices, evaluate, Device, DeviceLibrary, ResourceVec};
+    pub use netpart_engine::{Engine, KWayPortfolioResult, PortfolioResult};
+    pub use netpart_fpga::{assign_devices, evaluate, Device, DeviceLibrary};
     pub use netpart_hypergraph::{
         AdjacencyMatrix, CellId, CellKind, Hypergraph, HypergraphBuilder, NetId, PartId, Placement,
     };

@@ -11,6 +11,10 @@
 //! endings (line numbers must not drift), a structurally valid but
 //! empty `.model` (parses, then partitions as invalid input, exit 2)
 //! and a file truncated mid-token (line-numbered parse error, exit 1).
+//! Invalid option values — an out-of-range `--epsilon`, an unknown
+//! replication mode or `--cmd`, traditional replication for k-way —
+//! exit 2 as well, and `submit` refuses a spec the server would
+//! quarantine before it writes anything.
 //! Exit 7 (queue backpressure) is exercised in `tests/serve_recovery.rs`.
 //!
 //! The malformed-certificate corpus under `tests/data/` derives from
@@ -139,6 +143,53 @@ fn unknown_flag_exits_two() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
     }
+}
+
+#[test]
+fn invalid_request_values_exit_two() {
+    // Out-of-range or unknown option values are invalid input (exit 2),
+    // not I/O or parse failures (exit 1).
+    let spool = std::env::temp_dir().join(format!("netpart-invalid-{}", std::process::id()));
+    let spool = spool.to_str().unwrap();
+    let blif = data("good_tiny.blif");
+    let blif = blif.to_str().unwrap();
+    for args in [
+        vec!["bipartition", blif, "--epsilon", "5"],
+        vec!["bipartition", blif, "--replication", "foo"],
+        vec!["kway", blif, "--replication", "traditional"],
+        vec!["submit", spool, blif, "--cmd", "foo"],
+    ] {
+        let out = netpart().args(&args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("invalid input"), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(spool);
+}
+
+#[test]
+fn submit_refuses_what_the_server_would_quarantine() {
+    // The server quarantines a spec that does not parse back, so
+    // `submit` refuses it up front: exit 2 and no file under jobs/.
+    let spool = std::env::temp_dir().join(format!("netpart-refuse-{}", std::process::id()));
+    let blif = data("good_tiny.blif");
+    for (id, extra) in [
+        ("e1", ["--cmd", "bipartition", "--epsilon", "5"]),
+        ("t1", ["--cmd", "kway", "--replication", "traditional"]),
+    ] {
+        let out = netpart()
+            .args(["submit", spool.to_str().unwrap(), blif.to_str().unwrap()])
+            .args(["--id", id])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{id}: {err}");
+        assert!(err.contains("job spec"), "{id}: {err}");
+    }
+    let written = std::fs::read_dir(spool.join("jobs")).map_or(0, |d| d.count());
+    assert_eq!(written, 0, "a refused submission wrote files");
+    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// Runs `bipartition` on the good netlist with a corpus `.board` file,

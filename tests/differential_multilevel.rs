@@ -11,7 +11,6 @@
 //!   must survive it unchanged, including when coarsening actually
 //!   engages (a low `min_cells` floor forces real V-cycles here).
 
-use netpart::engine::{bipartition_key, with_multilevel_key, ContentHash};
 use netpart::prelude::*;
 use netpart::verify::gen;
 
@@ -100,24 +99,4 @@ fn multilevel_kway_portfolio_is_jobs_invariant() {
             "multilevel k-way jobs 1 vs 8 diverged at seed {seed}"
         );
     }
-}
-
-#[test]
-fn multilevel_cache_keys_never_collide_with_flat() {
-    let hg = gen::mapped(200, 20, 11);
-    let cfg = BipartitionConfig::equal(&hg, 0.1).with_seed(11);
-    let flat = bipartition_key(&hg, &cfg, 5);
-    // A disabled request keys exactly like flat (it *is* flat), and an
-    // enabled one never collides — nor do two enabled requests with
-    // different knobs.
-    assert_eq!(flat, with_multilevel_key(flat, None));
-    let a = with_multilevel_key(flat, Some(&MultilevelConfig::new()));
-    let b = with_multilevel_key(flat, Some(&engaged_ml()));
-    assert_ne!(flat, a);
-    assert_ne!(flat, b);
-    assert_ne!(a, b);
-    assert_ne!(
-        MultilevelConfig::new().content_hash(),
-        engaged_ml().content_hash()
-    );
 }

@@ -1,25 +1,26 @@
-//! Differential harness for the resource-vector generalization.
+//! Differential harness for the device model against a scalar
+//! reference.
 //!
-//! [`Device`] historically stored the paper's 5-tuple `(c, t, d, l, u)`
-//! as two scalars; it now stores a named [`ResourceVec`]. The contract
-//! of that refactor is *observable identity*: every accessor, the
-//! feasibility window, the library's device selection, the evaluator's
-//! cost/utilization figures and the certificate bytes must be exactly
-//! what the scalar implementation produced.
+//! [`Device`] is the paper's 5-tuple `(c, t, d, l, u)`. Every accessor,
+//! the feasibility window, the library's device selection, the
+//! evaluator's cost/utilization figures and the certificate bytes must
+//! be exactly what the plain scalar arithmetic gives. (The file name
+//! dates from a named resource-vector generalization of `Device`, since
+//! removed; this harness pinned it to the scalar model throughout.)
 //!
-//! `RefDevice` below is a from-scratch reimplementation of the original
-//! scalar arithmetic (kept deliberately independent of `netpart_fpga`).
-//! The harness drives both implementations over seeded random inputs at
-//! the pinned seeds 11, 29 and 47 and demands equality — any divergence
-//! is a behavioral regression of the port, not noise.
+//! `RefDevice` below is a from-scratch reimplementation of that scalar
+//! arithmetic (kept deliberately independent of `netpart_fpga`). The
+//! harness drives both implementations over seeded random inputs at the
+//! pinned seeds 11, 29 and 47 and demands equality — any divergence is
+//! a behavioral regression, not noise.
 
 use netpart::prelude::*;
 use netpart_rng::Rng;
 
 const SEEDS: [u64; 3] = [11, 29, 47];
 
-/// The pre-ResourceVec device: scalar fields, the paper's arithmetic,
-/// transcribed from the original implementation.
+/// The reference device: scalar fields and the paper's arithmetic,
+/// transcribed independently of `netpart_fpga`.
 struct RefDevice {
     clbs: u32,
     iobs: u32,
