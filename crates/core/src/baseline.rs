@@ -175,8 +175,12 @@ impl<'a> RefEngineState<'a> {
                         if adj.is_global_input(j) {
                             return [true, true];
                         }
-                        conn[s] = adj.support_of_mask(orig_mask).get(j);
-                        conn[1 - s] = adj.support_of_mask(replica_mask).get(j);
+                        // Connected iff a kept output's row reads `j`.
+                        let reads = |mask: u32| {
+                            (0..adj.m_outputs()).any(|o| mask >> o & 1 == 1 && adj.depends(o, j))
+                        };
+                        conn[s] = reads(orig_mask);
+                        conn[1 - s] = reads(replica_mask);
                     }
                 }
                 conn

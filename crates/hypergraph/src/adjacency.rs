@@ -106,30 +106,13 @@ impl AdjacencyMatrix {
         self.rows[o].get(j)
     }
 
-    /// The union of the adjacency vectors of the outputs selected by `mask`
-    /// (bit `o` of `mask` selects output `o`).
-    ///
-    /// An input is *connected* on a cell copy keeping exactly the outputs in
-    /// `mask` iff its bit is set here (or it is a [global
-    /// input](Self::is_global_input)).
-    pub fn support_of_mask(&self, mask: u32) -> BitVec {
-        let mut acc = BitVec::zeros(self.n_inputs);
-        for (o, row) in self.rows.iter().enumerate() {
-            if mask & (1 << o) != 0 {
-                acc.or_assign(row);
-            }
-        }
-        acc
-    }
-
     /// The outputs input `j` controls, as an [`OutputMask`]: bit `o` is
     /// set iff input `j` controls output `o` (column `j` of the matrix).
     /// 0 marks a [global input](Self::is_global_input).
     ///
     /// A copy keeping the outputs in `mask` connects input `j` iff
-    /// `input_mask(j) & mask != 0` — the same rule as
-    /// [`support_of_mask`](Self::support_of_mask), without building the
-    /// support vector.
+    /// `input_mask(j) & mask != 0`, i.e. iff `j` is in the union of the
+    /// kept outputs' rows (global inputs are connected on every copy).
     ///
     /// # Panics
     ///
@@ -264,17 +247,16 @@ mod tests {
 
     #[test]
     fn support_of_mask_unions_rows() {
+        // A copy keeping the outputs in `mask` reads the union of their
+        // rows: the inputs whose mask meets it.
         let adj = AdjacencyMatrix::from_rows(5, &[&[0, 1, 2, 3], &[3, 4]]);
-        assert_eq!(
-            adj.support_of_mask(0b01).iter_ones().collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(
-            adj.support_of_mask(0b10).iter_ones().collect::<Vec<_>>(),
-            vec![3, 4]
-        );
-        assert_eq!(adj.support_of_mask(0b11).norm(), 5);
-        assert_eq!(adj.support_of_mask(0).norm(), 0);
+        let support = |mask: u32| -> Vec<usize> {
+            (0..5).filter(|&j| adj.input_mask(j) & mask != 0).collect()
+        };
+        assert_eq!(support(0b01), vec![0, 1, 2, 3]);
+        assert_eq!(support(0b10), vec![3, 4]);
+        assert_eq!(support(0b11), vec![0, 1, 2, 3, 4]);
+        assert!(support(0).is_empty());
     }
 
     #[test]

@@ -265,11 +265,11 @@ impl Placement {
         match pin {
             Pin::Output(o) => cp.outputs & (1 << o) != 0,
             Pin::Input(j) => {
-                let j = j as usize;
-                if self.copies[cell.index()].len() == 1 || adj.is_global_input(j) {
+                if self.copies[cell.index()].len() == 1 {
                     return true;
                 }
-                adj.support_of_mask(cp.outputs).get(j)
+                let mask = adj.input_mask(j as usize);
+                mask == 0 || mask & cp.outputs != 0
             }
         }
     }

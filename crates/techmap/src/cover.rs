@@ -57,6 +57,9 @@ pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
     let consumers = consumer_counts(nl);
     let mut absorbed = vec![false; nl.n_gates()];
     let mut cones = Vec::new();
+    // Scratch for absorption attempts, swapped with the leaf set when an
+    // attempt succeeds.
+    let mut merged: Vec<SignalId> = Vec::new();
 
     // Reverse topological order: consumers are processed before producers,
     // so any unabsorbed gate we reach must root its own cone.
@@ -82,9 +85,10 @@ pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
                 if dg.kind.is_dff() || absorbed[d.index()] || consumers[s.index()] != 1 {
                     continue;
                 }
-                let mut merged = leaves.clone();
-                merged.remove(li);
-                merged.extend(dg.inputs.iter().copied());
+                merged.clear();
+                merged.extend_from_slice(&leaves[..li]);
+                merged.extend_from_slice(&leaves[li + 1..]);
+                merged.extend_from_slice(&dg.inputs);
                 merged.sort_unstable();
                 merged.dedup();
                 if merged.len() > k {
@@ -92,7 +96,7 @@ pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
                 }
                 absorbed[d.index()] = true;
                 gates.push(d);
-                leaves = merged;
+                std::mem::swap(&mut leaves, &mut merged);
                 progressed = true;
                 break;
             }

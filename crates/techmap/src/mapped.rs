@@ -5,7 +5,6 @@ use crate::error::MapError;
 use crate::pack::pack_units;
 use netpart_hypergraph::{AdjacencyMatrix, BitVec, CellKind, Hypergraph, HypergraphBuilder, NetId};
 use netpart_netlist::{Driver, GateId, Netlist, SignalId};
-use std::collections::HashMap;
 
 /// Mapper parameters.
 ///
@@ -139,9 +138,15 @@ impl Mapped {
 
     /// The support (external input signals) of a unit, sorted.
     pub fn unit_support(&self, nl: &Netlist, unit: &Unit) -> Vec<SignalId> {
+        self.support_of(nl, unit).to_vec()
+    }
+
+    /// [`unit_support`](Self::unit_support) borrowed: the cone's leaf
+    /// list, or the register's D input.
+    pub(crate) fn support_of<'a>(&'a self, nl: &'a Netlist, unit: &Unit) -> &'a [SignalId] {
         match unit {
-            Unit::Lut { cone, .. } => self.cones[*cone].support.clone(),
-            Unit::ExtReg { dff } => vec![nl.gate(*dff).inputs[0]],
+            Unit::Lut { cone, .. } => &self.cones[*cone].support,
+            Unit::ExtReg { dff } => std::slice::from_ref(&nl.gate(*dff).inputs[0]),
         }
     }
 
@@ -170,12 +175,11 @@ impl Mapped {
         );
 
         // A net for every CLB-boundary signal: primary inputs and unit
-        // outputs. Dangling CLB outputs still get (sink-less) nets.
-        let mut net_of: HashMap<SignalId, NetId> = HashMap::new();
+        // outputs, numbered in first-touch order. Dangling CLB outputs
+        // still get (sink-less) nets.
+        let mut net_of: Vec<Option<NetId>> = vec![None; nl.n_signals()];
         let mut net_for = |b: &mut HypergraphBuilder, nl: &Netlist, s: SignalId| -> NetId {
-            *net_of
-                .entry(s)
-                .or_insert_with(|| b.add_net(nl.signal_name(s).to_string()))
+            *net_of[s.index()].get_or_insert_with(|| b.add_net(nl.signal_name(s).to_string()))
         };
 
         // CLB cells.
@@ -183,7 +187,7 @@ impl Mapped {
         for (ci, clb) in self.clbs.iter().enumerate() {
             let mut inputs: Vec<SignalId> = Vec::new();
             for u in &clb.units {
-                inputs.extend(self.unit_support(nl, u));
+                inputs.extend_from_slice(self.support_of(nl, u));
             }
             inputs.sort_unstable();
             inputs.dedup();
@@ -193,10 +197,9 @@ impl Mapped {
                 .units
                 .iter()
                 .map(|u| {
-                    let sup = self.unit_support(nl, u);
                     let mut row = BitVec::zeros(inputs.len());
-                    for s in sup {
-                        let j = inputs.binary_search(&s).expect("support ⊆ inputs");
+                    for s in self.support_of(nl, u) {
+                        let j = inputs.binary_search(s).expect("support ⊆ inputs");
                         row.set(j, true);
                     }
                     row
@@ -279,48 +282,7 @@ impl Mapped {
 pub fn map(nl: &Netlist, cfg: &MapperConfig) -> Result<Mapped, MapError> {
     nl.validate()?;
     let cones = cover(nl, cfg.max_inputs)?;
-
-    // Index cones by output signal for DFF absorption.
-    let mut cone_of_output: HashMap<SignalId, usize> = HashMap::new();
-    for (i, c) in cones.iter().enumerate() {
-        cone_of_output.insert(c.output, i);
-    }
-
-    let consumers = consumer_counts(nl);
-    let is_po: std::collections::HashSet<SignalId> = nl.primary_outputs().iter().copied().collect();
-
-    let mut registered_by: Vec<Option<GateId>> = vec![None; cones.len()];
-    let mut ext_regs: Vec<GateId> = Vec::new();
-    for g in nl.gate_ids() {
-        if !nl.gate(g).kind.is_dff() {
-            continue;
-        }
-        let d = nl.gate(g).inputs[0];
-        let absorbable = cfg.absorb_dffs
-            && consumers[d.index()] == 1
-            && !is_po.contains(&d)
-            && matches!(nl.driver(d), Driver::Gate(_));
-        if absorbable {
-            if let Some(&ci) = cone_of_output.get(&d) {
-                if registered_by[ci].is_none() {
-                    registered_by[ci] = Some(g);
-                    continue;
-                }
-            }
-        }
-        ext_regs.push(g);
-    }
-
-    let mut units: Vec<Unit> = cones
-        .iter()
-        .enumerate()
-        .map(|(i, _)| Unit::Lut {
-            cone: i,
-            registered: registered_by[i],
-        })
-        .collect();
-    units.extend(ext_regs.into_iter().map(|dff| Unit::ExtReg { dff }));
-
+    let units = units_of(nl, cfg, &cones);
     let mut mapped = Mapped {
         cones,
         clbs: Vec::new(),
@@ -332,6 +294,55 @@ pub fn map(nl: &Netlist, cfg: &MapperConfig) -> Result<Mapped, MapError> {
         units.into_iter().map(|u| Clb { units: vec![u] }).collect()
     };
     Ok(mapped)
+}
+
+/// The units to pack, in packing order: one per cone (registering its
+/// output when a flip-flop is absorbed), then the remaining flip-flops
+/// in gate order.
+pub(crate) fn units_of(nl: &Netlist, cfg: &MapperConfig, cones: &[LutCone]) -> Vec<Unit> {
+    // Index cones by output signal for DFF absorption.
+    let mut cone_of_output: Vec<Option<usize>> = vec![None; nl.n_signals()];
+    for (i, c) in cones.iter().enumerate() {
+        cone_of_output[c.output.index()] = Some(i);
+    }
+
+    let consumers = consumer_counts(nl);
+    let mut is_po = vec![false; nl.n_signals()];
+    for s in nl.primary_outputs() {
+        is_po[s.index()] = true;
+    }
+
+    let mut registered_by: Vec<Option<GateId>> = vec![None; cones.len()];
+    let mut ext_regs: Vec<GateId> = Vec::new();
+    for g in nl.gate_ids() {
+        if !nl.gate(g).kind.is_dff() {
+            continue;
+        }
+        let d = nl.gate(g).inputs[0];
+        let absorbable = cfg.absorb_dffs
+            && consumers[d.index()] == 1
+            && !is_po[d.index()]
+            && matches!(nl.driver(d), Driver::Gate(_));
+        if absorbable {
+            if let Some(ci) = cone_of_output[d.index()] {
+                if registered_by[ci].is_none() {
+                    registered_by[ci] = Some(g);
+                    continue;
+                }
+            }
+        }
+        ext_regs.push(g);
+    }
+
+    let mut units: Vec<Unit> = Vec::with_capacity(cones.len() + ext_regs.len());
+    units.extend(
+        registered_by
+            .into_iter()
+            .enumerate()
+            .map(|(cone, registered)| Unit::Lut { cone, registered }),
+    );
+    units.extend(ext_regs.into_iter().map(|dff| Unit::ExtReg { dff }));
+    units
 }
 
 #[cfg(test)]

@@ -145,8 +145,8 @@
 use netpart::core::{refine_kway, unreplicate_cleanup};
 use netpart::engine::WorkerStats;
 use netpart::obs::{
-    diff_stripped, parse_prometheus, quantile_of, scan_trace, ProfileRecorder, QuantileBound,
-    StderrRecorder,
+    diff_stripped, parse_prometheus, quantile_of, scan_trace, ProfileRecorder, QuantileBound, Span,
+    StderrRecorder, NOOP,
 };
 use netpart::prelude::*;
 use netpart::report::{
@@ -310,14 +310,6 @@ struct Obs {
 }
 
 impl Obs {
-    /// Whether any observability flag was given.
-    fn active(f: &Flags) -> bool {
-        f.verbose > 0
-            || f.trace_out.is_some()
-            || f.metrics_out.is_some()
-            || f.profile_out.is_some()
-    }
-
     fn from_flags(f: &Flags) -> Result<Obs, Box<dyn Error>> {
         let mut tee = Tee::new();
         let mut jsonl = None;
@@ -448,14 +440,40 @@ fn budget_of(f: &Flags) -> Budget {
     }
 }
 
-fn load(path: &str) -> Result<(Netlist, Hypergraph), Box<dyn Error>> {
-    let text = std::fs::read_to_string(path)?;
-    let nl = parse_blif(&text)?;
-    nl.validate()?;
-    // Decompose anything wider than a 5-input LUT before mapping.
-    let nl = decompose_wide_gates(&nl, 5);
-    let hg = map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl);
-    Ok((nl, hg))
+/// Runs `f` inside the span `scope/label`.
+fn in_span<T>(
+    rec: &dyn Recorder,
+    scope: &'static str,
+    label: &'static str,
+    f: impl FnOnce() -> T,
+) -> T {
+    let _span = Span::enter(rec, scope, label);
+    f()
+}
+
+/// Reads, validates and decomposes a BLIF netlist, one span per layer
+/// (`netlist/parse` includes the file read).
+fn load_netlist(path: &str, rec: &dyn Recorder) -> Result<Netlist, Box<dyn Error>> {
+    let parsed = in_span(rec, "netlist", "parse", || -> Result<_, Box<dyn Error>> {
+        Ok(parse_blif(&std::fs::read_to_string(path)?)?)
+    })?;
+    in_span(rec, "netlist", "validate", || parsed.validate())?;
+    // Decompose anything wider than a 5-input LUT before mapping; the
+    // parsed netlist is freed inside the span.
+    Ok(in_span(rec, "techmap", "decompose", move || {
+        decompose_wide_gates(&parsed, 5)
+    }))
+}
+
+/// Loads a BLIF file as the partitioning hypergraph: [`load_netlist`],
+/// then `techmap/map` and `hypergraph/build` spans. The netlist and the
+/// mapping are freed inside the last span, so the spans tile ingest.
+fn load(path: &str, rec: &dyn Recorder) -> Result<Hypergraph, Box<dyn Error>> {
+    let nl = load_netlist(path, rec)?;
+    let mapped = in_span(rec, "techmap", "map", || map(&nl, &MapperConfig::xc3000()))?;
+    Ok(in_span(rec, "hypergraph", "build", move || {
+        mapped.to_hypergraph(&nl)
+    }))
 }
 
 /// The multilevel configuration requested on the command line, if any.
@@ -584,7 +602,8 @@ fn note_workers(workers: &[WorkerStats]) {
 }
 
 fn cmd_stats(path: &str) -> Result<(), Box<dyn Error>> {
-    let (nl, hg) = load(path)?;
+    let nl = load_netlist(path, &NOOP)?;
+    let hg = map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl);
     let s = hg.stats();
     println!("model {}", nl.name());
     println!(
@@ -618,13 +637,13 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         ))
         .into());
     }
-    let (_, hg) = load(path)?;
+    let obs = Obs::from_flags(f)?;
+    let hg = load(path, obs.recorder.as_ref())?;
     let cfg = BipartitionConfig::equal(&hg, f.epsilon)
         .with_seed(f.seed)
         .with_replication(mode_of(f)?)
         .with_budget(budget_of(f));
     let runs = f.runs.max(1);
-    let obs = Obs::from_flags(f)?;
     let engine = Engine::new(f.jobs)
         .with_multilevel(ml_of(f))
         .with_recorder(Arc::clone(&obs.recorder));
@@ -680,7 +699,8 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
-    let (_, hg) = load(path)?;
+    let obs = Obs::from_flags(f)?;
+    let hg = load(path, obs.recorder.as_ref())?;
     let lib = DeviceLibrary::xc3000();
     let mut cfg = KWayConfig::new(lib.clone())
         .with_candidates(f.candidates)
@@ -699,7 +719,6 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     if let Some(n) = f.max_attempts {
         cfg = cfg.with_max_attempts(n);
     }
-    let obs = Obs::from_flags(f)?;
     // The task count is fixed independently of --jobs, which is what
     // makes the reduction jobs-invariant.
     let engine = Engine::new(f.jobs)
@@ -792,21 +811,15 @@ fn cmd_verify(cert_path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         .clone()
         .or_else(|| cert.source.clone())
         .ok_or("certificate records no source netlist; pass --netlist <file.blif>")?;
-    let (_, hg) = load(&netlist_path)?;
+    let obs = Obs::from_flags(f)?;
+    let hg = load(&netlist_path, obs.recorder.as_ref())?;
     let report = verify(&hg, &cert);
-    let obs = if Obs::active(f) {
-        Some(Obs::from_flags(f)?)
-    } else {
-        None
-    };
-    if let Some(obs) = &obs {
-        obs.recorder.record(
-            &Event::new("verify", "report", Level::Info)
-                .field("violations", report.violations().len())
-                .field("clean", report.is_clean())
-                .field("cut", report.recomputed().cut),
-        );
-    }
+    obs.recorder.record(
+        &Event::new("verify", "report", Level::Info)
+            .field("violations", report.violations().len())
+            .field("clean", report.is_clean())
+            .field("cut", report.recomputed().cut),
+    );
     println!("{report}");
     if !report.is_clean() {
         let rows: Vec<(String, String)> = report
@@ -816,9 +829,12 @@ fn cmd_verify(cert_path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
             .collect();
         eprintln!("{}", violation_table("certificate violations", &rows));
     }
-    if let Some(obs) = &obs {
-        obs.finish(f, "verify", &netlist_path, &[("cert", cert_path.to_string())])?;
-    }
+    obs.finish(
+        f,
+        "verify",
+        &netlist_path,
+        &[("cert", cert_path.to_string())],
+    )?;
     if report.is_clean() {
         Ok(())
     } else {

@@ -158,3 +158,46 @@ fn completed_run_publishes_all_artifacts() {
     assert!(strays.is_empty(), "stray temp files: {strays:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Observability is set up before ingest, so a BLIF that fails to parse
+/// has already opened the trace; the run must still exit 1 and publish
+/// nothing at the trace or profile path, nor leave a temp file behind.
+#[test]
+fn unparseable_blif_publishes_no_artifacts() {
+    let dir = tdir("badblif");
+    let trace = dir.join("t.jsonl");
+    let profile = dir.join("p.json");
+    for cmd in ["bipartition", "kway"] {
+        let out = netpart()
+            .args([
+                cmd,
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/tests/data/bad_unknown_directive.blif"
+                ),
+                "--trace-out",
+                trace.to_str().unwrap(),
+                "--profile-out",
+                profile.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!trace.exists(), "{cmd}: trace published for a failed parse");
+        assert!(
+            !profile.exists(),
+            "{cmd}: profile published for a failed parse"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .expect("dir")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert!(left.is_empty(), "{cmd}: files left behind: {left:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

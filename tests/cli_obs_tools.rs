@@ -158,8 +158,16 @@ fn profile_out_writes_a_self_time_tree_that_covers_the_run() {
         covered * 2 >= total,
         "instrumented spans cover under half the wall window: {covered}/{total}"
     );
-    // The tree names the hot phases.
-    for needle in ["engine/bipartition", "fm/pass"] {
+    // The tree names the ingest layers and the hot phases.
+    for needle in [
+        "netlist/parse",
+        "netlist/validate",
+        "techmap/decompose",
+        "techmap/map",
+        "hypergraph/build",
+        "engine/bipartition",
+        "fm/pass",
+    ] {
         assert!(text.contains(needle), "missing {needle} in profile:\n{text}");
     }
 }
