@@ -127,6 +127,12 @@ impl GainBuckets {
         self.nodes[cell as usize].slot != ABSENT
     }
 
+    /// The current `(gain, tie)` key of `cell`, or `None` when absent.
+    pub(crate) fn key(&self, cell: u32) -> Option<(i64, u8)> {
+        let node = &self.nodes[cell as usize];
+        (node.slot != ABSENT).then(|| node.key())
+    }
+
     /// Bucket slots examined so far while moving the max pointer.
     pub(crate) fn scans(&self) -> u64 {
         self.scans
@@ -320,6 +326,20 @@ mod tests {
         b.insert(1, 2, 2);
         assert_eq!(b.pop(), Some((0, 4, 2)));
         assert_eq!(b.pop(), Some((1, 2, 2)));
+    }
+
+    #[test]
+    fn key_reports_present_cells_only() {
+        let mut b = GainBuckets::new(3, 2);
+        b.insert(0, -1, 2);
+        b.insert(1, 7, 3); // overflow keeps its exact key
+        assert_eq!(b.key(0), Some((-1, 2)));
+        assert_eq!(b.key(1), Some((7, 3)));
+        assert_eq!(b.key(2), None);
+        b.update(0, 2, 1);
+        assert_eq!(b.key(0), Some((2, 1)));
+        assert_eq!(b.pop(), Some((1, 7, 3)));
+        assert_eq!(b.key(1), None, "popped cells are absent");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   first, then sinks, duplicates dropped at their first occurrence) —
 //!   exactly the order the pass loops used to derive with a linear
 //!   `seen` scan per move, so neighbor updates keep electing identical
-//!   move sequences.
+//!   move sequences. Each `(cell, net)` group also records the cell's
+//!   position in that order ([`CsrGraph::positions_of`]), so the bucket
+//!   pass can recover a cell's first-seen rank on a net it never walks.
 //!
 //! Both orders are part of the determinism contract: the CSR port must
 //! be byte-identical to the pointer-chasing baseline (golden tables,
@@ -44,7 +46,7 @@ pub(crate) struct CsrPin {
 }
 
 impl CsrPin {
-    fn new(pin: Pin, mask: OutputMask) -> Self {
+    pub(crate) fn new(pin: Pin, mask: OutputMask) -> Self {
         let code = match pin {
             Pin::Input(j) => u32::from(j),
             Pin::Output(o) => OUT_BIT | u32::from(o),
@@ -82,6 +84,9 @@ pub(crate) struct CsrGraph {
     /// Pin records grouped by `(cell, net)`, inputs before outputs in
     /// pin order within each group.
     group_pins: Vec<CsrPin>,
+    /// Per `(cell, net)` group, parallel to `cell_nets`: the cell's
+    /// index in that net's `cells_of` slice.
+    group_pos: Vec<u32>,
     /// `nets → distinct cells` range bounds (`len = n_nets + 1`).
     net_cell_start: Vec<u32>,
     /// Distinct cells per net in first-seen endpoint order.
@@ -89,6 +94,9 @@ pub(crate) struct CsrGraph {
     /// Maximum distinct-incident-net count over all cells (the FM
     /// in-range gain bound `p_max`).
     max_cell_degree: usize,
+    /// Maximum pin count of one `(cell, net)` group: the most pins any
+    /// single cell has on any one net.
+    max_group_pins: usize,
 }
 
 impl CsrGraph {
@@ -102,6 +110,7 @@ impl CsrGraph {
         let mut group_pins: Vec<CsrPin> = Vec::new();
         let mut pairs: Vec<(NetId, CsrPin)> = Vec::new();
         let mut max_cell_degree = 0usize;
+        let mut max_group_pins = 0usize;
         for c in hg.cell_ids() {
             let cell = hg.cell(c);
             // Terminal pads never replicate, so their input masks are
@@ -134,10 +143,12 @@ impl CsrGraph {
             while i < pairs.len() {
                 let nt = pairs[i].0;
                 cell_nets.push(nt);
+                let g0 = group_pins.len();
                 while i < pairs.len() && pairs[i].0 == nt {
                     group_pins.push(pairs[i].1);
                     i += 1;
                 }
+                max_group_pins = max_group_pins.max(group_pins.len() - g0);
                 group_start.push(group_pins.len() as u32);
             }
             cell_net_start.push(cell_nets.len() as u32);
@@ -150,10 +161,21 @@ impl CsrGraph {
         // First-seen dedup via a per-cell stamp of the last net that
         // recorded it (no net id equals the sentinel).
         let mut stamp = vec![u32::MAX; n];
+        // Nets are visited in ascending id order, which is the order of
+        // each cell's groups, so a per-cell cursor names the group of
+        // the `(cell, net)` pair being recorded.
+        let mut group_pos = vec![0u32; cell_nets.len()];
+        let mut cursor: Vec<u32> = cell_net_start[..n].to_vec();
         for nt in hg.net_ids() {
+            let first = net_cells.len();
             for ep in hg.net(nt).endpoints() {
-                if stamp[ep.cell.index()] != nt.0 {
-                    stamp[ep.cell.index()] = nt.0;
+                let ci = ep.cell.index();
+                if stamp[ci] != nt.0 {
+                    stamp[ci] = nt.0;
+                    let g = cursor[ci] as usize;
+                    debug_assert_eq!(cell_nets[g], nt, "net and cell incidence disagree");
+                    group_pos[g] = (net_cells.len() - first) as u32;
+                    cursor[ci] += 1;
                     net_cells.push(ep.cell);
                 }
             }
@@ -165,9 +187,11 @@ impl CsrGraph {
             cell_nets,
             group_start,
             group_pins,
+            group_pos,
             net_cell_start,
             net_cells,
             max_cell_degree,
+            max_group_pins,
         }
     }
 
@@ -178,6 +202,16 @@ impl CsrGraph {
             self.cell_net_start[c.index() + 1] as usize,
         );
         &self.cell_nets[s..e]
+    }
+
+    /// Parallel to [`CsrGraph::nets_of`]: `c`'s index in each of its
+    /// nets' [`CsrGraph::cells_of`] slices.
+    pub(crate) fn positions_of(&self, c: CellId) -> &[u32] {
+        let (s, e) = (
+            self.cell_net_start[c.index()] as usize,
+            self.cell_net_start[c.index() + 1] as usize,
+        );
+        &self.group_pos[s..e]
     }
 
     /// `(net, pin records)` groups of `c`, in ascending net order.
@@ -222,6 +256,13 @@ impl CsrGraph {
     pub(crate) fn max_cell_degree(&self) -> usize {
         self.max_cell_degree
     }
+
+    /// The most pins any single cell has on any one net: a bound on how
+    /// far one cell's state change can move a net's per-side sink or
+    /// driver count.
+    pub(crate) fn max_group_pins(&self) -> usize {
+        self.max_group_pins
+    }
 }
 
 #[cfg(test)]
@@ -264,6 +305,7 @@ mod tests {
         }
         assert_eq!(csr.nets_of(d).len(), 2, "na deduped, nx kept");
         assert_eq!(csr.max_cell_degree(), 2);
+        assert_eq!(csr.max_group_pins(), 2, "D has both inputs on na");
     }
 
     #[test]
@@ -324,6 +366,19 @@ mod tests {
                 }
             }
             assert_eq!(csr.cells_of(nt), seen.as_slice(), "net {nt}");
+        }
+    }
+
+    #[test]
+    fn positions_index_each_cell_on_its_nets() {
+        let (hg, _, _) = shared_pin_graph();
+        let csr = CsrGraph::build(&hg);
+        for c in hg.cell_ids() {
+            let (nets, pos) = (csr.nets_of(c), csr.positions_of(c));
+            assert_eq!(nets.len(), pos.len());
+            for (&nt, &p) in nets.iter().zip(pos) {
+                assert_eq!(csr.cells_of(nt)[p as usize], c, "cell {c} on net {nt}");
+            }
         }
     }
 }

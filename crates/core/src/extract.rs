@@ -137,19 +137,11 @@ pub fn extract_rest(
     for nid in hg.net_ids() {
         let net = hg.net(nid);
         // The parts the net's connected endpoints touch.
-        let parts = {
-            let mut v: Vec<PartId> = Vec::new();
-            for ep in net.endpoints() {
-                v.extend(placement.pin_parts(hg, ep.cell, ep.pin));
-            }
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        if !parts.contains(&rest) {
+        let parts = placement.net_part_set(hg, nid);
+        if !parts.contains(rest) {
             continue; // net lives entirely in carved parts
         }
-        let touches_elsewhere = parts.iter().any(|&p| p != rest);
+        let touches_elsewhere = parts.len() > 1;
 
         // Internal driver: the driver pin connected on a rest copy.
         let drv = net.driver();

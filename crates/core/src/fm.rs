@@ -14,9 +14,10 @@
 use crate::buckets::GainBuckets;
 use crate::budget::RunClock;
 use crate::config::{BipartitionConfig, ReplicationMode};
+use crate::csr::CsrGraph;
 use crate::error::StopReason;
-use crate::state::{pins_contribution, CellState, EngineState};
-use netpart_hypergraph::{CellId, Hypergraph, Placement};
+use crate::state::{pins_contribution, quiet_transition, CellState, EngineState};
+use netpart_hypergraph::{CellId, Hypergraph, NetId, Placement};
 use netpart_obs::{Event, Level, Span};
 use netpart_rng::Rng;
 
@@ -213,6 +214,55 @@ struct PassOutcome {
 /// heap reference through this type instead.
 type PassFn = fn(&mut EngineState<'_>, &BipartitionConfig, &[u32], &RunClock) -> PassOutcome;
 
+#[cfg(test)]
+thread_local! {
+    /// Changed nets whose cells the bucket pass did not walk because the
+    /// transition was quiet, on this thread since it started.
+    static QUIET_SKIPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// `rank` marker: the net is not a changed net of the current move.
+const NO_RANK: u32 = u32::MAX;
+
+/// The cells whose ladder key is below their best candidate's: a pop
+/// re-keyed them at their best *legal* candidate, and they keep that
+/// key until an update re-keys them at [`best_of`]. Counted per net,
+/// because an update of such a cell is not a no-op, so a net holding
+/// one must be walked even when its transition is quiet.
+struct Lowered {
+    cell: Vec<bool>,
+    per_net: Vec<u32>,
+}
+
+impl Lowered {
+    fn new(n_cells: usize, n_nets: usize) -> Self {
+        Lowered {
+            cell: vec![false; n_cells],
+            per_net: vec![0; n_nets],
+        }
+    }
+
+    /// Records whether `c`'s key is lowered.
+    fn set(&mut self, csr: &CsrGraph, c: CellId, lowered: bool) {
+        if self.cell[c.index()] == lowered {
+            return;
+        }
+        self.cell[c.index()] = lowered;
+        for &nt in csr.nets_of(c) {
+            if lowered {
+                self.per_net[nt.index()] += 1;
+            } else {
+                self.per_net[nt.index()] -= 1;
+            }
+        }
+    }
+
+    /// Whether a lowered cell sits on `nt`.
+    fn on(&self, nt: NetId) -> bool {
+        self.per_net[nt.index()] > 0
+    }
+}
+
 /// One FM pass over the gain-bucket ladder with incremental updates.
 ///
 /// Cells sit in [`GainBuckets`] keyed by their best candidate's
@@ -221,7 +271,10 @@ type PassFn = fn(&mut EngineState<'_>, &BipartitionConfig, &[u32], &RunClock) ->
 /// endpoint's candidate gains are adjusted by the *difference* of that
 /// net's contribution between the before/after count snapshots
 /// ([`pins_contribution`]) — no candidate is recomputed from scratch on
-/// the hot path.
+/// the hot path. A changed net whose transition is quiet
+/// ([`quiet_transition`]) changes no contribution, so its cells are not
+/// walked at all; the repositioning order stays the one a full walk
+/// would produce (see the update step below).
 ///
 /// When a cell's best candidate is area-illegal, the cell is re-keyed
 /// by its best *legal* candidate (strictly lower, so this terminates)
@@ -245,6 +298,7 @@ fn run_pass_buckets(
     // net's cut contribution by at most 1. Pad-weighted gains can
     // exceed it; those ride the exact overflow list.
     let p_max = csr.max_cell_degree() as i64;
+    let max_pins = csr.max_group_pins() as u32;
 
     let build_span = Span::enter(clock.recorder(), "fm", "buckets.build");
     let mut cands: Vec<Candidate> = Vec::new();
@@ -277,6 +331,11 @@ fn run_pass_buckets(
     let mut before: Vec<([u32; 2], [u32; 2])> = Vec::new();
     let mut in_touched = vec![false; n];
     let mut touched: Vec<u32> = Vec::new();
+    // Moves with a quiet net: each changed net's index in the moved
+    // cell's net list, and the repositions with their first-seen rank.
+    let mut rank = vec![NO_RANK; hg.n_nets()];
+    let mut moved: Vec<(u64, u32, i64, u8)> = Vec::new();
+    let mut lowered = Lowered::new(n, hg.n_nets());
 
     loop {
         let Some((cell, gain, tie)) = buckets.pop() else {
@@ -298,6 +357,7 @@ fn run_pass_buckets(
         selects += 1;
         let c = CellId(cell);
         debug_assert!(!locked[c.index()], "locked cell left in the ladder");
+        lowered.set(&csr, c, false);
         // Pick the best candidate still legal at the current areas. The
         // popped key is the cell's best candidate ignoring legality, or
         // a legal-best computed at some earlier areas; when the two
@@ -323,6 +383,8 @@ fn run_pass_buckets(
         };
         if (bg, bt) != (gain, tie) {
             buckets.update(cell, bg, bt);
+            let top = best_of(&cands, &range, c).map(|(g, t, _)| (g, t));
+            lowered.set(&csr, c, top != Some((bg, bt)));
             continue;
         }
         let new = cands[bi].state;
@@ -356,14 +418,20 @@ fn run_pass_buckets(
         }
         // Incremental gain maintenance: for each incident net whose
         // endpoint counts changed, adjust every unlocked endpoint's
-        // candidates by the difference in that net's contribution. The
-        // CSR `cells_of` slice is already deduplicated in first-seen
-        // endpoint order, so the touch order matches the old per-move
-        // `seen` scan move for move.
+        // candidates by the difference in that net's contribution. A
+        // quiet net changes no contribution and is skipped, unless it
+        // holds a lowered cell, which the walk would re-key.
         touched.clear();
+        let mut quiet = false;
         for (i, &nt) in nets.iter().enumerate() {
             let after = engine.net_counts(nt);
             if after == before[i] {
+                continue;
+            }
+            if !lowered.on(nt) && quiet_transition(before[i], after, max_pins) {
+                quiet = true;
+                #[cfg(test)]
+                QUIET_SKIPS.with(|q| q.set(q.get() + 1));
                 continue;
             }
             for &t in csr.cells_of(nt) {
@@ -391,11 +459,64 @@ fn run_pass_buckets(
             }
         }
         drained_retry = false;
-        for &t in &touched {
-            in_touched[t as usize] = false;
-            if let Some((g, tt, _)) = best_of(&cands, &range, CellId(t)) {
-                buckets.update(t, g, tt);
+        // With no net skipped, the walk touched the cells in first-seen
+        // order already, so the repositioning below would make the same
+        // key changes in the same order; updating directly only saves
+        // its sort keys. On the paper-kway benchmark workload (2-vCPU
+        // host, 10 alternating 40 s e2ebench runs) sending these moves
+        // through the sort too read flow_s 10.5% higher, 9 runs of 10.
+        if !quiet {
+            for &t in &touched {
+                in_touched[t as usize] = false;
+                lowered.set(&csr, CellId(t), false);
+                if let Some((g, tt, _)) = best_of(&cands, &range, CellId(t)) {
+                    buckets.update(t, g, tt);
+                }
             }
+            continue;
+        }
+        // Quiet nets were not walked, yet the ladder's LIFO order must
+        // be the one a walk of every changed net would leave. The
+        // skipped nets hold no lowered cell, so their present cells
+        // keep their keys and a walk's update of them is a no-op (as is
+        // any same-key update). Only re-keyed cells and absent
+        // (deferred) ones are repositioned, in the order the full walk
+        // would first have seen them: by the cell's first changed net
+        // (the moved cell's nets are ascending, and so are each
+        // cell's), then its place on that net, with deferred cells on
+        // no changed net last in deferral order.
+        for (i, &nt) in nets.iter().enumerate() {
+            if engine.net_counts(nt) != before[i] {
+                rank[nt.index()] = i as u32;
+            }
+        }
+        moved.clear();
+        for (k, &t) in touched.iter().enumerate() {
+            in_touched[t as usize] = false;
+            lowered.set(&csr, CellId(t), false);
+            let Some((g, tt, _)) = best_of(&cands, &range, CellId(t)) else {
+                continue;
+            };
+            if buckets.key(t) == Some((g, tt)) {
+                continue;
+            }
+            let tc = CellId(t);
+            let seen = csr
+                .nets_of(tc)
+                .iter()
+                .zip(csr.positions_of(tc))
+                .find(|(nt, _)| rank[nt.index()] != NO_RANK)
+                .map_or((u64::from(NO_RANK) << 32) | k as u64, |(nt, &pos)| {
+                    (u64::from(rank[nt.index()]) << 32) | u64::from(pos)
+                });
+            moved.push((seen, t, g, tt));
+        }
+        for &nt in nets {
+            rank[nt.index()] = NO_RANK;
+        }
+        moved.sort_unstable_by_key(|m| m.0);
+        for &(_, t, g, tt) in &moved {
+            buckets.update(t, g, tt);
         }
     }
 
@@ -1238,6 +1359,63 @@ mod tests {
                         "passes diverged at seed {seed}, start {start}, {mode:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_net_skip_keeps_high_fanout_runs_identical() {
+        // Rent circuits whose largest net has over 100 pins: the bucket
+        // pass skips the walk of quiet nets and rebuilds the walk's
+        // repositioning order, while the heap reference walks every
+        // changed net. Runs must stay certificate-identical, and the
+        // skip must actually fire.
+        for seed in SEEDS {
+            let nl = generate(
+                &GeneratorConfig::new(1000)
+                    .with_dff(50)
+                    .with_rent(0.65)
+                    .with_seed(seed),
+            );
+            let hg = map(&nl, &MapperConfig::xc3000())
+                .unwrap()
+                .to_hypergraph(&nl);
+            let widest = hg.net_ids().map(|nt| hg.net(nt).endpoints().count()).max();
+            assert!(widest > Some(100), "seed {seed}: no net over 100 pins");
+            for mode in [
+                ReplicationMode::None,
+                ReplicationMode::functional(0),
+                ReplicationMode::Traditional,
+            ] {
+                // A growth cap makes replication candidates illegal while
+                // moves stay legal, so popped cells get re-keyed below
+                // their best candidate and keep that key until touched.
+                let cfg = BipartitionConfig::equal(&hg, 0.1)
+                    .with_seed(seed)
+                    .with_replication(mode)
+                    .with_max_growth(mode.replicates().then_some(8));
+                let skips0 = QUIET_SKIPS.with(|q| q.get());
+                let buckets = bipartition_with_pass(&hg, &cfg, run_pass_buckets);
+                let skipped = QUIET_SKIPS.with(|q| q.get()) - skips0;
+                assert!(skipped > 0, "seed {seed}, {mode:?}: no quiet net skipped");
+                let heap = bipartition_with_pass(&hg, &cfg, run_pass_heap);
+                assert_eq!(buckets.gain_repairs + heap.gain_repairs, 0);
+                if mode == ReplicationMode::Traditional {
+                    assert_eq!(buckets.cut, heap.cut, "cut diverged at seed {seed}");
+                    assert_eq!(buckets.areas, heap.areas, "areas diverged at seed {seed}");
+                    assert_eq!(buckets.replicated_cells, heap.replicated_cells);
+                    assert_eq!(
+                        buckets.placement, heap.placement,
+                        "placements diverged at seed {seed}"
+                    );
+                    continue;
+                }
+                let [buckets, heap] = [buckets, heap].map(|r| {
+                    r.certificate(&hg, cfg.seed)
+                        .expect("placement exports")
+                        .to_text()
+                });
+                assert_eq!(buckets, heap, "passes diverged at seed {seed}, {mode:?}");
             }
         }
     }

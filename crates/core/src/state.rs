@@ -520,6 +520,28 @@ pub(crate) fn pins_contribution(
     i64::from(before) - i64::from(nc.is_cut())
 }
 
+/// Whether a net's endpoint counts moving from `before` to `after` is
+/// *quiet*: no cell on the net sees any [`pins_contribution`] change,
+/// whatever its current and candidate states.
+///
+/// `max_pins` bounds the pins one cell has on one net
+/// ([`CsrGraph::max_group_pins`]). A transition is quiet when the driver
+/// counts are unchanged and each side's sink count is unchanged or,
+/// before and after, above `max_pins`. [`pins_contribution`] reads the
+/// counts only through [`cut_from`], which tests `drv` values and
+/// `sink[s] > 0`, against the counts as given and after one cell's pin
+/// deltas, which move a sink count by at least `-max_pins`. Every such
+/// test therefore has the same outcome before and after.
+pub(crate) fn quiet_transition(
+    before: ([u32; 2], [u32; 2]),
+    after: ([u32; 2], [u32; 2]),
+    max_pins: u32,
+) -> bool {
+    let ((sink0, drv0), (sink1, drv1)) = (before, after);
+    drv0 == drv1
+        && (0..2).all(|s| sink0[s] == sink1[s] || (sink0[s] > max_pins && sink1[s] > max_pins))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,6 +743,95 @@ mod tests {
         let p = st.to_placement();
         assert_eq!(p.cut_size(&hg), st.cut());
         assert!(st.validate());
+    }
+
+    #[test]
+    fn quiet_transitions_change_no_contribution() {
+        // Exhaustive over small counts: every group of up to `max_pins`
+        // pins of a two-output cell (inputs of every dependency mask,
+        // at most one output), every (current, candidate) state pair,
+        // equal driver counts 0..=2 and sink counts 0..=max_pins+2 per
+        // side. Counts smaller than the group's own connections under
+        // the current state never occur, so they are skipped.
+        let states: Vec<CellState> = (0..2u8)
+            .flat_map(|s| {
+                [
+                    CellState::Single { side: s },
+                    CellState::Traditional { orig_side: s },
+                    CellState::Functional {
+                        orig_side: s,
+                        replica_mask: 0b01,
+                    },
+                    CellState::Functional {
+                        orig_side: s,
+                        replica_mask: 0b10,
+                    },
+                ]
+            })
+            .collect();
+        let input_masks = [0, 0b01, 0b10, 0b11];
+        let (mut checked, mut sinks_moved) = (0u64, 0u64);
+        for max_pins in 1..=3u32 {
+            let mut groups: Vec<Vec<CsrPin>> = Vec::new();
+            for n_in in 0..=max_pins {
+                for combo in 0..4usize.pow(n_in) {
+                    let inputs: Vec<CsrPin> = (0..n_in)
+                        .map(|j| {
+                            let mask = input_masks[combo / 4usize.pow(j) % 4];
+                            CsrPin::new(Pin::Input(j as u16), mask)
+                        })
+                        .collect();
+                    for output in [None, Some(0u16), Some(1)] {
+                        let mut g = inputs.clone();
+                        g.extend(output.map(|o| CsrPin::new(Pin::Output(o), 1 << o)));
+                        if !g.is_empty() && g.len() <= max_pins as usize {
+                            groups.push(g);
+                        }
+                    }
+                }
+            }
+            let side_pairs: Vec<(u32, u32)> = (0..=max_pins + 2)
+                .flat_map(|b| (0..=max_pins + 2).map(move |a| (b, a)))
+                .collect();
+            for drv in (0..=2).flat_map(|d0| (0..=2).map(move |d1| [d0, d1])) {
+                for &(b0, a0) in &side_pairs {
+                    for &(b1, a1) in &side_pairs {
+                        let (before, after) = (([b0, b1], drv), ([a0, a1], drv));
+                        if !quiet_transition(before, after, max_pins) {
+                            continue;
+                        }
+                        sinks_moved += u64::from(before != after);
+                        for pins in &groups {
+                            for &cur in &states {
+                                let mut own = NetCounts::default();
+                                for &pin in pins {
+                                    own.reconnect(pin, [false; 2], pin_conn(cur, pin));
+                                }
+                                let fits = |(sink, drv): ([u32; 2], [u32; 2])| {
+                                    (0..2).all(|s| sink[s] >= own.sink[s] && drv[s] >= own.drv[s])
+                                };
+                                if !fits(before) || !fits(after) {
+                                    continue;
+                                }
+                                for &new in &states {
+                                    assert_eq!(
+                                        pins_contribution(cur, new, pins, before),
+                                        pins_contribution(cur, new, pins, after),
+                                        "max_pins {max_pins}, {before:?} -> {after:?}, \
+                                         {cur:?} -> {new:?}, pins {pins:?}"
+                                    );
+                                    checked += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(sinks_moved > 0 && checked > 1_000_000, "{checked} cases");
+        // A sink count reaching `max_pins` from above is not quiet.
+        assert!(!quiet_transition(([3, 0], [1, 0]), ([2, 0], [1, 0]), 2));
+        assert!(!quiet_transition(([5, 0], [1, 0]), ([5, 0], [0, 1]), 2));
     }
 
     #[test]

@@ -317,17 +317,16 @@ fn execute<U: Unit>(
         perfect: AtomicBool::new(false),
         slots: (0..n).map(|_| Mutex::new(None)).collect(),
     };
+    // Worker 0 runs on the calling thread, so a one-job request spawns
+    // no thread (and allocates in the caller's malloc arena).
     let workers = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs.clamp(1, n))
-            .map(|w| {
-                let ex = &ex;
-                scope.spawn(move || ex.work(w))
-            })
+        let ex = &ex;
+        let handles: Vec<_> = (1..jobs.clamp(1, n))
+            .map(|w| scope.spawn(move || ex.work(w)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
+        let mut workers = vec![ex.work(0)];
+        workers.extend(handles.into_iter().map(|h| h.join().unwrap_or_default()));
+        workers
     });
     let kept = ex
         .slots

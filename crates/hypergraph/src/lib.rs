@@ -56,4 +56,4 @@ pub use bitvec::BitVec;
 pub use builder::HypergraphBuilder;
 pub use error::BuildError;
 pub use graph::{Cell, CellId, CellKind, Endpoint, Hypergraph, Net, NetId, Pin, Stats};
-pub use placement::{CellCopy, OutputMask, PartId, Placement, PlacementError, MAX_PARTS};
+pub use placement::{CellCopy, OutputMask, PartId, PartSet, Placement, PlacementError, MAX_PARTS};

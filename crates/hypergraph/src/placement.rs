@@ -54,17 +54,23 @@ pub const MAX_PARTS: usize = 128;
 
 /// A set of parts, packed into a bitmask (at most [`MAX_PARTS`] parts).
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub(crate) struct PartSet(u128);
+pub struct PartSet(u128);
 
 impl PartSet {
     pub(crate) fn insert(&mut self, p: PartId) {
         self.0 |= 1u128 << p.0;
     }
-    pub(crate) fn contains(&self, p: PartId) -> bool {
+    /// Whether part `p` is in the set.
+    pub fn contains(&self, p: PartId) -> bool {
         self.0 & (1u128 << p.0) != 0
     }
-    pub(crate) fn len(&self) -> usize {
+    /// The number of parts in the set.
+    pub fn len(&self) -> usize {
         self.0.count_ones() as usize
+    }
+    /// Whether the set has no part.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
     }
 }
 
@@ -282,7 +288,8 @@ impl Placement {
             .collect()
     }
 
-    pub(crate) fn net_part_set(&self, hg: &Hypergraph, net: NetId) -> PartSet {
+    /// The parts on which the net's endpoints are connected.
+    pub fn net_part_set(&self, hg: &Hypergraph, net: NetId) -> PartSet {
         let mut s = PartSet::default();
         for ep in hg.net(net).endpoints() {
             for (i, cp) in self.copies[ep.cell.index()].iter().enumerate() {

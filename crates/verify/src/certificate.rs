@@ -449,6 +449,9 @@ impl SolutionCertificate {
             out.push_str(&format!("claim congestion {g}\n"));
         }
         out.push_str("end netpart-certificate\n");
+        // Callers keep certificate text around to compare or cache it;
+        // growth by doubling would leave up to half of it unused.
+        out.shrink_to_fit();
         out
     }
 
