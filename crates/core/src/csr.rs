@@ -20,7 +20,9 @@
 //!   `seen` scan per move, so neighbor updates keep electing identical
 //!   move sequences. Each `(cell, net)` group also records the cell's
 //!   position in that order ([`CsrGraph::positions_of`]), so the bucket
-//!   pass can recover a cell's first-seen rank on a net it never walks.
+//!   pass can recover a cell's first-seen rank on a net it never walks,
+//!   and each net records its cells' groups ([`CsrGraph::net_groups`]),
+//!   so a neighbor walk reads a cell's pins on the net without a search.
 //!
 //! Both orders are part of the determinism contract: the CSR port must
 //! be byte-identical to the pointer-chasing baseline (golden tables,
@@ -91,6 +93,9 @@ pub(crate) struct CsrGraph {
     net_cell_start: Vec<u32>,
     /// Distinct cells per net in first-seen endpoint order.
     net_cells: Vec<CellId>,
+    /// Parallel to `net_cells`: the index of that cell's pin group on
+    /// the net (into `cell_nets` and `group_start`).
+    net_groups: Vec<u32>,
     /// Maximum distinct-incident-net count over all cells (the FM
     /// in-range gain bound `p_max`).
     max_cell_degree: usize,
@@ -148,6 +153,14 @@ impl CsrGraph {
                     group_pins.push(pairs[i].1);
                     i += 1;
                 }
+                // A net has one driver, so only a group's last pin can
+                // be an output (`state::group_conn` relies on it).
+                debug_assert!(
+                    group_pins[g0..group_pins.len() - 1]
+                        .iter()
+                        .all(|p| !p.is_output()),
+                    "one output per group, after the inputs"
+                );
                 max_group_pins = max_group_pins.max(group_pins.len() - g0);
                 group_start.push(group_pins.len() as u32);
             }
@@ -158,6 +171,7 @@ impl CsrGraph {
         let mut net_cell_start = Vec::with_capacity(hg.n_nets() + 1);
         net_cell_start.push(0u32);
         let mut net_cells: Vec<CellId> = Vec::new();
+        let mut net_groups: Vec<u32> = Vec::with_capacity(cell_nets.len());
         // First-seen dedup via a per-cell stamp of the last net that
         // recorded it (no net id equals the sentinel).
         let mut stamp = vec![u32::MAX; n];
@@ -177,6 +191,7 @@ impl CsrGraph {
                     group_pos[g] = (net_cells.len() - first) as u32;
                     cursor[ci] += 1;
                     net_cells.push(ep.cell);
+                    net_groups.push(g as u32);
                 }
             }
             net_cell_start.push(net_cells.len() as u32);
@@ -190,6 +205,7 @@ impl CsrGraph {
             group_pos,
             net_cell_start,
             net_cells,
+            net_groups,
             max_cell_degree,
             max_group_pins,
         }
@@ -220,24 +236,29 @@ impl CsrGraph {
             self.cell_net_start[c.index()] as usize,
             self.cell_net_start[c.index() + 1] as usize,
         );
-        (s..e).map(move |g| {
-            let (ps, pe) = (self.group_start[g] as usize, self.group_start[g + 1] as usize);
-            (self.cell_nets[g], &self.group_pins[ps..pe])
-        })
+        (s..e).map(move |g| (self.cell_nets[g], self.group_pins(g as u32)))
+    }
+
+    /// The pin records of group `g`: a [`CsrGraph::net_groups`] entry.
+    #[inline]
+    pub(crate) fn group_pins(&self, g: u32) -> &[CsrPin] {
+        let g = g as usize;
+        let (ps, pe) = (
+            self.group_start[g] as usize,
+            self.group_start[g + 1] as usize,
+        );
+        &self.group_pins[ps..pe]
     }
 
     /// The pin records of `c` on `net` (empty when not incident).
+    #[cfg(test)]
     pub(crate) fn pins_on(&self, c: CellId, net: NetId) -> &[CsrPin] {
         let (s, e) = (
             self.cell_net_start[c.index()] as usize,
             self.cell_net_start[c.index() + 1] as usize,
         );
         match self.cell_nets[s..e].binary_search(&net) {
-            Ok(i) => {
-                let g = s + i;
-                let (ps, pe) = (self.group_start[g] as usize, self.group_start[g + 1] as usize);
-                &self.group_pins[ps..pe]
-            }
+            Ok(i) => self.group_pins((s + i) as u32),
             Err(_) => &[],
         }
     }
@@ -250,6 +271,16 @@ impl CsrGraph {
             self.net_cell_start[net.index() + 1] as usize,
         );
         &self.net_cells[s..e]
+    }
+
+    /// Parallel to [`CsrGraph::cells_of`]: the pin group of each of
+    /// `net`'s cells on `net`, for [`CsrGraph::group_pins`].
+    pub(crate) fn net_groups(&self, net: NetId) -> &[u32] {
+        let (s, e) = (
+            self.net_cell_start[net.index()] as usize,
+            self.net_cell_start[net.index() + 1] as usize,
+        );
+        &self.net_groups[s..e]
     }
 
     /// Maximum distinct-incident-net count over all cells (`p_max`).
@@ -366,6 +397,23 @@ mod tests {
                 }
             }
             assert_eq!(csr.cells_of(nt), seen.as_slice(), "net {nt}");
+        }
+    }
+
+    #[test]
+    fn net_groups_name_each_cells_pins_on_the_net() {
+        let (hg, _, _) = shared_pin_graph();
+        let csr = CsrGraph::build(&hg);
+        for nt in hg.net_ids() {
+            let (cells, groups) = (csr.cells_of(nt), csr.net_groups(nt));
+            assert_eq!(cells.len(), groups.len());
+            for (&c, &g) in cells.iter().zip(groups) {
+                assert_eq!(
+                    csr.group_pins(g),
+                    csr.pins_on(c, nt),
+                    "cell {c} on net {nt}"
+                );
+            }
         }
     }
 

@@ -434,13 +434,13 @@ fn run_pass_buckets(
                 QUIET_SKIPS.with(|q| q.set(q.get() + 1));
                 continue;
             }
-            for &t in csr.cells_of(nt) {
+            for (&t, &g) in csr.cells_of(nt).iter().zip(csr.net_groups(nt)) {
                 if t == c || locked[t.index()] {
                     continue;
                 }
                 let cur_t = engine.cell_state(t);
                 let (ts, te) = range[t.index()];
-                let pins = csr.pins_on(t, nt);
+                let pins = csr.group_pins(g);
                 for cd in &mut cands[ts as usize..te as usize] {
                     cd.gain += pins_contribution(cur_t, cd.state, pins, after)
                         - pins_contribution(cur_t, cd.state, pins, before[i]);
@@ -1418,6 +1418,56 @@ mod tests {
                 assert_eq!(buckets, heap, "passes diverged at seed {seed}, {mode:?}");
             }
         }
+    }
+
+    #[test]
+    fn carve_configurations_are_certificate_identical() {
+        // The two bipartition shapes of a k-way carve step
+        // (`kway::carve_once`): every device window that fits inside the
+        // circuit, with pads weighted out of the chunk, and ±10% halving.
+        // Both are growth-capped, with functional replication at T = 0.
+        let lib = netpart_fpga::DeviceLibrary::xc3000();
+        let mut replicated = 0;
+        for seed in SEEDS {
+            let hg = gen::mapped(350, 30, seed);
+            let area = hg.total_area();
+            let mut shapes: Vec<([u64; 2], [u64; 2], [i64; 2])> = (0..lib.len())
+                .map(|i| lib.device(i))
+                .filter(|d| d.min_clbs() <= (area - 1).min(d.max_clbs()))
+                .map(|d| {
+                    (
+                        [d.min_clbs(), 0],
+                        [d.max_clbs().min(area - 1), area],
+                        [1, 0],
+                    )
+                })
+                .collect();
+            assert!(
+                shapes.len() >= 2,
+                "seed {seed}: area {area} fits few windows"
+            );
+            let lo = (area as f64 / 2.0 * 0.9).floor() as u64;
+            let hi = (area as f64 / 2.0 * 1.1).ceil() as u64;
+            shapes.push(([lo, lo], [hi, hi], [0, 0]));
+            for (min, max, weight) in shapes {
+                let cfg = BipartitionConfig::bounded(min, max)
+                    .with_seed(seed)
+                    .with_replication(ReplicationMode::functional(0))
+                    .with_terminal_weight(weight)
+                    .with_max_growth(Some((area / 16).max(4)));
+                let [buckets, heap] =
+                    PASSES.map(|(_, pass)| bipartition_with_pass(&hg, &cfg, pass));
+                assert_eq!(buckets.gain_repairs + heap.gain_repairs, 0);
+                replicated += buckets.replicated_cells;
+                let [buckets, heap] = [buckets, heap].map(|r| {
+                    r.certificate(&hg, cfg.seed)
+                        .expect("placement exports")
+                        .to_text()
+                });
+                assert_eq!(buckets, heap, "seed {seed}, window {min:?}..{max:?}");
+            }
+        }
+        assert!(replicated > 0, "no carve run kept a replica");
     }
 
     #[test]

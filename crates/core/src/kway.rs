@@ -224,6 +224,18 @@ fn record_part(
     }
 }
 
+/// The IOBs a piece needs on one device: one per pin of a terminal
+/// cell. With no net crossing, each net costs its pad pins, so this is
+/// [`Placement::part_terminals`] of the piece placed on one part,
+/// counted without building that placement.
+fn whole_terminals(hg: &Hypergraph) -> u64 {
+    hg.cells()
+        .iter()
+        .filter(|c| c.is_terminal())
+        .map(|c| (c.n_inputs() + c.m_outputs()) as u64)
+        .sum()
+}
+
 /// Emits the paper-metric gauges for an incumbent evaluation: `$_k`
 /// (eq. 1) as `paper.cost_k`, `k̄` (eq. 2) as `paper.kbar` and the
 /// per-device histogram as `paper.devices`. Shared with the portfolio
@@ -271,8 +283,7 @@ fn carve_once(
             return None;
         }
         let area = piece.hypergraph.total_area();
-        let single = Placement::new_uniform(&piece.hypergraph, 1, PartId(0));
-        let terminals = single.part_terminals(&piece.hypergraph, PartId(0)) as u64;
+        let terminals = whole_terminals(&piece.hypergraph);
         let fitting = if prefer_large {
             lib.largest_fitting(area, terminals)
         } else {
@@ -281,6 +292,7 @@ fn carve_once(
         if let Some(dev) = fitting {
             let part = devices.len() as u16;
             let di = lib.index_of(dev.name()).expect("library device");
+            let single = Placement::new_uniform(&piece.hypergraph, 1, PartId(0));
             record_part(&piece, &single, PartId(0), part, &mut assignments);
             devices.push(di);
             continue;
@@ -818,6 +830,36 @@ mod tests {
             .with_max_attempts(200)
             .with_seed(1)
             .with_max_passes(8)
+    }
+
+    #[test]
+    fn whole_piece_terminals_match_a_one_part_placement() {
+        // The original circuit and both sides of a replicating split,
+        // whose extractions carry pseudo pads and partial copies.
+        let hg = mapped(400, 30, 3);
+        let top = Extraction::identity(&hg);
+        let cfg = BipartitionConfig::equal(&hg, 0.1)
+            .with_seed(5)
+            .with_replication(ReplicationMode::functional(0));
+        let res = crate::fm::bipartition(&hg, &cfg);
+        assert!(res.replicated_cells > 0, "fixture must replicate");
+        let split = res.placement.expect("functional placements export");
+        let mut pieces = vec![top.clone()];
+        for rest in [PartId(0), PartId(1)] {
+            pieces.push(extract_rest(&hg, &split, rest, &top.origin));
+        }
+        assert!(pieces[1..]
+            .iter()
+            .all(|p| p.origin.iter().any(Option::is_none)));
+        for (i, piece) in pieces.iter().enumerate() {
+            let phg = &piece.hypergraph;
+            let single = Placement::new_uniform(phg, 1, PartId(0));
+            assert_eq!(
+                whole_terminals(phg),
+                single.part_terminals(phg, PartId(0)) as u64,
+                "piece {i}"
+            );
+        }
     }
 
     #[test]

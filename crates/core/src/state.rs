@@ -161,9 +161,7 @@ impl<'a> EngineState<'a> {
             let cs = st.state[c.index()];
             for (net, pins) in st.csr.groups(c) {
                 let nc = &mut st.counts[net.index()];
-                for &pin in pins {
-                    nc.reconnect(pin, [false; 2], pin_conn(cs, pin));
-                }
+                *nc = nc.shifted([0; 4], group_conn(cs, pins));
             }
         }
         st.cut = st.counts.iter().filter(|c| c.is_cut()).count();
@@ -360,9 +358,7 @@ impl<'a> EngineState<'a> {
                 let nc = &mut counts[net.index()];
                 let before = nc.is_cut();
                 let spanned = nc.spans();
-                for &pin in pins {
-                    nc.reconnect(pin, pin_conn(old, pin), pin_conn(new, pin));
-                }
+                *nc = nc.shifted(group_conn(old, pins), group_conn(new, pins));
                 let after = nc.is_cut();
                 *spanning =
                     (*spanning as i64 + i64::from(nc.spans()) - i64::from(spanned)) as usize;
@@ -446,29 +442,32 @@ impl<'a> EngineState<'a> {
 }
 
 impl NetCounts {
+    #[inline]
     fn is_cut(self) -> bool {
         cut_from(self.sink, self.drv)
     }
 
-    /// Moves one of the net's endpoints, `pin`, from its per-side
-    /// connections `old` to `new`: a driver count for an output pin, a
-    /// sink count for an input pin.
-    fn reconnect(&mut self, pin: CsrPin, old: Conn, new: Conn) {
-        let slots = if pin.is_output() {
-            &mut self.drv
-        } else {
-            &mut self.sink
-        };
-        for (slot, (o, n)) in slots.iter_mut().zip(old.into_iter().zip(new)) {
-            *slot = *slot + u32::from(n) - u32::from(o);
+    /// The counts after one pin group's connections change from `old`
+    /// to `new` (both [`group_conn`] results). Each count subtracts
+    /// before it adds, so a debug build panics on a group that claims
+    /// more connections than the net counts.
+    #[inline]
+    fn shifted(self, old: [u32; 4], new: [u32; 4]) -> NetCounts {
+        NetCounts {
+            sink: [
+                self.sink[0] - old[0] + new[0],
+                self.sink[1] - old[1] + new[1],
+            ],
+            drv: [self.drv[0] - old[2] + new[2], self.drv[1] - old[3] + new[3]],
         }
     }
 }
 
 /// The uniform cut rule: some side holds a connected sink but no
 /// connected driver while the other side has one.
+#[inline]
 fn cut_from(sc: [u32; 2], dc: [u32; 2]) -> bool {
-    (0..2).any(|s| sc[s] > 0 && dc[s] == 0 && dc[1 - s] > 0)
+    ((sc[0] > 0) & (dc[0] == 0) & (dc[1] > 0)) | ((sc[1] > 0) & (dc[1] == 0) & (dc[0] > 0))
 }
 
 /// Connection flags of one pin record under `state`: `conn[s]` holds
@@ -502,9 +501,40 @@ fn pin_conn(state: CellState, pin: CsrPin) -> Conn {
     }
 }
 
+/// Connected endpoints of one `(cell, net)` pin group under `state`:
+/// `[sinks on side 0, sinks on side 1, drivers on side 0, drivers on
+/// side 1]`, the sum of [`pin_conn`] over the group's pins.
+///
+/// A group lists its inputs before its outputs and holds at most one
+/// output, since a net has one driver. A single copy or a traditional
+/// replica connects every pin, so those states read the counts off the
+/// group's length and last pin; only a functional split walks the pins.
+#[inline]
+pub(crate) fn group_conn(state: CellState, pins: &[CsrPin]) -> [u32; 4] {
+    let outs = u32::from(pins.last().is_some_and(|p| p.is_output()));
+    let ins = pins.len() as u32 - outs;
+    match state {
+        CellState::Single { side: 0 } => [ins, 0, outs, 0],
+        CellState::Single { .. } => [0, ins, 0, outs],
+        CellState::Traditional { .. } => [ins, ins, outs, outs],
+        CellState::Functional { .. } => {
+            let mut conn = [0; 4];
+            for &pin in pins {
+                let [c0, c1] = pin_conn(state, pin);
+                let k = if pin.is_output() { 2 } else { 0 };
+                conn[k] += u32::from(c0);
+                conn[k + 1] += u32::from(c1);
+            }
+            conn
+        }
+    }
+}
+
 /// Cut-state contribution of one net's pin group to a state change:
-/// before minus after, applying only the deltas of `pins` (the changing
-/// cell's pin records on that net) to the explicit `counts`.
+/// before minus after, applying only the connection change of `pins`
+/// (the changing cell's pin records on that net) to the explicit
+/// `counts`.
+#[inline]
 pub(crate) fn pins_contribution(
     old: CellState,
     new: CellState,
@@ -512,12 +542,9 @@ pub(crate) fn pins_contribution(
     counts: ([u32; 2], [u32; 2]),
 ) -> i64 {
     let (sink, drv) = counts;
-    let mut nc = NetCounts { sink, drv };
-    let before = nc.is_cut();
-    for &pin in pins {
-        nc.reconnect(pin, pin_conn(old, pin), pin_conn(new, pin));
-    }
-    i64::from(before) - i64::from(nc.is_cut())
+    let nc = NetCounts { sink, drv };
+    let after = nc.shifted(group_conn(old, pins), group_conn(new, pins));
+    i64::from(nc.is_cut()) - i64::from(after.is_cut())
 }
 
 /// Whether a net's endpoint counts moving from `before` to `after` is
@@ -745,15 +772,11 @@ mod tests {
         assert!(st.validate());
     }
 
-    #[test]
-    fn quiet_transitions_change_no_contribution() {
-        // Exhaustive over small counts: every group of up to `max_pins`
-        // pins of a two-output cell (inputs of every dependency mask,
-        // at most one output), every (current, candidate) state pair,
-        // equal driver counts 0..=2 and sink counts 0..=max_pins+2 per
-        // side. Counts smaller than the group's own connections under
-        // the current state never occur, so they are skipped.
-        let states: Vec<CellState> = (0..2u8)
+    /// Every state of a two-output cell: single on either side,
+    /// traditionally replicated, and functionally split with either
+    /// output on the replica.
+    fn two_output_states() -> Vec<CellState> {
+        (0..2u8)
             .flat_map(|s| {
                 [
                     CellState::Single { side: s },
@@ -768,28 +791,130 @@ mod tests {
                     },
                 ]
             })
-            .collect();
+            .collect()
+    }
+
+    /// Every pin group of 1..=`max_pins` pins of a two-output cell:
+    /// inputs of every dependency mask (global included) in pin order,
+    /// then at most one output.
+    fn small_groups(max_pins: u32) -> Vec<Vec<CsrPin>> {
         let input_masks = [0, 0b01, 0b10, 0b11];
-        let (mut checked, mut sinks_moved) = (0u64, 0u64);
-        for max_pins in 1..=3u32 {
-            let mut groups: Vec<Vec<CsrPin>> = Vec::new();
-            for n_in in 0..=max_pins {
-                for combo in 0..4usize.pow(n_in) {
-                    let inputs: Vec<CsrPin> = (0..n_in)
-                        .map(|j| {
-                            let mask = input_masks[combo / 4usize.pow(j) % 4];
-                            CsrPin::new(Pin::Input(j as u16), mask)
-                        })
-                        .collect();
-                    for output in [None, Some(0u16), Some(1)] {
-                        let mut g = inputs.clone();
-                        g.extend(output.map(|o| CsrPin::new(Pin::Output(o), 1 << o)));
-                        if !g.is_empty() && g.len() <= max_pins as usize {
-                            groups.push(g);
+        let mut groups: Vec<Vec<CsrPin>> = Vec::new();
+        for n_in in 0..=max_pins {
+            for combo in 0..4usize.pow(n_in) {
+                let inputs: Vec<CsrPin> = (0..n_in)
+                    .map(|j| {
+                        let mask = input_masks[combo / 4usize.pow(j) % 4];
+                        CsrPin::new(Pin::Input(j as u16), mask)
+                    })
+                    .collect();
+                for output in [None, Some(0u16), Some(1)] {
+                    let mut g = inputs.clone();
+                    g.extend(output.map(|o| CsrPin::new(Pin::Output(o), 1 << o)));
+                    if !g.is_empty() && g.len() <= max_pins as usize {
+                        groups.push(g);
+                    }
+                }
+            }
+        }
+        groups
+    }
+
+    /// Whether `counts` can hold the group's own connections under
+    /// `state`; smaller counts never occur.
+    fn holds(counts: ([u32; 2], [u32; 2]), state: CellState, pins: &[CsrPin]) -> bool {
+        let own = group_conn(state, pins);
+        let (sink, drv) = counts;
+        (0..2).all(|s| sink[s] >= own[s] && drv[s] >= own[2 + s])
+    }
+
+    /// The per-pin gain rule [`pins_contribution`] replaced: reconnect
+    /// each pin of the group through [`pin_conn`], one count at a time,
+    /// and test the cut rule as a short-circuiting scan.
+    fn per_pin_contribution(
+        old: CellState,
+        new: CellState,
+        pins: &[CsrPin],
+        counts: ([u32; 2], [u32; 2]),
+    ) -> i64 {
+        let cut =
+            |sc: [u32; 2], dc: [u32; 2]| (0..2).any(|s| sc[s] > 0 && dc[s] == 0 && dc[1 - s] > 0);
+        let (mut sink, mut drv) = counts;
+        let before = cut(sink, drv);
+        for &pin in pins {
+            let slots = if pin.is_output() { &mut drv } else { &mut sink };
+            let (o, n) = (pin_conn(old, pin), pin_conn(new, pin));
+            for s in 0..2 {
+                slots[s] = slots[s] + u32::from(n[s]) - u32::from(o[s]);
+            }
+        }
+        i64::from(before) - i64::from(cut(sink, drv))
+    }
+
+    #[test]
+    fn group_conn_sums_pin_conn() {
+        // Every state of a two-output cell and every group of up to
+        // three pins: the group counts equal the per-pin connections
+        // summed, sinks from inputs and drivers from the output.
+        let mut checked = 0;
+        for pins in small_groups(3) {
+            for state in two_output_states() {
+                let mut want = [0u32; 4];
+                for &pin in &pins {
+                    let k = if pin.is_output() { 2 } else { 0 };
+                    let conn = pin_conn(state, pin);
+                    want[k] += u32::from(conn[0]);
+                    want[k + 1] += u32::from(conn[1]);
+                }
+                assert_eq!(group_conn(state, &pins), want, "{state:?}, pins {pins:?}");
+                checked += 1;
+            }
+        }
+        // Groups by input count 0..=3: 2 + 4·3 + 16·3 + 64.
+        assert_eq!(checked, 8 * (2 + 12 + 48 + 64), "groups x states");
+    }
+
+    #[test]
+    fn group_contribution_matches_per_pin_reference() {
+        // All small counts: sinks 0..=4 and drivers 0..=2 per side, every
+        // group of up to three pins and every (current, candidate) pair.
+        let states = two_output_states();
+        let groups = small_groups(3);
+        let mut checked = 0u64;
+        for sink in (0..=4).flat_map(|a| (0..=4).map(move |b| [a, b])) {
+            for drv in (0..=2).flat_map(|a| (0..=2).map(move |b| [a, b])) {
+                for pins in &groups {
+                    for &cur in &states {
+                        if !holds((sink, drv), cur, pins) {
+                            continue;
+                        }
+                        for &new in &states {
+                            assert_eq!(
+                                pins_contribution(cur, new, pins, (sink, drv)),
+                                per_pin_contribution(cur, new, pins, (sink, drv)),
+                                "{sink:?}/{drv:?}, {cur:?} -> {new:?}, pins {pins:?}"
+                            );
+                            checked += 1;
                         }
                     }
                 }
             }
+        }
+        assert!(checked > 500_000, "{checked} cases");
+    }
+
+    #[test]
+    fn quiet_transitions_change_no_contribution() {
+        // Exhaustive over small counts: every group of up to `max_pins`
+        // pins of a two-output cell (inputs of every dependency mask,
+        // at most one output), every (current, candidate) state pair,
+        // equal driver counts 0..=2 and sink counts 0..=max_pins+2 per
+        // side. Counts smaller than the group's own connections under
+        // the current state never occur, so they are skipped.
+        let states = two_output_states();
+        let (mut checked, mut sinks_moved) = (0u64, 0u64);
+        for max_pins in 1..=3u32 {
+            let groups = small_groups(max_pins);
             let side_pairs: Vec<(u32, u32)> = (0..=max_pins + 2)
                 .flat_map(|b| (0..=max_pins + 2).map(move |a| (b, a)))
                 .collect();
@@ -803,14 +928,7 @@ mod tests {
                         sinks_moved += u64::from(before != after);
                         for pins in &groups {
                             for &cur in &states {
-                                let mut own = NetCounts::default();
-                                for &pin in pins {
-                                    own.reconnect(pin, [false; 2], pin_conn(cur, pin));
-                                }
-                                let fits = |(sink, drv): ([u32; 2], [u32; 2])| {
-                                    (0..2).all(|s| sink[s] >= own.sink[s] && drv[s] >= own.drv[s])
-                                };
-                                if !fits(before) || !fits(after) {
+                                if !holds(before, cur, pins) || !holds(after, cur, pins) {
                                     continue;
                                 }
                                 for &new in &states {

@@ -370,10 +370,11 @@ impl Placement {
     /// Per-part IOB usage, one entry per part.
     pub fn part_terminal_counts(&self, hg: &Hypergraph) -> Vec<usize> {
         let mut v = vec![0usize; self.n_parts];
+        let mut pads = vec![0usize; self.n_parts];
         for nid in hg.net_ids() {
             let parts = self.net_part_set(hg, nid);
             let crossing = parts.len() >= 2;
-            let mut pads = vec![0usize; self.n_parts];
+            pads.fill(0);
             for ep in hg.net(nid).endpoints() {
                 if hg.cell(ep.cell).is_terminal() {
                     for (i, cp) in self.copies[ep.cell.index()].iter().enumerate() {

@@ -11,9 +11,13 @@
 //! per-size wall times and the per-pass averages (`pass_ms_*` gauges,
 //! the series `scripts/perf_gate.sh` regresses against).
 //!
-//! After the suite table, a single flat run without replication times
-//! the 100k-gate Rent-rule synthetic (`rent100k_*` fields) — the
-//! circuit the CSR hot path is sized for.
+//! After the suite table, the carve leg times the first XC3090 device
+//! carve of the 1/4-scale s38584 (`*_carve_s38584` fields): the
+//! bipartition shape the k-way carver runs, with the chunk side's pads
+//! weighted, a replication growth cap and functional replication at
+//! T = 0. A single flat run without replication then times the
+//! 100k-gate Rent-rule synthetic (`rent100k_*` fields) — the circuit
+//! the CSR hot path is sized for.
 //!
 //! Every run must finish with `gain_repairs == 0` (the incremental
 //! updates are exact); the example asserts it.
@@ -40,15 +44,14 @@ fn circuit(gates: usize) -> Result<Hypergraph, Box<dyn std::error::Error>> {
     Ok(map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl))
 }
 
-fn time_buckets(hg: &Hypergraph, reps: usize) -> (f64, usize, usize) {
-    let cfg = BipartitionConfig::equal(hg, 0.1)
-        .with_seed(1)
-        .with_replication(ReplicationMode::functional(0));
+/// Best-of-`reps` wall time of `cfg` on `hg` in ms, with the last
+/// run's cut and pass count.
+fn time_buckets(hg: &Hypergraph, cfg: &BipartitionConfig, reps: usize) -> (f64, usize, usize) {
     let mut best_ms = f64::INFINITY;
     let mut last = None;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let r = netpart::core::bipartition(hg, &cfg);
+        let r = netpart::core::bipartition(hg, cfg);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             r.gain_repairs, 0,
@@ -78,7 +81,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &gates in SIZES {
         let hg = circuit(gates)?;
         let clbs = hg.stats().clbs;
-        let (ms, cut, passes) = time_buckets(&hg, reps);
+        let cfg = BipartitionConfig::equal(&hg, 0.1)
+            .with_seed(1)
+            .with_replication(ReplicationMode::functional(0));
+        let (ms, cut, passes) = time_buckets(&hg, &cfg, reps);
         let pass_ms = ms / passes as f64;
         snap.set_timing(&format!("buckets_ms_{gates}"), ms as u64);
         snap.set_gauge(&format!("cut_buckets_{gates}"), cut as f64);
@@ -94,6 +100,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{t}");
     println!("(gain_repairs == 0 on every run)");
+
+    // Carve leg: the window, pad weight and growth cap `carve_once`
+    // gives the first device carve of a piece, with the benchmark's
+    // 8-pass limit.
+    let nl = bench_suite::build_scaled("s38584", 4).ok_or("unknown bench circuit")?;
+    let nl = decompose_wide_gates(&nl, 5);
+    let hg = map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl);
+    let area = hg.total_area();
+    let lib = DeviceLibrary::xc3000();
+    let dev = lib.device(lib.index_of("XC3090").ok_or("no XC3090 in the library")?);
+    let cfg = BipartitionConfig::bounded(
+        [dev.min_clbs(), 0],
+        [dev.max_clbs().min(area - 1), area],
+    )
+    .with_seed(1)
+    .with_max_passes(8)
+    .with_replication(ReplicationMode::functional(0))
+    .with_terminal_weight([1, 0])
+    .with_max_growth(Some((area / 16).max(4)));
+    let (ms, cut, passes) = time_buckets(&hg, &cfg, reps);
+    let pass_ms = ms / passes as f64;
+    println!();
+    println!(
+        "{} carve of s38584/4 ({} CLBs): cut {cut} in {passes} passes, {} ms total, {} ms/pass",
+        dev.name(),
+        hg.stats().clbs,
+        f2(ms),
+        f2(pass_ms),
+    );
+    snap.set_timing("carve_ms_s38584", ms as u64);
+    snap.set_gauge("cut_carve_s38584", cut as f64);
+    snap.set_gauge("pass_ms_carve_s38584", pass_ms);
 
     // Large-circuit leg: flat FM over the 100k-gate Rent synthetic,
     // single rep (the pass count is high enough that best-of-reps adds
