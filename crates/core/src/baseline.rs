@@ -316,18 +316,18 @@ impl<'a> RefEngineState<'a> {
 /// implementation, so the test suite can drive both uniformly.
 impl RefEngineState<'_> {
     /// Clones the live [`EngineState`]'s cell states into a fresh
-    /// reference state over the same hypergraph (counts rebuilt from
-    /// scratch) — the differential suite's synchronization primitive.
-    pub fn mirror_of<'b>(engine: &'b EngineState<'b>) -> RefEngineState<'b> {
-        let hg = engine.hypergraph();
-        let sides: Vec<u8> = hg
-            .cell_ids()
-            .map(|c| match engine.cell_state(c) {
-                CellState::Single { side } => side,
-                CellState::Functional { orig_side, .. }
-                | CellState::Traditional { orig_side } => orig_side,
-            })
-            .collect();
+    /// reference state over `hg`, the engine's circuit (counts rebuilt
+    /// from scratch) — the differential suite's synchronization
+    /// primitive.
+    pub fn mirror_of<'b>(hg: &'b Hypergraph, engine: &EngineState<'_>) -> RefEngineState<'b> {
+        let sides: Vec<u8> =
+            hg.cell_ids()
+                .map(|c| match engine.cell_state(c) {
+                    CellState::Single { side } => side,
+                    CellState::Functional { orig_side, .. }
+                    | CellState::Traditional { orig_side } => orig_side,
+                })
+                .collect();
         let mut st = RefEngineState::new(hg, &sides);
         for c in hg.cell_ids() {
             st.set_state(c, engine.cell_state(c));
@@ -483,7 +483,7 @@ mod tests {
         // rebuild-and-compare validator, and the mirror constructor.
         assert_nets_equal(&hg, &csr, &base);
         assert!(csr.validate(), "CSR state failed self-validation");
-        let mirror = RefEngineState::mirror_of(&csr);
+        let mirror = RefEngineState::mirror_of(&hg, &csr);
         assert_eq!(mirror.cut(), csr.cut());
         assert_eq!(mirror.areas(), csr.areas());
         assert_eq!(mirror.replicated_cells(), csr.replicated_cells());

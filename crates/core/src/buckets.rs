@@ -73,7 +73,7 @@ impl Node {
 /// See the module docs for the ordering contract. Cell ids must be
 /// `< n_cells` passed at construction; each cell is present at most
 /// once.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct GainBuckets {
     /// Gain magnitude bound of the bucket array: in-range gains satisfy
     /// `-p_max <= gain <= p_max`.
@@ -97,18 +97,27 @@ pub(crate) struct GainBuckets {
 impl GainBuckets {
     /// An empty structure for cells `0..n_cells` and in-range gains
     /// `[-p_max, +p_max]`.
+    #[cfg(test)]
     pub(crate) fn new(n_cells: usize, p_max: i64) -> Self {
+        let mut b = GainBuckets::default();
+        b.reset(n_cells, p_max);
+        b
+    }
+
+    /// Empties the structure for cells `0..n_cells` and in-range gains
+    /// `[-p_max, +p_max]`, reusing its vectors.
+    pub(crate) fn reset(&mut self, n_cells: usize, p_max: i64) {
         let p_max = p_max.max(0);
         let n_slots = (2 * p_max as usize + 1) * TIES;
-        GainBuckets {
-            p_max,
-            heads: vec![NIL; n_slots],
-            nodes: vec![Node::EMPTY; n_cells],
-            overflow: Vec::new(),
-            max_slot: 0,
-            len: 0,
-            scans: 0,
-        }
+        self.p_max = p_max;
+        self.heads.clear();
+        self.heads.resize(n_slots, NIL);
+        self.nodes.clear();
+        self.nodes.resize(n_cells, Node::EMPTY);
+        self.overflow.clear();
+        self.max_slot = 0;
+        self.len = 0;
+        self.scans = 0;
     }
 
     /// Number of cells in the structure.

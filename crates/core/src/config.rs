@@ -82,8 +82,18 @@ impl BipartitionConfig {
     ///
     /// Panics if `epsilon` is negative.
     pub fn equal(hg: &Hypergraph, epsilon: f64) -> Self {
+        Self::equal_area(hg.total_area(), epsilon)
+    }
+
+    /// [`BipartitionConfig::equal`] for a circuit of total area
+    /// `total_area`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epsilon` is negative.
+    pub(crate) fn equal_area(total_area: u64, epsilon: f64) -> Self {
         assert!(epsilon >= 0.0, "tolerance must be non-negative");
-        let total = hg.total_area() as f64;
+        let total = total_area as f64;
         let lo = (total / 2.0 * (1.0 - epsilon)).floor() as u64;
         let hi = (total / 2.0 * (1.0 + epsilon)).ceil() as u64;
         BipartitionConfig {

@@ -16,7 +16,7 @@ use crate::budget::RunClock;
 use crate::config::{BipartitionConfig, ReplicationMode};
 use crate::csr::CsrGraph;
 use crate::error::StopReason;
-use crate::state::{pins_contribution, quiet_transition, CellState, EngineState};
+use crate::state::{pins_contribution, quiet_transition, CellState, EngineState, StateBuffers};
 use netpart_hypergraph::{CellId, Hypergraph, NetId, Placement};
 use netpart_obs::{Event, Level, Span};
 use netpart_rng::Rng;
@@ -134,10 +134,10 @@ struct Candidate {
 fn push_candidates(
     engine: &EngineState<'_>,
     cfg: &BipartitionConfig,
-    psi: &[u32],
     c: CellId,
     out: &mut Vec<Candidate>,
 ) {
+    let cell = engine.csr().cell(c);
     let mut push = |state: CellState, tie: u8| {
         out.push(Candidate {
             state,
@@ -145,19 +145,18 @@ fn push_candidates(
             gain: engine.peek_gain(c, state),
         });
     };
-    let cell = engine.hypergraph().cell(c);
     match engine.cell_state(c) {
         CellState::Single { side } => {
             push(CellState::Single { side: 1 - side }, TIE_MOVE);
-            if !cell.is_terminal() {
+            if !cell.pad {
                 match cfg.replication {
                     ReplicationMode::None => {}
                     ReplicationMode::Traditional => {
                         push(CellState::Traditional { orig_side: side }, TIE_REPLICATE);
                     }
                     ReplicationMode::Functional { threshold } => {
-                        let m = cell.m_outputs();
-                        if m >= 2 && psi[c.index()] >= threshold {
+                        let m = cell.outputs;
+                        if m >= 2 && cell.psi >= threshold {
                             for o in 0..m {
                                 push(
                                     CellState::Functional {
@@ -209,10 +208,104 @@ struct PassOutcome {
     kept: u64,
 }
 
+/// What a phase loop reports besides the final state.
+pub(crate) struct Phases {
+    /// FM passes executed.
+    pub(crate) passes: usize,
+    /// Why the loop ended.
+    pub(crate) stop: StopReason,
+    /// Stale-gain repairs across all passes.
+    pub(crate) gain_repairs: usize,
+}
+
 /// One FM pass over the engine. Production always runs
 /// [`run_pass_buckets`]; the unit tests hand [`phase_loop`] the lazy
 /// heap reference through this type instead.
-type PassFn = fn(&mut EngineState<'_>, &BipartitionConfig, &[u32], &RunClock) -> PassOutcome;
+type PassFn =
+    fn(&mut EngineState<'_>, &BipartitionConfig, &mut PassScratch, &RunClock) -> PassOutcome;
+
+/// The vectors an FM pass works in, kept from pass to pass (and, in a
+/// [`FmWorkspace`], from one bipartition to the next), so a pass
+/// allocates nothing once they have grown to the circuit.
+#[derive(Default)]
+pub(crate) struct PassScratch {
+    cands: Vec<Candidate>,
+    /// Each cell's candidate range in `cands`.
+    range: Vec<(u32, u32)>,
+    buckets: GainBuckets,
+    locked: Vec<bool>,
+    /// Applied moves with the state each replaced, for the rollback.
+    log: Vec<(CellId, CellState)>,
+    deferred: Vec<CellId>,
+    /// The moved cell's net counts before the move.
+    before: Vec<([u32; 2], [u32; 2])>,
+    in_touched: Vec<bool>,
+    touched: Vec<u32>,
+    /// Moves with a quiet net: each changed net's index in the moved
+    /// cell's net list, and the repositions with their first-seen rank.
+    rank: Vec<u32>,
+    moved: Vec<(u64, u32, i64, u8)>,
+    lowered: Lowered,
+}
+
+/// Clears `v` and refills it with `n` copies of `x`, in its capacity.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
+/// Everything a bipartition allocates, kept for the next one: the
+/// engine's state vectors, the pass scratch and the initial-side
+/// buffers. A flat run uses one per call; a k-way carve task keeps one
+/// for every bipartition of every attempt.
+#[derive(Default)]
+pub(crate) struct FmWorkspace {
+    buffers: StateBuffers,
+    pass: PassScratch,
+    sides: Vec<u8>,
+    order: Vec<CellId>,
+}
+
+impl FmWorkspace {
+    /// Runs FM on `csr` from `sides`, or from the seeded random start of
+    /// [`initial_sides`] when `None`, and hands the final state and the
+    /// phase loop's counts to `then`.
+    pub(crate) fn bipartition<R>(
+        &mut self,
+        csr: &CsrGraph,
+        cfg: &BipartitionConfig,
+        sides: Option<&[u8]>,
+        clock: &RunClock,
+        then: impl FnOnce(&EngineState<'_>, Phases) -> R,
+    ) -> R {
+        self.bipartition_with(csr, cfg, sides, clock, run_pass_buckets, then)
+    }
+
+    /// [`FmWorkspace::bipartition`] with every pass run through `pass`.
+    fn bipartition_with<R>(
+        &mut self,
+        csr: &CsrGraph,
+        cfg: &BipartitionConfig,
+        sides: Option<&[u8]>,
+        clock: &RunClock,
+        pass: PassFn,
+        then: impl FnOnce(&EngineState<'_>, Phases) -> R,
+    ) -> R {
+        let sides = match sides {
+            Some(sides) => sides,
+            None => {
+                initial_sides(csr, cfg, &mut self.sides, &mut self.order);
+                &self.sides
+            }
+        };
+        let buffers = std::mem::take(&mut self.buffers);
+        let mut engine = EngineState::over(csr, sides, cfg.terminal_weight, buffers);
+        let phases = phase_loop(&mut engine, cfg, clock, &mut self.pass, pass);
+        let out = then(&engine, phases);
+        self.buffers = engine.into_buffers();
+        out
+    }
+}
 
 #[cfg(test)]
 thread_local! {
@@ -229,17 +322,17 @@ const NO_RANK: u32 = u32::MAX;
 /// key until an update re-keys them at [`best_of`]. Counted per net,
 /// because an update of such a cell is not a no-op, so a net holding
 /// one must be walked even when its transition is quiet.
+#[derive(Default)]
 struct Lowered {
     cell: Vec<bool>,
     per_net: Vec<u32>,
 }
 
 impl Lowered {
-    fn new(n_cells: usize, n_nets: usize) -> Self {
-        Lowered {
-            cell: vec![false; n_cells],
-            per_net: vec![0; n_nets],
-        }
+    /// No lowered cell, for `n_cells` cells and `n_nets` nets.
+    fn reset(&mut self, n_cells: usize, n_nets: usize) {
+        refill(&mut self.cell, n_cells, false);
+        refill(&mut self.per_net, n_nets, 0);
     }
 
     /// Records whether `c`'s key is lowered.
@@ -284,15 +377,29 @@ impl Lowered {
 fn run_pass_buckets(
     engine: &mut EngineState<'_>,
     cfg: &BipartitionConfig,
-    psi: &[u32],
+    scratch: &mut PassScratch,
     clock: &RunClock,
 ) -> PassOutcome {
-    let hg = engine.hypergraph();
-    let total0 = hg.total_area();
-    let n = hg.n_cells();
     // Own handle on the CSR arenas so net/neighbor slices stay
     // borrowable across the engine mutations below.
-    let csr = engine.csr().clone();
+    let arenas = engine.csr().clone();
+    let csr: &CsrGraph = &arenas;
+    let total0 = csr.total_area();
+    let n = csr.n_cells();
+    let PassScratch {
+        cands,
+        range,
+        buckets,
+        locked,
+        log,
+        deferred,
+        before,
+        in_touched,
+        touched,
+        rank,
+        moved,
+        lowered,
+    } = scratch;
 
     // Bucket-array gain bound: a move changes each distinct incident
     // net's cut contribution by at most 1. Pad-weighted gains can
@@ -301,41 +408,38 @@ fn run_pass_buckets(
     let max_pins = csr.max_group_pins() as u32;
 
     let build_span = Span::enter(clock.recorder(), "fm", "buckets.build");
-    let mut cands: Vec<Candidate> = Vec::new();
-    let mut range: Vec<(u32, u32)> = Vec::with_capacity(n);
-    for c in hg.cell_ids() {
+    cands.clear();
+    range.clear();
+    for c in csr.cell_ids() {
         let s = cands.len() as u32;
-        push_candidates(engine, cfg, psi, c, &mut cands);
+        push_candidates(engine, cfg, c, cands);
         range.push((s, cands.len() as u32));
     }
 
-    let mut buckets = GainBuckets::new(n, p_max);
-    for c in hg.cell_ids() {
-        if let Some((g, t, _)) = best_of(&cands, &range, c) {
+    buckets.reset(n, p_max);
+    for c in csr.cell_ids() {
+        if let Some((g, t, _)) = best_of(cands, range, c) {
             buckets.insert(c.0, g, t);
         }
     }
     drop(build_span);
 
-    let mut locked = vec![false; n];
-    let mut log: Vec<(CellId, CellState)> = Vec::new();
+    refill(locked, n, false);
+    log.clear();
     let mut cum = 0i64;
     let mut best: Option<(i64, usize)> = cfg.balanced(engine.areas()).then_some((0, 0));
-    let mut deferred: Vec<CellId> = Vec::new();
+    deferred.clear();
     let mut drained_retry = false;
     let mut selects = 0u64;
     let mut repairs = 0u64;
     let mut retried = 0u64;
 
-    // Reused per-move scratch.
-    let mut before: Vec<([u32; 2], [u32; 2])> = Vec::new();
-    let mut in_touched = vec![false; n];
-    let mut touched: Vec<u32> = Vec::new();
-    // Moves with a quiet net: each changed net's index in the moved
-    // cell's net list, and the repositions with their first-seen rank.
-    let mut rank = vec![NO_RANK; hg.n_nets()];
-    let mut moved: Vec<(u64, u32, i64, u8)> = Vec::new();
-    let mut lowered = Lowered::new(n, hg.n_nets());
+    // Per-move scratch.
+    refill(in_touched, n, false);
+    touched.clear();
+    refill(rank, csr.n_nets(), NO_RANK);
+    moved.clear();
+    lowered.reset(n, csr.n_nets());
 
     loop {
         let Some((cell, gain, tie)) = buckets.pop() else {
@@ -345,8 +449,8 @@ fn run_pass_buckets(
             if !deferred.is_empty() && !drained_retry {
                 drained_retry = true;
                 retried += deferred.len() as u64;
-                for c in std::mem::take(&mut deferred) {
-                    if let Some((g, t, _)) = best_of(&cands, &range, c) {
+                for c in deferred.drain(..) {
+                    if let Some((g, t, _)) = best_of(cands, range, c) {
                         buckets.update(c.0, g, t);
                     }
                 }
@@ -357,7 +461,7 @@ fn run_pass_buckets(
         selects += 1;
         let c = CellId(cell);
         debug_assert!(!locked[c.index()], "locked cell left in the ladder");
-        lowered.set(&csr, c, false);
+        lowered.set(csr, c, false);
         // Pick the best candidate still legal at the current areas. The
         // popped key is the cell's best candidate ignoring legality, or
         // a legal-best computed at some earlier areas; when the two
@@ -383,8 +487,8 @@ fn run_pass_buckets(
         };
         if (bg, bt) != (gain, tie) {
             buckets.update(cell, bg, bt);
-            let top = best_of(&cands, &range, c).map(|(g, t, _)| (g, t));
-            lowered.set(&csr, c, top != Some((bg, bt)));
+            let top = best_of(cands, range, c).map(|(g, t, _)| (g, t));
+            lowered.set(csr, c, top != Some((bg, bt)));
             continue;
         }
         let new = cands[bi].state;
@@ -399,7 +503,7 @@ fn run_pass_buckets(
             for cd in &mut cands[s as usize..e as usize] {
                 cd.gain = engine.peek_gain(c, cd.state);
             }
-            if let Some((g, t, _)) = best_of(&cands, &range, c) {
+            if let Some((g, t, _)) = best_of(cands, range, c) {
                 buckets.update(cell, g, t);
             }
             continue;
@@ -466,10 +570,10 @@ fn run_pass_buckets(
         // host, 10 alternating 40 s e2ebench runs) sending these moves
         // through the sort too read flow_s 10.5% higher, 9 runs of 10.
         if !quiet {
-            for &t in &touched {
+            for &t in touched.iter() {
                 in_touched[t as usize] = false;
-                lowered.set(&csr, CellId(t), false);
-                if let Some((g, tt, _)) = best_of(&cands, &range, CellId(t)) {
+                lowered.set(csr, CellId(t), false);
+                if let Some((g, tt, _)) = best_of(cands, range, CellId(t)) {
                     buckets.update(t, g, tt);
                 }
             }
@@ -493,8 +597,8 @@ fn run_pass_buckets(
         moved.clear();
         for (k, &t) in touched.iter().enumerate() {
             in_touched[t as usize] = false;
-            lowered.set(&csr, CellId(t), false);
-            let Some((g, tt, _)) = best_of(&cands, &range, CellId(t)) else {
+            lowered.set(csr, CellId(t), false);
+            let Some((g, tt, _)) = best_of(cands, range, CellId(t)) else {
                 continue;
             };
             if buckets.key(t) == Some((g, tt)) {
@@ -515,7 +619,7 @@ fn run_pass_buckets(
             rank[nt.index()] = NO_RANK;
         }
         moved.sort_unstable_by_key(|m| m.0);
-        for &(_, t, g, tt) in &moved {
+        for &(_, t, g, tt) in moved.iter() {
             buckets.update(t, g, tt);
         }
     }
@@ -538,25 +642,31 @@ fn run_pass_buckets(
 }
 
 /// A random initial assignment that fills side 0 up to the midpoint of
-/// its area window (respecting side 1's upper bound), in shuffled order.
-pub(crate) fn initial_sides(hg: &Hypergraph, cfg: &BipartitionConfig) -> Vec<u8> {
+/// its area window (respecting side 1's upper bound), in shuffled order:
+/// written to `sides`, shuffled in `order`.
+fn initial_sides(
+    csr: &CsrGraph,
+    cfg: &BipartitionConfig,
+    sides: &mut Vec<u8>,
+    order: &mut Vec<CellId>,
+) {
     let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut order: Vec<CellId> = hg.cell_ids().collect();
-    rng.shuffle(&mut order);
-    let total = hg.total_area();
+    order.clear();
+    order.extend(csr.cell_ids());
+    rng.shuffle(order);
+    let total = csr.total_area();
     let mid0 = (cfg.min_area[0] + cfg.max_area[0]) / 2;
     let floor0 = total.saturating_sub(cfg.max_area[1]);
     let target0 = mid0.clamp(floor0.min(cfg.max_area[0]), cfg.max_area[0]);
-    let mut sides = vec![1u8; hg.n_cells()];
+    refill(sides, csr.n_cells(), 1);
     let mut a0 = 0u64;
-    for c in order {
-        let a = u64::from(hg.cell(c).area());
+    for &c in order.iter() {
+        let a = u64::from(csr.cell(c).area);
         if a0 + a <= target0 {
             sides[c.index()] = 0;
             a0 += a;
         }
     }
-    sides
 }
 
 /// Runs FM (optionally with replication) from a random initial placement
@@ -580,8 +690,7 @@ pub fn bipartition_with_clock(
     cfg: &BipartitionConfig,
     clock: &RunClock,
 ) -> BipartitionResult {
-    let sides = initial_sides(hg, cfg);
-    bipartition_from_sides(hg, cfg, &sides, clock)
+    flat_run(hg, cfg, None, clock, run_pass_buckets)
 }
 
 /// [`bipartition_with_clock`] from an explicit initial assignment
@@ -602,26 +711,47 @@ pub fn bipartition_from_sides(
     sides: &[u8],
     clock: &RunClock,
 ) -> BipartitionResult {
-    phase_loop(hg, cfg, sides, clock, run_pass_buckets)
+    flat_run(hg, cfg, Some(sides), clock, run_pass_buckets)
 }
 
-/// The phase and pass loop behind [`bipartition_from_sides`], running
-/// each FM pass through `pass` — a test seam for the lazy-heap
-/// reference, not an option: every production caller passes
+/// One flat bipartition of `hg`: its CSR arenas and one [`FmWorkspace`]
+/// for the call, every FM pass run through `pass` — a test seam for the
+/// lazy-heap reference, not an option: every production caller passes
 /// [`run_pass_buckets`].
-fn phase_loop(
+fn flat_run(
     hg: &Hypergraph,
     cfg: &BipartitionConfig,
-    sides: &[u8],
+    sides: Option<&[u8]>,
     clock: &RunClock,
     pass: PassFn,
 ) -> BipartitionResult {
-    let mut engine = EngineState::new_weighted(hg, sides, cfg.terminal_weight);
-    let psi: Vec<u32> = hg
-        .cells()
-        .iter()
-        .map(|c| c.replication_potential() as u32)
-        .collect();
+    let csr = CsrGraph::build(hg);
+    FmWorkspace::default().bipartition_with(&csr, cfg, sides, clock, pass, |engine, phases| {
+        let exportable = hg
+            .cell_ids()
+            .all(|c| !matches!(engine.cell_state(c), CellState::Traditional { .. }));
+        BipartitionResult {
+            cut: engine.cut(),
+            areas: engine.areas(),
+            replicated_cells: engine.replicated_cells(),
+            passes: phases.passes,
+            balanced: cfg.balanced(engine.areas()),
+            stop: phases.stop,
+            placement: exportable.then(|| engine.to_placement(hg)),
+            gain_repairs: phases.gain_repairs,
+        }
+    })
+}
+
+/// The phase and pass loop: plain FM to convergence, then the
+/// configured replication moves, each FM pass run through `pass`.
+fn phase_loop(
+    engine: &mut EngineState<'_>,
+    cfg: &BipartitionConfig,
+    clock: &RunClock,
+    scratch: &mut PassScratch,
+    pass: PassFn,
+) -> Phases {
     let mut passes = 0;
     let mut balanced_ever = cfg.balanced(engine.areas());
     // Phase 1 always runs plain FM to convergence; phase 2 adds the
@@ -652,7 +782,7 @@ fn phase_loop(
         stop = StopReason::PassLimit; // overwritten on convergence/interruption
         for _ in 0..cfg.max_passes {
             let pass_span = Span::enter(recorder, "fm", "pass");
-            let out = pass(&mut engine, &phase_cfg, &psi, clock);
+            let out = pass(engine, &phase_cfg, scratch, clock);
             drop(pass_span);
             passes += 1;
             gain_repairs += out.repairs as usize;
@@ -686,14 +816,8 @@ fn phase_loop(
             }
         }
     }
-    let exportable = (0..hg.n_cells()).all(|i| {
-        !matches!(
-            engine.cell_state(CellId(i as u32)),
-            CellState::Traditional { .. }
-        )
-    });
-    let replicated_cells = engine.replicated_cells();
     if recorder.enabled(Level::Debug) {
+        let replicated_cells = engine.replicated_cells();
         recorder.record(
             &Event::new("fm", "done", Level::Debug)
                 .field("seed", cfg.seed)
@@ -709,11 +833,11 @@ fn phase_loop(
             // Replication events binned by ψ: which replication
             // potentials the accepted replicas actually had (paper
             // eq. 5's d_X(ψ) restricted to the replicated set).
+            let csr = engine.csr();
             let mut bins: Vec<u64> = Vec::new();
-            for (i, &cell_psi) in psi.iter().enumerate().take(hg.n_cells()) {
-                let c = CellId(i as u32);
+            for c in csr.cell_ids() {
                 if !matches!(engine.cell_state(c), CellState::Single { .. }) {
-                    let p = cell_psi as usize;
+                    let p = csr.cell(c).psi as usize;
                     if bins.len() <= p {
                         bins.resize(p + 1, 0);
                     }
@@ -723,14 +847,9 @@ fn phase_loop(
             recorder.record(&Event::hist("fm", "replicated_psi", bins).at(Level::Debug));
         }
     }
-    BipartitionResult {
-        cut: engine.cut(),
-        areas: engine.areas(),
-        replicated_cells,
+    Phases {
         passes,
-        balanced: cfg.balanced(engine.areas()),
         stop,
-        placement: exportable.then(|| engine.to_placement()),
         gain_repairs,
     }
 }
@@ -774,10 +893,9 @@ mod lazy_heap {
     fn best_candidate(
         engine: &EngineState<'_>,
         cfg: &BipartitionConfig,
-        psi: &[u32],
         c: CellId,
     ) -> Option<(i64, u8, CellState)> {
-        best_candidate_where(engine, cfg, psi, c, |_| true)
+        best_candidate_where(engine, cfg, c, |_| true)
     }
 
     /// The best move of `c` among candidates satisfying `keep`, enumerated
@@ -786,12 +904,11 @@ mod lazy_heap {
     fn best_candidate_where(
         engine: &EngineState<'_>,
         cfg: &BipartitionConfig,
-        psi: &[u32],
         c: CellId,
         keep: impl Fn(CellState) -> bool,
     ) -> Option<(i64, u8, CellState)> {
         let cur = engine.cell_state(c);
-        let cell = engine.hypergraph().cell(c);
+        let cell = engine.csr().cell(c);
         let mut best: Option<(i64, u8, CellState)> = None;
         let consider =
             |gain: i64, tie: u8, st: CellState, best: &mut Option<(i64, u8, CellState)>| {
@@ -806,7 +923,7 @@ mod lazy_heap {
             CellState::Single { side } => {
                 let mv = CellState::Single { side: 1 - side };
                 consider(engine.peek_gain(c, mv), TIE_MOVE, mv, &mut best);
-                if !cell.is_terminal() {
+                if !cell.pad {
                     match cfg.replication {
                         ReplicationMode::None => {}
                         ReplicationMode::Traditional => {
@@ -814,8 +931,8 @@ mod lazy_heap {
                             consider(engine.peek_gain(c, st), TIE_REPLICATE, st, &mut best);
                         }
                         ReplicationMode::Functional { threshold } => {
-                            let m = cell.m_outputs();
-                            if m >= 2 && psi[c.index()] >= threshold {
+                            let m = cell.outputs;
+                            if m >= 2 && cell.psi >= threshold {
                                 for o in 0..m {
                                     let st = CellState::Functional {
                                         orig_side: side,
@@ -858,13 +975,12 @@ mod lazy_heap {
     pub(super) fn run_pass_heap(
         engine: &mut EngineState<'_>,
         cfg: &BipartitionConfig,
-        psi: &[u32],
+        _scratch: &mut PassScratch,
         clock: &RunClock,
     ) -> PassOutcome {
-        let hg = engine.hypergraph();
-        let total0 = hg.total_area();
-        let n = hg.n_cells();
         let csr = engine.csr().clone();
+        let total0 = csr.total_area();
+        let n = csr.n_cells();
         // Same in-range bound as the bucket ladder: inside it, equal keys
         // order LIFO by insertion sequence; outside, by lowest cell id.
         let p_max = csr.max_cell_degree() as i64;
@@ -911,7 +1027,7 @@ mod lazy_heap {
         macro_rules! push_best {
             ($c:expr) => {{
                 let c: CellId = $c;
-                if let Some((g, t, _)) = best_candidate(engine, cfg, psi, c) {
+                if let Some((g, t, _)) = best_candidate(engine, cfg, c) {
                     if !(present[c.index()] && key[c.index()] == (g, t)) {
                         push_entry(&mut heap, &mut stamps, &mut key, &mut present, c, g, t);
                     }
@@ -922,7 +1038,7 @@ mod lazy_heap {
             }};
         }
 
-        for c in hg.cell_ids() {
+        for c in csr.cell_ids() {
             push_best!(c);
         }
 
@@ -968,8 +1084,7 @@ mod lazy_heap {
             // Select the best candidate still legal at the current areas,
             // re-deriving every gain from scratch; re-key and revisit when
             // it differs from the popped key (the ladder's exact rule).
-            let pick =
-                best_candidate_where(engine, cfg, psi, c, |st| legal(engine, cfg, total0, c, st));
+            let pick = best_candidate_where(engine, cfg, c, |st| legal(engine, cfg, total0, c, st));
             let Some((bg, bt, new)) = pick else {
                 // No legal candidate at the current areas; retry once they
                 // change (or at the end-of-pass drain retry).
@@ -991,7 +1106,7 @@ mod lazy_heap {
                 // refresh the cell and reselect instead of applying the
                 // move under a wrong priority.
                 repairs += 1;
-                if let Some((g, t, _)) = best_candidate(engine, cfg, psi, c) {
+                if let Some((g, t, _)) = best_candidate(engine, cfg, c) {
                     push_entry(&mut heap, &mut stamps, &mut key, &mut present, c, g, t);
                 } else {
                     present[c.index()] = false;
@@ -1082,7 +1197,7 @@ mod tests {
         pass: PassFn,
     ) -> BipartitionResult {
         let clock = RunClock::new(&cfg.budget, &cfg.fault);
-        phase_loop(hg, cfg, &initial_sides(hg, cfg), &clock, pass)
+        flat_run(hg, cfg, None, &clock, pass)
     }
 
     fn mapped(gates: usize, dffs: usize, seed: u64) -> netpart_hypergraph::Hypergraph {
@@ -1140,7 +1255,8 @@ mod tests {
         let hg = mapped(300, 20, 1);
         let cfg = BipartitionConfig::equal(&hg, 0.1).with_seed(3);
         let initial = {
-            let sides = initial_sides(&hg, &cfg);
+            let (mut sides, mut order) = (Vec::new(), Vec::new());
+            initial_sides(&CsrGraph::build(&hg), &cfg, &mut sides, &mut order);
             EngineState::new(&hg, &sides).cut()
         };
         let res = bipartition(&hg, &cfg);
@@ -1212,7 +1328,7 @@ mod tests {
         // With per-net exact accounting no repair may ever fire, in any
         // replication mode, in the bucket pass or the heap reference.
         let (hg, d) = shared_net_circuit();
-        let e = crate::gain::extract_vectors(&EngineState::new(&hg, &[0; 6]), d);
+        let e = crate::gain::extract_vectors(&hg, &EngineState::new(&hg, &[0; 6]), d);
         assert!(e.is_none(), "fixture must hit the extract_vectors reject");
         for (label, pass) in PASSES {
             for mode in [
@@ -1283,7 +1399,7 @@ mod tests {
             let mut engine = EngineState::new(&hg, &[0, 0]);
             let cut0 = engine.cut();
             let clock = RunClock::new(&Budget::none(), &FaultPlan::none());
-            let out = pass(&mut engine, &cfg, &[0, 0], &clock);
+            let out = pass(&mut engine, &cfg, &mut PassScratch::default(), &clock);
             assert_eq!(out.retried, 2, "{label}: both deferred cells retried once");
             assert_eq!(out.applied, 0);
             assert_eq!(out.repairs, 0);

@@ -17,7 +17,7 @@
 //! implicit assumption).
 
 use crate::state::EngineState;
-use netpart_hypergraph::{AdjacencyMatrix, BitVec, CellId, Pin};
+use netpart_hypergraph::{AdjacencyMatrix, BitVec, CellId, Hypergraph, Pin};
 
 /// The four per-cell vectors of the unified cost model.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,15 +33,19 @@ pub struct CellVectors {
 }
 
 /// Extracts `C^I`, `C^O`, `Q^I`, `Q^O` for an unreplicated cell from the
-/// engine state.
+/// engine state of a bipartition of `hg`.
 ///
 /// Returns `None` if the cell is replicated or two of its pins share a
 /// net (the vector model indexes nets by pin).
-pub fn extract_vectors(engine: &EngineState<'_>, c: CellId) -> Option<CellVectors> {
+pub fn extract_vectors(
+    hg: &Hypergraph,
+    engine: &EngineState<'_>,
+    c: CellId,
+) -> Option<CellVectors> {
     if engine.cell_state(c).is_replicated() {
         return None;
     }
-    let cell = engine.hypergraph().cell(c);
+    let cell = hg.cell(c);
     let mut nets: Vec<_> = cell.incident_nets().collect();
     nets.sort_unstable();
     let distinct = nets.windows(2).all(|w| w[0] != w[1]);
@@ -58,11 +62,13 @@ pub fn extract_vectors(engine: &EngineState<'_>, c: CellId) -> Option<CellVector
     };
     for j in 0..n {
         v.c_i.set(j, engine.is_cut(cell.input_net(j)));
-        v.q_i.set(j, engine.pin_critical(c, Pin::Input(j as u16)));
+        v.q_i
+            .set(j, engine.pin_critical(hg, c, Pin::Input(j as u16)));
     }
     for o in 0..m {
         v.c_o.set(o, engine.is_cut(cell.output_net(o)));
-        v.q_o.set(o, engine.pin_critical(c, Pin::Output(o as u16)));
+        v.q_o
+            .set(o, engine.pin_critical(hg, c, Pin::Output(o as u16)));
     }
     Some(v)
 }
@@ -135,7 +141,7 @@ pub fn best_functional_gain(adj: &AdjacencyMatrix, v: &CellVectors) -> Option<(u
 mod tests {
     use super::*;
     use crate::state::CellState;
-    use netpart_hypergraph::{AdjacencyMatrix, CellKind, Hypergraph, HypergraphBuilder};
+    use netpart_hypergraph::{AdjacencyMatrix, CellKind, HypergraphBuilder};
 
     /// Reconstruction of the paper's Fig. 4: a 5-input, 2-output cell with
     /// `A_X1 = {a1,a2,a3}`, `A_X2 = {a3,a4,a5}`. Side 0 holds the cell,
@@ -185,7 +191,7 @@ mod tests {
         let (hg, m, sides) = fig4();
         let engine = EngineState::new(&hg, &sides);
         assert_eq!(engine.cut(), 3);
-        let v = extract_vectors(&engine, m).unwrap();
+        let v = extract_vectors(&hg, &engine, m).unwrap();
         assert_eq!(single_move_gain(&v), -1);
         assert_eq!(engine.peek_gain(m, CellState::Single { side: 1 }), -1);
     }
@@ -194,7 +200,7 @@ mod tests {
     fn fig4_traditional_gain_is_minus_two() {
         let (hg, m, sides) = fig4();
         let engine = EngineState::new(&hg, &sides);
-        let v = extract_vectors(&engine, m).unwrap();
+        let v = extract_vectors(&hg, &engine, m).unwrap();
         assert_eq!(traditional_gain(&v), -2);
         assert_eq!(
             engine.peek_gain(m, CellState::Traditional { orig_side: 0 }),
@@ -206,7 +212,7 @@ mod tests {
     fn fig4_functional_gains_match_paper() {
         let (hg, m, sides) = fig4();
         let engine = EngineState::new(&hg, &sides);
-        let v = extract_vectors(&engine, m).unwrap();
+        let v = extract_vectors(&hg, &engine, m).unwrap();
         let adj = hg.cell(m).adjacency();
         // Keeping X1 in the replica: −4 (the paper's G_X1).
         assert_eq!(functional_gain(adj, &v, 0), -4);
@@ -262,7 +268,7 @@ mod tests {
                 replica_mask: 0b10,
             },
         );
-        assert!(extract_vectors(&engine, m).is_none());
+        assert!(extract_vectors(&hg, &engine, m).is_none());
     }
 
     #[test]

@@ -31,9 +31,10 @@
 use crate::budget::{Budget, RunClock};
 use crate::config::{BipartitionConfig, ReplicationMode};
 use crate::error::{Degradation, PartitionError, Relaxation, StopReason};
-use crate::extract::{extract_rest, Extraction};
+use crate::extract::{extract_side, kept_on, project_mask, ExtractScratch, Piece};
 use crate::fault::FaultPlan;
-use crate::fm::bipartition_with_clock;
+use crate::fm::FmWorkspace;
+use crate::state::{full_mask, CellState, EngineState};
 use netpart_fpga::{try_evaluate, DeviceLibrary, Evaluation};
 use netpart_hypergraph::{CellCopy, CellId, Hypergraph, PartId, Placement};
 use netpart_obs::{Event, Level, Recorder};
@@ -200,40 +201,64 @@ impl KWayResult {
     }
 }
 
-/// Records the cells of part `which` (of a placement of `piece`) into
-/// the global assignment list under top-level part id `part`.
-fn record_part(
-    piece: &Extraction,
-    placement: &Placement,
-    which: PartId,
+/// Records every cell of `piece`, whole, into the global assignment
+/// list under top-level part id `part`.
+fn record_whole(piece: &Piece, part: u16, assignments: &mut Vec<(CellId, u32, u16)>) {
+    // A copy's top-level mask has one bit per output it keeps, so the
+    // whole copy projects onto all of it.
+    assignments.extend(
+        piece
+            .origin
+            .iter()
+            .flatten()
+            .map(|&(top, top_mask)| (top, top_mask, part)),
+    );
+}
+
+/// Records the copies on side `side` of a bipartition of `piece`, whose
+/// final state is `engine`, into the global assignment list under
+/// top-level part id `part`.
+fn record_side(
+    piece: &Piece,
+    engine: &EngineState<'_>,
+    side: u8,
     part: u16,
     assignments: &mut Vec<(CellId, u32, u16)>,
 ) {
-    for c in piece.hypergraph.cell_ids() {
-        if let Some((top, top_mask)) = piece.origin[c.index()] {
-            for copy in placement.copies(c) {
-                if copy.part == which {
-                    assignments.push((
-                        top,
-                        crate::extract::project_mask(top_mask, copy.outputs),
-                        part,
-                    ));
-                }
-            }
+    for c in piece.csr.cell_ids() {
+        let full = full_mask(piece.csr.cell(c).outputs.into());
+        if let (Some((top, top_mask)), Some(kept)) = (
+            piece.origin[c.index()],
+            kept_on(engine.cell_state(c), side, full),
+        ) {
+            assignments.push((top, project_mask(top_mask, kept), part));
         }
     }
 }
 
-/// The IOBs a piece needs on one device: one per pin of a terminal
-/// cell. With no net crossing, each net costs its pad pins, so this is
-/// [`Placement::part_terminals`] of the piece placed on one part,
-/// counted without building that placement.
-fn whole_terminals(hg: &Hypergraph) -> u64 {
-    hg.cells()
-        .iter()
-        .filter(|c| c.is_terminal())
-        .map(|c| (c.n_inputs() + c.m_outputs()) as u64)
-        .sum()
+/// The IOBs side `side` of a bipartition needs on its own device:
+/// [`Placement::part_terminals`] of that part, read off the final state.
+/// Every pad pin on the side costs one, and a net spanning both sides
+/// costs one more unless a pad pin on the side already carries it.
+/// `marks` is per-net scratch.
+fn side_terminals(engine: &EngineState<'_>, side: u8, marks: &mut Vec<bool>) -> u64 {
+    let csr = engine.csr();
+    marks.clear();
+    marks.resize(csr.n_nets(), false);
+    let mut iobs = 0u64;
+    for c in csr.cell_ids() {
+        if csr.cell(c).pad && engine.cell_state(c) == (CellState::Single { side }) {
+            for (net, pins) in csr.groups(c) {
+                iobs += pins.len() as u64;
+                marks[net.index()] = true;
+            }
+        }
+    }
+    for nt in csr.net_ids() {
+        let occ = engine.net_side_occupancy(nt);
+        iobs += u64::from(!marks[nt.index()] && occ[0] > 0 && occ[1] > 0);
+    }
+    iobs
 }
 
 /// Emits the paper-metric gauges for an incumbent evaluation: `$_k`
@@ -251,193 +276,107 @@ pub fn record_paper_gauges(recorder: &dyn Recorder, eval: &Evaluation, lib: &Dev
     recorder.record(&Event::hist("paper", "devices", bins));
 }
 
+/// The pieces of one attempt awaiting a carve step, innermost last. A
+/// slot keeps its arenas when its piece is popped, for the next piece
+/// pushed at that depth, so an attempt that repeats an earlier one's
+/// steps writes each piece into room it already has.
+#[derive(Default)]
+struct PieceStack {
+    slots: Vec<Piece>,
+    depth: usize,
+}
+
+impl PieceStack {
+    /// The slot of a new innermost piece, for the piece to be written
+    /// into.
+    fn push(&mut self) -> &mut Piece {
+        if self.slots.len() == self.depth {
+            self.slots.push(Piece::default());
+        }
+        self.depth += 1;
+        &mut self.slots[self.depth - 1]
+    }
+
+    /// Pops the innermost piece into `into`, copied into `into`'s own
+    /// arenas so the slot keeps its room; `false` when none is left.
+    fn pop_into(&mut self, into: &mut Piece) -> bool {
+        if self.depth == 0 {
+            return false;
+        }
+        self.depth -= 1;
+        into.copy_from(&self.slots[self.depth]);
+        true
+    }
+}
+
+/// What a carve step works in besides the piece stack.
+#[derive(Default)]
+struct StepScratch {
+    fm: FmWorkspace,
+    extract: ExtractScratch,
+    /// `(top-level cell, top-level mask, part)` per recorded copy.
+    assignments: Vec<(CellId, u32, u16)>,
+    /// Per-net scratch of [`side_terminals`].
+    marks: Vec<bool>,
+}
+
+/// Everything one k-way task allocates, kept for every carve step of
+/// every attempt and escalation rung.
+#[derive(Default)]
+struct CarveWorkspace {
+    stack: PieceStack,
+    /// The piece being carved, popped off the stack.
+    current: Piece,
+    scratch: StepScratch,
+}
+
 /// One carve attempt against `lib` (the possibly-relaxed library):
 /// returns the global placement and device list, or `None` if the
 /// attempt dead-ends or the clock trips.
 ///
-/// Pieces that fit no device are split recursively, mixing two
-/// strategies: **balanced halving** (the recursive min-cut bisection of
-/// \[3\]) and **device carving** (split off a chunk sized exactly for a
-/// randomly chosen device, with the FM objective weighted to keep pads
-/// out of the chunk). Pieces that fit take their cheapest feasible
-/// device — or, when `prefer_large` (escalation rung 3), the largest,
-/// trading cost for terminal headroom.
+/// The attempt carves `root`, the whole circuit, then every piece split
+/// from it, innermost first ([`carve_step`]); every piece lives in `ws`.
+#[allow(clippy::too_many_arguments)]
 fn carve_once(
     hg: &Hypergraph,
+    root: &Piece,
+    ws: &mut CarveWorkspace,
     cfg: &KWayConfig,
     lib: &DeviceLibrary,
     prefer_large: bool,
     rng: &mut Rng,
     clock: &RunClock,
 ) -> Option<(Placement, Vec<usize>)> {
-    // (top-level cell, top-level mask, part)
-    let mut assignments: Vec<(CellId, u32, u16)> = Vec::new();
+    let CarveWorkspace {
+        stack,
+        current,
+        scratch,
+    } = ws;
+    stack.depth = 0;
+    scratch.assignments.clear();
     let mut devices: Vec<usize> = Vec::new();
-    let mut stack: Vec<Extraction> = vec![Extraction::identity(hg)];
-
-    while let Some(piece) = stack.pop() {
-        if clock.stopped().is_some() {
-            return None;
-        }
-        if devices.len() + stack.len() >= netpart_hypergraph::MAX_PARTS {
-            return None;
-        }
-        let area = piece.hypergraph.total_area();
-        let terminals = whole_terminals(&piece.hypergraph);
-        let fitting = if prefer_large {
-            lib.largest_fitting(area, terminals)
-        } else {
-            lib.cheapest_fitting(area, terminals)
-        };
-        if let Some(dev) = fitting {
-            let part = devices.len() as u16;
-            let di = lib.index_of(dev.name()).expect("library device");
-            let single = Placement::new_uniform(&piece.hypergraph, 1, PartId(0));
-            record_part(&piece, &single, PartId(0), part, &mut assignments);
-            devices.push(di);
-            continue;
-        }
-        let recorder = clock.recorder();
-        if recorder.enabled(Level::Trace) {
-            recorder.record(
-                &Event::new("kway", "carve.no_fit", Level::Trace)
-                    .field("area", area)
-                    .field("terminals", terminals),
-            );
-        }
-        if area < 2 {
-            if recorder.enabled(Level::Debug) {
-                recorder.record(
-                    &Event::new("kway", "carve.unsplittable", Level::Debug)
-                        .field("area", area)
-                        .field("terminals", terminals),
-                );
-            }
-            return None; // terminals alone make the piece infeasible
-        }
-
-        // Choose a split strategy for this piece.
-        let carve_device = if rng.gen_bool(0.5) {
-            // Prefer the largest device whose feasibility window fits
-            // inside the piece, randomized for candidate diversity.
-            let eligible: Vec<usize> = (0..lib.len())
-                .filter(|&i| {
-                    let d = lib.device(i);
-                    d.min_clbs() <= (area - 1).min(d.max_clbs())
-                })
-                .collect();
-            if eligible.is_empty() {
-                None
-            } else if rng.gen_bool(0.6) {
-                eligible.last().copied()
-            } else {
-                Some(eligible[rng.gen_range(0..eligible.len())])
-            }
-        } else {
-            None
-        };
-
-        // Retry plan: the chosen strategy twice, then balanced halving
-        // as a fallback (halving always lets the recursion proceed; an
-        // oversized piece is simply split again).
-        let plans: Vec<Option<usize>> = match carve_device {
-            Some(di) => vec![Some(di), Some(di), None, None],
-            None => vec![None, None, None],
-        };
-
-        let mut split_done = false;
-        for plan in plans {
-            let (bounds_min, bounds_max, tweight) = match plan {
-                Some(di) => {
-                    let d = lib.device(di);
-                    (
-                        [d.min_clbs(), 0],
-                        [d.max_clbs().min(area - 1), area],
-                        [1i64, 0i64],
-                    )
-                }
-                None => {
-                    // Balanced halving with ±10% slack.
-                    let lo = (area as f64 / 2.0 * 0.9).floor() as u64;
-                    let hi = (area as f64 / 2.0 * 1.1).ceil() as u64;
-                    ([lo, lo], [hi.max(1), hi.max(1)], [0i64, 0i64])
-                }
-            };
-            let bcfg = BipartitionConfig::bounded(bounds_min, bounds_max)
-                .with_replication(cfg.replication)
-                .with_seed(rng.next_u64())
-                .with_max_passes(cfg.max_passes)
-                .with_terminal_weight(tweight)
-                .with_max_growth(Some((area / 16).max(4)));
-            let res = bipartition_with_clock(&piece.hypergraph, &bcfg, clock);
-            if clock.stopped().is_some() {
-                return None;
-            }
-            if !res.balanced {
-                if recorder.enabled(Level::Trace) {
-                    recorder.record(
-                        &Event::new("kway", "carve.split_unbalanced", Level::Trace)
-                            .field("area", area)
-                            .field("got", vec![res.areas[0], res.areas[1]])
-                            .field("want_min", vec![bounds_min[0], bounds_min[1]])
-                            .field("want_max", vec![bounds_max[0], bounds_max[1]]),
-                    );
-                }
-                continue;
-            }
-            let placement = res.placement.expect("non-traditional modes export");
-            match plan {
-                Some(di) => {
-                    let tcounts = placement.part_terminal_counts(&piece.hypergraph);
-                    let dev = lib.device(di);
-                    if tcounts[0] as u64 > u64::from(dev.iobs()) {
-                        if recorder.enabled(Level::Trace) {
-                            recorder.record(
-                                &Event::new("kway", "carve.chunk_overflow", Level::Trace)
-                                    .field("terminals", tcounts[0])
-                                    .field("iobs", dev.iobs())
-                                    .field("device", dev.name()),
-                            );
-                        }
-                        continue;
-                    }
-                    let part = devices.len() as u16;
-                    record_part(&piece, &placement, PartId(0), part, &mut assignments);
-                    devices.push(di);
-                    stack.push(extract_rest(
-                        &piece.hypergraph,
-                        &placement,
-                        PartId(1),
-                        &piece.origin,
-                    ));
-                }
-                None => {
-                    stack.push(extract_rest(
-                        &piece.hypergraph,
-                        &placement,
-                        PartId(0),
-                        &piece.origin,
-                    ));
-                    stack.push(extract_rest(
-                        &piece.hypergraph,
-                        &placement,
-                        PartId(1),
-                        &piece.origin,
-                    ));
-                }
-            }
-            split_done = true;
-            break;
-        }
-        if !split_done {
-            return None;
-        }
+    let mut carve = |piece: &Piece, stack: &mut PieceStack, devices: &mut Vec<usize>| {
+        carve_step(
+            piece,
+            stack,
+            scratch,
+            devices,
+            cfg,
+            lib,
+            prefer_large,
+            rng,
+            clock,
+        )
+    };
+    carve(root, stack, &mut devices)?;
+    while stack.pop_into(current) {
+        carve(current, stack, &mut devices)?;
     }
 
     // Stitch the global placement together.
     let k = devices.len();
     let mut copies: Vec<Vec<CellCopy>> = vec![Vec::new(); hg.n_cells()];
-    for (cell, mask, part) in assignments {
+    for &(cell, mask, part) in &scratch.assignments {
         copies[cell.index()].push(CellCopy {
             part: PartId(part),
             outputs: mask,
@@ -451,6 +390,190 @@ fn carve_once(
     }
     debug_assert!(placement.validate(hg).is_ok());
     Some((placement, devices))
+}
+
+/// What one carve bipartition of a piece came to.
+enum Split {
+    /// Both sides are stacked, or the chunk is recorded and the rest
+    /// stacked.
+    Done,
+    /// The bipartition missed its window or the chunk its device's
+    /// IOBs: try the next plan.
+    Retry,
+    /// The clock tripped.
+    Stopped,
+}
+
+/// One carve step: records `piece` on a device if it fits one, and
+/// otherwise splits it and stacks what is left to carve. `None` when the
+/// attempt dead-ends or the clock trips.
+///
+/// Pieces that fit no device are split mixing two strategies: **balanced
+/// halving** (the recursive min-cut bisection of \[3\]) and **device
+/// carving** (split off a chunk sized exactly for a randomly chosen
+/// device, with the FM objective weighted to keep pads out of the
+/// chunk). Pieces that fit take their cheapest feasible device — or,
+/// when `prefer_large` (escalation rung 3), the largest, trading cost
+/// for terminal headroom.
+#[allow(clippy::too_many_arguments)]
+fn carve_step(
+    piece: &Piece,
+    stack: &mut PieceStack,
+    scratch: &mut StepScratch,
+    devices: &mut Vec<usize>,
+    cfg: &KWayConfig,
+    lib: &DeviceLibrary,
+    prefer_large: bool,
+    rng: &mut Rng,
+    clock: &RunClock,
+) -> Option<()> {
+    let StepScratch {
+        fm,
+        extract,
+        assignments,
+        marks,
+    } = scratch;
+    if clock.stopped().is_some() {
+        return None;
+    }
+    if devices.len() + stack.depth >= netpart_hypergraph::MAX_PARTS {
+        return None;
+    }
+    let area = piece.csr.total_area();
+    let terminals = piece.csr.pad_pins();
+    let fitting = if prefer_large {
+        lib.largest_fitting(area, terminals)
+    } else {
+        lib.cheapest_fitting(area, terminals)
+    };
+    if let Some(dev) = fitting {
+        let di = lib.index_of(dev.name()).expect("library device");
+        record_whole(piece, devices.len() as u16, assignments);
+        devices.push(di);
+        return Some(());
+    }
+    let recorder = clock.recorder();
+    if recorder.enabled(Level::Trace) {
+        recorder.record(
+            &Event::new("kway", "carve.no_fit", Level::Trace)
+                .field("area", area)
+                .field("terminals", terminals),
+        );
+    }
+    if area < 2 {
+        if recorder.enabled(Level::Debug) {
+            recorder.record(
+                &Event::new("kway", "carve.unsplittable", Level::Debug)
+                    .field("area", area)
+                    .field("terminals", terminals),
+            );
+        }
+        return None; // terminals alone make the piece infeasible
+    }
+
+    // Choose a split strategy for this piece.
+    let carve_device = if rng.gen_bool(0.5) {
+        // Prefer the largest device whose feasibility window fits
+        // inside the piece, randomized for candidate diversity.
+        let eligible = |i: &usize| {
+            let d = lib.device(*i);
+            d.min_clbs() <= (area - 1).min(d.max_clbs())
+        };
+        let n_eligible = (0..lib.len()).filter(eligible).count();
+        if n_eligible == 0 {
+            None
+        } else if rng.gen_bool(0.6) {
+            (0..lib.len()).rfind(eligible)
+        } else {
+            (0..lib.len())
+                .filter(eligible)
+                .nth(rng.gen_range(0..n_eligible))
+        }
+    } else {
+        None
+    };
+
+    // Retry plan: the chosen strategy twice, then balanced halving as a
+    // fallback (halving always lets the recursion proceed; an oversized
+    // piece is simply split again).
+    let (plans, n_plans) = match carve_device {
+        Some(di) => ([Some(di), Some(di), None, None], 4),
+        None => ([None; 4], 3),
+    };
+    for &plan in &plans[..n_plans] {
+        let (bounds_min, bounds_max, tweight) = match plan {
+            Some(di) => {
+                let d = lib.device(di);
+                (
+                    [d.min_clbs(), 0],
+                    [d.max_clbs().min(area - 1), area],
+                    [1i64, 0i64],
+                )
+            }
+            None => {
+                // Balanced halving with ±10% slack.
+                let lo = (area as f64 / 2.0 * 0.9).floor() as u64;
+                let hi = (area as f64 / 2.0 * 1.1).ceil() as u64;
+                ([lo, lo], [hi.max(1), hi.max(1)], [0i64, 0i64])
+            }
+        };
+        let bcfg = BipartitionConfig::bounded(bounds_min, bounds_max)
+            .with_replication(cfg.replication)
+            .with_seed(rng.next_u64())
+            .with_max_passes(cfg.max_passes)
+            .with_terminal_weight(tweight)
+            .with_max_growth(Some((area / 16).max(4)));
+        let split = fm.bipartition(&piece.csr, &bcfg, None, clock, |engine, _| {
+            if clock.stopped().is_some() {
+                return Split::Stopped;
+            }
+            if !bcfg.balanced(engine.areas()) {
+                if recorder.enabled(Level::Trace) {
+                    let got = engine.areas();
+                    recorder.record(
+                        &Event::new("kway", "carve.split_unbalanced", Level::Trace)
+                            .field("area", area)
+                            .field("got", vec![got[0], got[1]])
+                            .field("want_min", vec![bounds_min[0], bounds_min[1]])
+                            .field("want_max", vec![bounds_max[0], bounds_max[1]]),
+                    );
+                }
+                return Split::Retry;
+            }
+            match plan {
+                Some(di) => {
+                    let chunk = side_terminals(engine, 0, marks);
+                    let dev = lib.device(di);
+                    if chunk > u64::from(dev.iobs()) {
+                        if recorder.enabled(Level::Trace) {
+                            recorder.record(
+                                &Event::new("kway", "carve.chunk_overflow", Level::Trace)
+                                    .field("terminals", chunk)
+                                    .field("iobs", dev.iobs())
+                                    .field("device", dev.name()),
+                            );
+                        }
+                        return Split::Retry;
+                    }
+                    record_side(piece, engine, 0, devices.len() as u16, assignments);
+                    devices.push(di);
+                    extract_side(piece, engine, 1, stack.push(), extract);
+                }
+                None => {
+                    for side in 0..2 {
+                        extract_side(piece, engine, side, stack.push(), extract);
+                    }
+                }
+            }
+            Split::Done
+        });
+        match split {
+            Split::Stopped => return None,
+            Split::Retry => {}
+            Split::Done => return Some(()),
+        }
+    }
+    None
 }
 
 /// The best candidate found so far, with the library it was judged by.
@@ -471,6 +594,8 @@ struct StageOutcome {
 #[allow(clippy::too_many_arguments)]
 fn run_stage(
     hg: &Hypergraph,
+    root: &Piece,
+    ws: &mut CarveWorkspace,
     cfg: &KWayConfig,
     lib: &DeviceLibrary,
     prefer_large: bool,
@@ -489,7 +614,9 @@ fn run_stage(
             break;
         }
         attempts += 1;
-        let Some((placement, devices)) = carve_once(hg, cfg, lib, prefer_large, rng, clock) else {
+        let Some((placement, devices)) =
+            carve_once(hg, root, ws, cfg, lib, prefer_large, rng, clock)
+        else {
             if clock.stopped().is_some() {
                 break;
             }
@@ -624,6 +751,10 @@ pub fn kway_partition_with_clock(
             .collect();
         recorder.record(&Event::hist("paper", "d_psi", bins).at(Level::Debug));
     }
+    // The whole circuit as the carve's root piece, and the workspace
+    // every carve step of every attempt and rung reuses.
+    let root = Piece::whole(hg);
+    let mut ws = CarveWorkspace::default();
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut best: Option<BestCandidate> = None;
     let mut degradation = Degradation {
@@ -636,6 +767,8 @@ pub fn kway_partition_with_clock(
     // Rung 0: exactly as configured.
     let s = run_stage(
         hg,
+        &root,
+        &mut ws,
         cfg,
         &cfg.library,
         false,
@@ -670,6 +803,8 @@ pub fn kway_partition_with_clock(
         let mut rng2 = Rng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
         let s = run_stage(
             hg,
+            &root,
+            &mut ws,
             cfg,
             &cfg.library,
             false,
@@ -689,6 +824,8 @@ pub fn kway_partition_with_clock(
         let relaxed = cfg.library.relaxed_floor();
         let s = run_stage(
             hg,
+            &root,
+            &mut ws,
             cfg,
             &relaxed,
             false,
@@ -711,6 +848,8 @@ pub fn kway_partition_with_clock(
         let lib = relaxed.as_ref().unwrap_or(&cfg.library);
         let s = run_stage(
             hg,
+            &root,
+            &mut ws,
             cfg,
             lib,
             true,
@@ -814,6 +953,7 @@ pub fn kway_partition_with_clock(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::RunClock;
     use netpart_netlist::{generate, GeneratorConfig};
     use netpart_techmap::{map, MapperConfig};
 
@@ -832,34 +972,161 @@ mod tests {
             .with_max_passes(8)
     }
 
+    /// A functional-replication bipartition of a mapped circuit, run on
+    /// its whole piece: the carve's first step.
+    fn split_root(
+        hg: &Hypergraph,
+        cfg: &BipartitionConfig,
+        then: impl FnOnce(&Piece, &EngineState<'_>),
+    ) {
+        let root = Piece::whole(hg);
+        let clock = RunClock::unlimited();
+        FmWorkspace::default().bipartition(&root.csr, cfg, None, &clock, |engine, _| {
+            then(&root, engine)
+        });
+    }
+
     #[test]
     fn whole_piece_terminals_match_a_one_part_placement() {
         // The original circuit and both sides of a replicating split,
-        // whose extractions carry pseudo pads and partial copies.
+        // whose pieces carry pseudo pads and partial copies: a piece's
+        // pad pins are what the piece needs on one device.
         let hg = mapped(400, 30, 3);
-        let top = Extraction::identity(&hg);
         let cfg = BipartitionConfig::equal(&hg, 0.1)
             .with_seed(5)
             .with_replication(ReplicationMode::functional(0));
-        let res = crate::fm::bipartition(&hg, &cfg);
-        assert!(res.replicated_cells > 0, "fixture must replicate");
-        let split = res.placement.expect("functional placements export");
-        let mut pieces = vec![top.clone()];
-        for rest in [PartId(0), PartId(1)] {
-            pieces.push(extract_rest(&hg, &split, rest, &top.origin));
-        }
+        let mut pieces = vec![(hg.clone(), Piece::whole(&hg))];
+        split_root(&hg, &cfg, |root, engine| {
+            assert!(engine.replicated_cells() > 0, "fixture must replicate");
+            let split = engine.to_placement(&hg);
+            let mut scratch = ExtractScratch::default();
+            for side in 0..2u8 {
+                let mut piece = Piece::default();
+                extract_side(root, engine, side, &mut piece, &mut scratch);
+                let (phg, _) =
+                    crate::extract::extract_rest(&hg, &split, PartId(side.into()), &root.origin);
+                pieces.push((phg, piece));
+            }
+        });
         assert!(pieces[1..]
             .iter()
-            .all(|p| p.origin.iter().any(Option::is_none)));
-        for (i, piece) in pieces.iter().enumerate() {
-            let phg = &piece.hypergraph;
+            .all(|(_, p)| p.origin.iter().any(Option::is_none)));
+        for (i, (phg, piece)) in pieces.iter().enumerate() {
             let single = Placement::new_uniform(phg, 1, PartId(0));
             assert_eq!(
-                whole_terminals(phg),
+                piece.csr.pad_pins(),
                 single.part_terminals(phg, PartId(0)) as u64,
                 "piece {i}"
             );
         }
+    }
+
+    #[test]
+    fn side_terminals_match_the_placements_part_counts() {
+        // Device-carve and halving shapes with functional replication:
+        // the IOB count read off the final state equals the placement's
+        // per-part terminal count, on both sides.
+        let lib = DeviceLibrary::xc3000();
+        let hg = mapped(600, 40, 9);
+        let area = hg.total_area();
+        let mut shapes: Vec<([u64; 2], [u64; 2], [i64; 2])> = (0..lib.len())
+            .map(|i| lib.device(i))
+            .filter(|d| d.min_clbs() <= (area - 1).min(d.max_clbs()))
+            .map(|d| {
+                (
+                    [d.min_clbs(), 0],
+                    [d.max_clbs().min(area - 1), area],
+                    [1, 0],
+                )
+            })
+            .collect();
+        shapes.push(([area * 9 / 20; 2], [area * 11 / 20 + 1; 2], [0, 0]));
+        let mut replicated = 0;
+        for (seed, (min, max, weight)) in shapes.into_iter().enumerate() {
+            let cfg = BipartitionConfig::bounded(min, max)
+                .with_seed(seed as u64)
+                .with_replication(ReplicationMode::functional(0))
+                .with_terminal_weight(weight)
+                .with_max_growth(Some((area / 16).max(4)));
+            split_root(&hg, &cfg, |_, engine| {
+                replicated += engine.replicated_cells();
+                let counts = engine.to_placement(&hg).part_terminal_counts(&hg);
+                let mut marks = Vec::new();
+                for side in 0..2u8 {
+                    assert_eq!(
+                        side_terminals(engine, side, &mut marks),
+                        counts[usize::from(side)] as u64,
+                        "seed {seed}, side {side}"
+                    );
+                }
+            });
+        }
+        assert!(replicated > 0, "no shape kept a replica");
+    }
+
+    #[test]
+    fn a_warm_carve_step_allocates_nothing() {
+        // A warm-up attempt, then the same attempt's carve steps again
+        // (the same pieces, the same draws): no carve bipartition, piece
+        // extraction or pop may allocate. The first step is a carve
+        // bipartition of the whole circuit plus the extraction of what
+        // it stacks.
+        let hg = mapped(1200, 60, 7);
+        let cfg = quick_cfg().with_replication(ReplicationMode::functional(0));
+        let lib = &cfg.library;
+        let root = Piece::whole(&hg);
+        let clock = RunClock::unlimited();
+        let mut rests = 0;
+        for seed in 1..=6u64 {
+            let mut ws = CarveWorkspace::default();
+            let mut rng = Rng::seed_from_u64(seed);
+            let _ = carve_once(&hg, &root, &mut ws, &cfg, lib, false, &mut rng, &clock);
+            ws.scratch.assignments.clear();
+            ws.stack.depth = 0;
+            let mut devices = Vec::with_capacity(netpart_hypergraph::MAX_PARTS);
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut step = |piece: &Piece, stack: &mut PieceStack, scratch: &mut StepScratch| {
+                let before = netpart_alloc_count::allocations();
+                let done = carve_step(
+                    piece,
+                    stack,
+                    scratch,
+                    &mut devices,
+                    &cfg,
+                    lib,
+                    false,
+                    &mut rng,
+                    &clock,
+                );
+                (done, netpart_alloc_count::allocations() - before)
+            };
+            let (done, allocs) = step(&root, &mut ws.stack, &mut ws.scratch);
+            assert!(done.is_some(), "seed {seed}: the circuit splits");
+            assert_eq!(allocs, 0, "seed {seed}: the first step allocated");
+            // A device carve records the chunk and stacks its rest.
+            rests += usize::from(ws.stack.depth == 1);
+            let mut steps = 1;
+            loop {
+                let before = netpart_alloc_count::allocations();
+                let popped = ws.stack.pop_into(&mut ws.current);
+                assert_eq!(
+                    netpart_alloc_count::allocations() - before,
+                    0,
+                    "seed {seed}: pop"
+                );
+                if !popped {
+                    break;
+                }
+                let (done, allocs) = step(&ws.current, &mut ws.stack, &mut ws.scratch);
+                assert_eq!(allocs, 0, "seed {seed}: step {steps} allocated");
+                steps += 1;
+                if done.is_none() {
+                    break;
+                }
+            }
+            assert!(steps > 2, "seed {seed}: {steps} steps");
+        }
+        assert!(rests > 0, "no seed carved a device off the circuit");
     }
 
     #[test]

@@ -59,7 +59,6 @@ mod state;
 pub use budget::{Budget, CancelToken, RunClock};
 pub use config::{BipartitionConfig, ReplicationMode};
 pub use error::{Degradation, PartitionError, Relaxation, StopReason};
-pub use extract::{extract_rest, Extraction};
 pub use fault::FaultPlan;
 pub use fm::{bipartition, bipartition_from_sides, bipartition_with_clock, BipartitionResult};
 pub use kway::{

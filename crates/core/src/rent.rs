@@ -9,10 +9,11 @@
 //! benchmarks have Rent-like locality; this is the instrument that
 //! checks it (see the `rent_exponent_is_sub_linear` test).
 
+use crate::budget::RunClock;
 use crate::config::BipartitionConfig;
-use crate::extract::{extract_rest, Extraction};
-use crate::fm::bipartition;
-use netpart_hypergraph::{Hypergraph, PartId, Placement};
+use crate::extract::{extract_side, ExtractScratch, Piece};
+use crate::fm::FmWorkspace;
+use netpart_hypergraph::Hypergraph;
 
 /// One sampled sub-circuit.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,42 +39,43 @@ pub struct RentFit {
 /// intermediate piece's `(cells, terminals)` sample.
 ///
 /// Pieces smaller than 8 cells are not split further; unbalanced
-/// bisections (pathological inputs) terminate their branch early.
+/// bisections (pathological inputs) terminate their branch early. The
+/// pieces are the k-way carve's: each side of a bisection, with a pseudo
+/// pad for every net crossing to the other side.
 pub fn rent_points(hg: &Hypergraph, levels: usize, seed: u64) -> Vec<RentPoint> {
     let mut points = Vec::new();
-    let mut frontier = vec![Extraction::identity(hg)];
+    let root = Piece::whole(hg);
+    let mut fm = FmWorkspace::default();
+    let mut scratch = ExtractScratch::default();
+    let mut frontier: Vec<Piece> = Vec::new();
     for level in 0..=levels {
         let mut next = Vec::new();
-        for piece in frontier {
-            let area = piece.hypergraph.total_area();
-            let single = Placement::new_uniform(&piece.hypergraph, 1, PartId(0));
-            let terminals = single.part_terminals(&piece.hypergraph, PartId(0)) as u64;
+        let pieces = if level == 0 {
+            std::slice::from_ref(&root)
+        } else {
+            &frontier[..]
+        };
+        for piece in pieces {
+            let area = piece.csr.total_area();
             points.push(RentPoint {
                 cells: area,
-                terminals,
+                terminals: piece.csr.pad_pins(),
             });
             if level == levels || area < 8 {
                 continue;
             }
-            let cfg = BipartitionConfig::equal(&piece.hypergraph, 0.1)
+            let cfg = BipartitionConfig::equal_area(area, 0.1)
                 .with_seed(seed ^ (points.len() as u64) << 8);
-            let res = bipartition(&piece.hypergraph, &cfg);
-            if !res.balanced {
-                continue;
-            }
-            let placement = res.placement.expect("plain FM exports");
-            next.push(extract_rest(
-                &piece.hypergraph,
-                &placement,
-                PartId(0),
-                &piece.origin,
-            ));
-            next.push(extract_rest(
-                &piece.hypergraph,
-                &placement,
-                PartId(1),
-                &piece.origin,
-            ));
+            let clock = RunClock::new(&cfg.budget, &cfg.fault);
+            fm.bipartition(&piece.csr, &cfg, None, &clock, |engine, _| {
+                if cfg.balanced(engine.areas()) {
+                    for side in 0..2 {
+                        let mut half = Piece::default();
+                        extract_side(piece, engine, side, &mut half, &mut scratch);
+                        next.push(half);
+                    }
+                }
+            });
         }
         frontier = next;
     }
@@ -174,5 +176,59 @@ mod tests {
             fit.exponent
         );
         assert!(fit.exponent > 0.0);
+    }
+
+    #[test]
+    fn rent_points_are_pinned() {
+        // The `rent_exponent_is_sub_linear` fixture's samples, as the
+        // hypergraph-piece estimator produced them: every bisection and
+        // every piece's pad count must stay exactly as they were.
+        let nl = generate(
+            &GeneratorConfig::new(1200)
+                .with_dff(60)
+                .with_seed(17)
+                .with_clustering(0.7),
+        );
+        let hg = map(&nl, &MapperConfig::xc3000())
+            .unwrap()
+            .to_hypergraph(&nl);
+        let got: Vec<(u64, u64)> = rent_points(&hg, 4, 1)
+            .iter()
+            .map(|p| (p.cells, p.terminals))
+            .collect();
+        let want: [(u64, u64); 31] = [
+            (623, 121),
+            (311, 152),
+            (312, 61),
+            (157, 132),
+            (154, 58),
+            (142, 61),
+            (170, 80),
+            (75, 115),
+            (82, 29),
+            (69, 41),
+            (85, 35),
+            (79, 37),
+            (63, 52),
+            (78, 59),
+            (92, 49),
+            (41, 30),
+            (34, 101),
+            (46, 31),
+            (36, 18),
+            (38, 24),
+            (31, 29),
+            (39, 28),
+            (46, 25),
+            (38, 32),
+            (41, 29),
+            (35, 32),
+            (28, 28),
+            (41, 46),
+            (37, 23),
+            (47, 43),
+            (45, 36),
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -8,14 +8,15 @@
 //! (drivers on both sides) output nets drop out of the cut, exactly as
 //! the paper's gain eq. 8 accounts.
 //!
-//! The hot path runs on the flat [`CsrGraph`] arenas (built once per
-//! state, shared via `Arc`): per-net endpoint counts live in one
-//! cache-dense array of packed [`NetCounts`] records, and every
-//! per-move traversal walks contiguous index ranges instead of chasing
-//! the hypergraph's per-cell vectors.
+//! The hot path runs on the flat [`CsrGraph`] arenas, which carry every
+//! cell attribute the engine reads, so a state needs no [`Hypergraph`]:
+//! per-net endpoint counts live in one cache-dense array of packed
+//! [`NetCounts`] records, and every per-move traversal walks contiguous
+//! index ranges instead of chasing the hypergraph's per-cell vectors.
 
 use crate::csr::{CsrGraph, CsrPin};
 use netpart_hypergraph::{CellCopy, CellId, Hypergraph, NetId, PartId, Pin, Placement};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Placement/replication state of one cell in a bipartition.
@@ -85,12 +86,43 @@ impl NetCounts {
     }
 }
 
+/// The CSR arenas an [`EngineState`] reads: its own, built by
+/// [`EngineState::new`] (shared with the states it validates against),
+/// or a caller's, borrowed for the state's lifetime — a flat run's or a
+/// k-way carve piece's. Cloning either is cheap, so a pass loop holds
+/// its own handle and keeps arena slices across state mutations.
+#[derive(Clone, Debug)]
+pub(crate) enum Arenas<'a> {
+    /// Built for this state.
+    Owned(Arc<CsrGraph>),
+    /// The caller's.
+    Borrowed(&'a CsrGraph),
+}
+
+impl Deref for Arenas<'_> {
+    type Target = CsrGraph;
+
+    fn deref(&self) -> &CsrGraph {
+        match self {
+            Arenas::Owned(csr) => csr,
+            Arenas::Borrowed(csr) => csr,
+        }
+    }
+}
+
+/// The per-cell and per-net vectors of an [`EngineState`], handed from
+/// one state to the next so a workspace allocates them once.
+#[derive(Debug, Default)]
+pub(crate) struct StateBuffers {
+    state: Vec<CellState>,
+    counts: Vec<NetCounts>,
+}
+
 /// The mutable engine state for one bipartition.
 #[derive(Clone, Debug)]
 pub struct EngineState<'a> {
-    hg: &'a Hypergraph,
     /// The flat connectivity arenas the hot path traverses.
-    csr: Arc<CsrGraph>,
+    csr: Arenas<'a>,
     state: Vec<CellState>,
     /// Packed per-net endpoint counts (sinks and drivers per side).
     counts: Vec<NetCounts>,
@@ -112,7 +144,7 @@ impl<'a> EngineState<'a> {
     /// # Panics
     ///
     /// Panics if `sides.len() != hg.n_cells()` or a side is not 0/1.
-    pub fn new(hg: &'a Hypergraph, sides: &[u8]) -> Self {
+    pub fn new(hg: &Hypergraph, sides: &[u8]) -> Self {
         Self::new_weighted(hg, sides, [0, 0])
     }
 
@@ -123,39 +155,58 @@ impl<'a> EngineState<'a> {
     /// # Panics
     ///
     /// Panics if `sides.len() != hg.n_cells()` or a side is not 0/1.
-    pub fn new_weighted(hg: &'a Hypergraph, sides: &[u8], terminal_weight: [i64; 2]) -> Self {
-        Self::with_csr(hg, Arc::new(CsrGraph::build(hg)), sides, terminal_weight)
+    pub fn new_weighted(hg: &Hypergraph, sides: &[u8], terminal_weight: [i64; 2]) -> Self {
+        let csr = Arenas::Owned(Arc::new(CsrGraph::build(hg)));
+        Self::with_arenas(csr, sides, terminal_weight, StateBuffers::default())
     }
 
-    /// [`EngineState::new_weighted`] over pre-built CSR arenas, so
-    /// repeated states on one hypergraph (validation rebuilds, parallel
-    /// refinement snapshots) share the flattening work.
-    pub(crate) fn with_csr(
-        hg: &'a Hypergraph,
-        csr: Arc<CsrGraph>,
+    /// [`EngineState::new_weighted`] over the caller's CSR arenas, in
+    /// vectors taken from `buffers` ([`EngineState::into_buffers`] hands
+    /// them back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sides.len() != csr.n_cells()` or a side is not 0/1.
+    pub(crate) fn over(
+        csr: &'a CsrGraph,
         sides: &[u8],
         terminal_weight: [i64; 2],
+        buffers: StateBuffers,
     ) -> Self {
-        assert_eq!(sides.len(), hg.n_cells(), "one side per cell");
+        Self::with_arenas(Arenas::Borrowed(csr), sides, terminal_weight, buffers)
+    }
+
+    fn with_arenas(
+        csr: Arenas<'a>,
+        sides: &[u8],
+        terminal_weight: [i64; 2],
+        buffers: StateBuffers,
+    ) -> Self {
+        assert_eq!(sides.len(), csr.n_cells(), "one side per cell");
         assert!(sides.iter().all(|&s| s < 2), "sides are 0 or 1");
+        let StateBuffers {
+            mut state,
+            mut counts,
+        } = buffers;
+        state.clear();
+        state.extend(sides.iter().map(|&s| CellState::Single { side: s }));
+        counts.clear();
+        counts.resize(csr.n_nets(), NetCounts::default());
         let mut st = EngineState {
-            hg,
             csr,
-            state: sides
-                .iter()
-                .map(|&s| CellState::Single { side: s })
-                .collect(),
-            counts: vec![NetCounts::default(); hg.n_nets()],
+            state,
+            counts,
             spanning: 0,
             areas: [0; 2],
             cut: 0,
             terminal_weight,
             pad_cost: 0,
         };
-        for c in hg.cell_ids() {
+        for c in st.csr.cell_ids() {
             let s = sides[c.index()] as usize;
-            st.areas[s] += u64::from(hg.cell(c).area());
-            if hg.cell(c).is_terminal() {
+            let cell = st.csr.cell(c);
+            st.areas[s] += u64::from(cell.area);
+            if cell.pad {
                 st.pad_cost += terminal_weight[s];
             }
             let cs = st.state[c.index()];
@@ -169,14 +220,17 @@ impl<'a> EngineState<'a> {
         st
     }
 
-    /// The underlying hypergraph.
-    pub fn hypergraph(&self) -> &'a Hypergraph {
-        self.hg
+    /// Gives up the state's vectors for the next state to reuse.
+    pub(crate) fn into_buffers(self) -> StateBuffers {
+        StateBuffers {
+            state: self.state,
+            counts: self.counts,
+        }
     }
 
-    /// The shared CSR arenas (cheap to clone; the pass loops hold their
-    /// own handle so slices stay borrowable across state mutations).
-    pub(crate) fn csr(&self) -> &Arc<CsrGraph> {
+    /// The CSR arenas (cheap to clone; the pass loops hold their own
+    /// handle so slices stay borrowable across state mutations).
+    pub(crate) fn csr(&self) -> &Arenas<'a> {
         &self.csr
     }
 
@@ -232,18 +286,19 @@ impl<'a> EngineState<'a> {
     }
 
     /// The paper's *criticality* of the net on pin `pin` of an
-    /// unreplicated cell `c`: whether moving that single pin to the other
-    /// side would change the net's cut state (used to build the `Q^I`,
-    /// `Q^O` vectors of §III).
+    /// unreplicated cell `c` of `hg` (the circuit the state was built
+    /// for): whether moving that single pin to the other side would
+    /// change the net's cut state (used to build the `Q^I`, `Q^O`
+    /// vectors of §III).
     ///
     /// Returns `false` for replicated cells (the vectors are defined on
     /// unreplicated cells).
-    pub fn pin_critical(&self, c: CellId, pin: Pin) -> bool {
+    pub fn pin_critical(&self, hg: &Hypergraph, c: CellId, pin: Pin) -> bool {
         let CellState::Single { side } = self.state[c.index()] else {
             return false;
         };
         let s = side as usize;
-        let cell = self.hg.cell(c);
+        let cell = hg.cell(c);
         let net = match pin {
             Pin::Input(j) => cell.input_net(j as usize),
             Pin::Output(o) => cell.output_net(o as usize),
@@ -267,7 +322,7 @@ impl<'a> EngineState<'a> {
     /// The objective decrease of moving a terminal cell between sides
     /// under the configured weights (0 for logic cells).
     fn pad_cost_gain(&self, c: CellId, old: CellState, new: CellState) -> i64 {
-        if !self.hg.cell(c).is_terminal() {
+        if !self.csr.cell(c).pad {
             return 0;
         }
         let side_of = |st: CellState| match st {
@@ -317,7 +372,7 @@ impl<'a> EngineState<'a> {
 
     /// Per-side area change of moving `c` to `new`.
     pub fn area_delta(&self, c: CellId, new: CellState) -> [i64; 2] {
-        let a = i64::from(self.hg.cell(c).area());
+        let a = i64::from(self.csr.cell(c).area);
         let occ = |st: CellState| -> [i64; 2] {
             match st {
                 CellState::Single { side } => {
@@ -345,8 +400,8 @@ impl<'a> EngineState<'a> {
         let ad = self.area_delta(c, new);
         let mut gain = pad_gain;
         {
-            // Split borrows: walk the shared CSR groups while mutating
-            // the packed counters in one flat pass per incident net.
+            // Split borrows: walk the CSR groups while mutating the
+            // packed counters in one flat pass per incident net.
             let Self {
                 ref csr,
                 ref mut counts,
@@ -372,7 +427,8 @@ impl<'a> EngineState<'a> {
         gain
     }
 
-    /// Exports the state as a 2-part [`Placement`].
+    /// Exports the state as a 2-part [`Placement`] of `hg`, the circuit
+    /// the state was built for.
     ///
     /// Traditionally replicated cells have no placement representation
     /// (their copies share output nets); collapse them first or avoid
@@ -380,17 +436,19 @@ impl<'a> EngineState<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any cell is in [`CellState::Traditional`].
-    pub fn to_placement(&self) -> Placement {
-        let mut p = Placement::new_uniform(self.hg, 2, PartId(0));
-        for c in self.hg.cell_ids() {
+    /// Panics if any cell is in [`CellState::Traditional`], or if `hg`
+    /// has a different cell count.
+    pub fn to_placement(&self, hg: &Hypergraph) -> Placement {
+        assert_eq!(hg.n_cells(), self.state.len(), "the state's circuit");
+        let mut p = Placement::new_uniform(hg, 2, PartId(0));
+        for c in hg.cell_ids() {
             match self.state[c.index()] {
                 CellState::Single { side } => p.place(c, PartId(u16::from(side))),
                 CellState::Functional {
                     orig_side,
                     replica_mask,
                 } => {
-                    let full = full_mask(self.hg.cell(c).m_outputs());
+                    let full = full_mask(self.csr.cell(c).outputs.into());
                     p.set_copies(
                         c,
                         vec![
@@ -426,9 +484,13 @@ impl<'a> EngineState<'a> {
                     | CellState::Traditional { orig_side } => *orig_side,
                 })
                 .collect();
-            let mut f =
-                EngineState::with_csr(self.hg, self.csr.clone(), &sides, self.terminal_weight);
-            for c in self.hg.cell_ids() {
+            let mut f = EngineState::with_arenas(
+                self.csr.clone(),
+                &sides,
+                self.terminal_weight,
+                StateBuffers::default(),
+            );
+            for c in self.csr.cell_ids() {
                 f.set_state(c, self.state[c.index()]);
             }
             f
@@ -767,7 +829,7 @@ mod tests {
         assert_eq!(st.net_side_occupancy(nclk), [1, 2]);
         assert!(st.is_cut(nclk));
         assert!(!st.is_cut(ny));
-        let p = st.to_placement();
+        let p = st.to_placement(&hg);
         assert_eq!(p.cut_size(&hg), st.cut());
         assert!(st.validate());
     }
@@ -964,7 +1026,7 @@ mod tests {
                 replica_mask: 0b10,
             },
         );
-        let p = st.to_placement();
+        let p = st.to_placement(&hg);
         p.validate(&hg).unwrap();
         assert_eq!(p.cut_size(&hg), st.cut());
         assert_eq!(
@@ -979,6 +1041,6 @@ mod tests {
         let (hg, m, _) = fig1();
         let mut st = EngineState::new(&hg, &[0; 6]);
         st.set_state(m, CellState::Traditional { orig_side: 0 });
-        let _ = st.to_placement();
+        let _ = st.to_placement(&hg);
     }
 }

@@ -4,45 +4,14 @@
 //! connectivity rule from the per-pin output masks stored in the CSR
 //! arenas, never from adjacency-matrix temporaries.
 //!
-//! A counting global allocator proves it. It counts every allocation
-//! in the process, so this binary holds a single `#[test]`: no other
-//! test can run concurrently and bump the counter.
+//! `netpart-alloc-count`'s counting global allocator proves it: it
+//! counts the allocation calls of the test's own thread. (The warm k-way
+//! carve step has the same check, as a `netpart-core` unit test:
+//! `kway::tests::a_warm_carve_step_allocates_nothing`.)
 
+use netpart_alloc_count::allocations;
 use netpart_core::{CellState, EngineState};
 use netpart_hypergraph::{AdjacencyMatrix, CellId, CellKind, Hypergraph, HypergraphBuilder};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Forwards to the system allocator, counting allocation calls.
-struct Counting;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter has no effect on the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Two multi-output cells between pads:
 ///
@@ -142,7 +111,7 @@ fn gain_queries_and_moves_never_allocate() {
     let mut mismatches = 0usize;
     let mut functional_moves = 0usize;
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocations();
     for (c, targets) in &schedule {
         for &new in targets {
             // Probe every candidate, then apply this one.
@@ -157,7 +126,7 @@ fn gain_queries_and_moves_never_allocate() {
             functional_moves += usize::from(matches!(new, CellState::Functional { .. }));
         }
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let allocs = allocations() - before;
 
     assert_eq!(
         functional_moves,

@@ -205,7 +205,7 @@ impl Engine {
         result.cut = refined.cut();
         result.areas = refined.areas();
         result.balanced = cfg.balanced(refined.areas());
-        result.placement = Some(refined.to_placement());
+        result.placement = Some(refined.to_placement(hg));
         Some(out)
     }
 }

@@ -15,12 +15,19 @@
 //! carve of the 1/4-scale s38584 (`*_carve_s38584` fields): the
 //! bipartition shape the k-way carver runs, with the chunk side's pads
 //! weighted, a replication growth cap and functional replication at
-//! T = 0. A single flat run without replication then times the
-//! 100k-gate Rent-rule synthetic (`rent100k_*` fields) — the circuit
-//! the CSR hot path is sized for.
+//! T = 0. The k-way leg then times the whole k-way request of the
+//! `paper-kway` benchmark workload on the same circuit (`kway_*_s38584`
+//! fields): functional replication at T = 0, 3 candidates, 8 passes,
+//! seed 1, four tasks on one worker. Its `kway_pass_ms_s38584` is the
+//! solve's wall time divided by its FM passes, so it also carries what
+//! the carve spends between passes (piece extraction, fit checks);
+//! `kway_passes_s38584` and `kway_cost_s38584` are exact. A single flat
+//! run without replication then times the 100k-gate Rent-rule synthetic
+//! (`rent100k_*` fields) — the circuit the CSR hot path is sized for.
 //!
-//! Every run must finish with `gain_repairs == 0` (the incremental
-//! updates are exact); the example asserts it.
+//! Every bipartition must finish with `gain_repairs == 0` (the
+//! incremental updates are exact) and the k-way leg with a feasible
+//! result; the example asserts both.
 
 use netpart::prelude::*;
 use netpart::report::{f2, Table};
@@ -132,6 +139,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.set_timing("carve_ms_s38584", ms as u64);
     snap.set_gauge("cut_carve_s38584", cut as f64);
     snap.set_gauge("pass_ms_carve_s38584", pass_ms);
+
+    // K-way leg: the `paper-kway` request, best of `reps` solves.
+    let kcfg = KWayConfig::new(lib.clone())
+        .with_candidates(3)
+        .with_seed(1)
+        .with_max_passes(8)
+        .with_replication(ReplicationMode::functional(0));
+    let mut best_ms = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let (res, _) = Engine::new(1).kway(&hg, &kcfg, 4)?;
+        best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        assert!(
+            res.result.evaluation.feasible,
+            "k-way leg: no feasible result"
+        );
+        last = Some(res);
+    }
+    let res = last.ok_or("reps >= 1")?;
+    let passes: u64 = res.workers.iter().map(|w| w.passes).sum();
+    let cost = res.result.evaluation.total_cost;
+    let pass_ms = best_ms / passes as f64;
+    println!(
+        "k-way solve of s38584/4 (3 candidates, 4 tasks): cost {cost} in {passes} passes, \
+         {} ms total, {} ms/pass",
+        f2(best_ms),
+        f2(pass_ms),
+    );
+    snap.set_timing("kway_ms_s38584", best_ms as u64);
+    snap.set_gauge("kway_pass_ms_s38584", pass_ms);
+    snap.set_gauge("kway_passes_s38584", passes as f64);
+    snap.set_gauge("kway_cost_s38584", cost as f64);
 
     // Large-circuit leg: flat FM over the 100k-gate Rent synthetic,
     // single rep (the pass count is high enough that best-of-reps adds

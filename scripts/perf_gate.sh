@@ -19,7 +19,9 @@
 #
 # The keys are per-pass averages, not whole-run wall times, so a
 # change in pass count from algorithmic work does not masquerade as a
-# throughput change. The 15% tolerance absorbs shared-runner noise;
+# throughput change. The k-way leg's pass count and device cost are
+# exact series besides: a fresh run must repeat them to the digit, or
+# the change altered the search (re-seed deliberately if it meant to). The 15% tolerance absorbs shared-runner noise;
 # real regressions from structure changes (the CSR arenas bought 2-7x)
 # clear it by an order of magnitude.
 #
@@ -32,6 +34,8 @@ cd "$(dirname "$0")/.."
 REPS="${1:-2}"
 BASELINE=BENCH_fm.json
 TOLERANCE=1.15
+# Gauges that must repeat exactly.
+EXACT_KEYS=(kway_passes_s38584 kway_cost_s38584)
 
 if [[ ! -s "$BASELINE" ]]; then
   echo "error: no archived baseline at $BASELINE (run the bench once to seed it)" >&2
@@ -107,6 +111,20 @@ for key in "${new_keys[@]-}"; do
       'BEGIN { printf "REGRESSION: %s %.3f ms/pass vs baseline %.3f (> %d%% tolerance)\n", \
                k, n, o, (t - 1) * 100 + 0.5 }' >&2
     status=1
+  fi
+done
+
+for key in "${EXACT_KEYS[@]}"; do
+  o=$(field "$old" "$key")
+  n=$(field "$BASELINE" "$key")
+  if [[ -z "$o" || -z "$n" ]]; then
+    echo "error: exact series $key missing from the baseline or the fresh run" >&2
+    status=1
+  elif [[ "$o" != "$n" ]]; then
+    echo "MISMATCH: $key $n vs baseline $o (must repeat exactly)" >&2
+    status=1
+  else
+    echo "ok: $key $n (exact)"
   fi
 done
 

@@ -1,25 +1,35 @@
 //! Mutation sweep over every text parser and the BLIF ingest path.
 //!
 //! Seeds are the committed corpus (`tests/data/*`), three generated
-//! BLIFs, the builtin boards and a few job specs. Each case applies one
-//! to three mutations drawn from `netpart-rng` (bit flips, truncations,
-//! line splices, CR and NUL injection) and feeds the result to the
-//! parser for its format. Two properties hold on every case:
+//! BLIFs, the builtin boards, a few job specs, service journal (WAL)
+//! record lines and whole journals, and a JSONL run trace. Each case
+//! applies one to three mutations drawn from `netpart-rng` (bit flips,
+//! truncations, line splices, CR and NUL injection) and feeds the result
+//! to the parser for its format. Two properties hold on every case:
 //!
 //! * no parser, and no ingest layer after `parse_blif` (`validate` →
-//!   `decompose_wide_gates` → `map` → `to_hypergraph`), panics;
+//!   `decompose_wide_gates` → `map` → `to_hypergraph`), panics — a
+//!   mutated or torn journal replays (`Wal::replay_readonly`, from a
+//!   file) to its valid prefix or fails with a typed error, and a
+//!   mutated trace is scanned (`scan_trace`) into line-numbered errors;
 //! * every accepted input is writer-idempotent:
-//!   `write(parse(write(parse(x)))) == write(parse(x))`.
+//!   `write(parse(write(parse(x)))) == write(parse(x))` (for a journal
+//!   record, `parse(encode(r)) == r`; a replayed journal re-encodes to
+//!   its own valid prefix).
 //!
 //! A failure names the case and its seed file, so a case is reproduced
 //! from two integers. The bounded sweep runs in the default pass; the
 //! `#[ignore]`d deep sweep rides CI's release `--ignored` step.
 
+use netpart::obs::{scan_trace, to_jsonl, BufferRecorder};
 use netpart::prelude::*;
+use netpart::serve::{Wal, WalRecord};
 use netpart::techmap::{decompose_wide_gates, map, MapperConfig};
 use netpart::verify::SolutionCertificate;
 use netpart_rng::{Fnv1a, Rng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The format of a seed input, which picks its parser.
 #[derive(Clone, Copy, Debug)]
@@ -28,6 +38,80 @@ enum Format {
     Board,
     Certificate,
     JobSpec,
+    /// One journal line.
+    WalRecord,
+    /// A whole journal file.
+    Wal,
+    Trace,
+}
+
+/// One of every journal record kind, free text with escapes included.
+fn wal_records() -> Vec<WalRecord> {
+    let job = |s: &str| s.to_string();
+    vec![
+        WalRecord::Submit {
+            job: job("j1"),
+            spec_fnv: 0xdead_beef,
+        },
+        WalRecord::Claim {
+            job: job("j1"),
+            attempt: 1,
+        },
+        WalRecord::Start {
+            job: job("j1"),
+            attempt: 1,
+        },
+        WalRecord::Fail {
+            job: job("j1"),
+            attempt: 1,
+            code: 4,
+            msg: "budget exhausted: wall 250 ms\tafter\n1 run".into(),
+        },
+        WalRecord::Retry {
+            job: job("j1"),
+            attempt: 1,
+            delay: 3,
+        },
+        WalRecord::Done {
+            job: job("j1"),
+            attempt: 2,
+            cached: true,
+            key: 0x0123_4567_89ab_cdef,
+        },
+        WalRecord::Quarantine {
+            job: job("j2"),
+            attempts: 3,
+            msg: String::new(),
+        },
+    ]
+}
+
+/// A journal file: the header, then `records` numbered from 1.
+fn wal_text(records: &[WalRecord]) -> String {
+    let mut text = String::from("netpart-wal v1\n");
+    for (i, rec) in records.iter().enumerate() {
+        text.push_str(&rec.encode(i as u64 + 1));
+        text.push('\n');
+    }
+    text
+}
+
+/// The JSONL trace of a small k-way run at trace level: spans, counters,
+/// gauges, histograms and point events.
+fn trace_text() -> String {
+    let nl = generate(&GeneratorConfig::new(80).with_dff(4).with_seed(5));
+    let hg = map(&nl, &MapperConfig::xc3000())
+        .expect("generated netlists map")
+        .to_hypergraph(&nl);
+    let recorder = Arc::new(BufferRecorder::new());
+    let cfg = KWayConfig::new(DeviceLibrary::xc3000())
+        .with_candidates(1)
+        .with_seed(3);
+    Engine::new(1)
+        .with_recorder(recorder.clone())
+        .kway(&hg, &cfg, 1)
+        .expect("small circuits partition");
+    to_jsonl(&recorder.take())
 }
 
 /// The seed inputs: `(name, format, text)`.
@@ -78,7 +162,20 @@ fn seeds() -> Vec<(String, Format, String)> {
     for (name, spec) in [("kway.job", kway), ("bipartition.job", bipartition)] {
         seeds.push((name.into(), Format::JobSpec, spec.to_text()));
     }
+    let records = wal_records();
+    for (i, rec) in records.iter().enumerate() {
+        let name = format!("{}.walrec", rec.label());
+        seeds.push((name, Format::WalRecord, rec.encode(i as u64 + 1)));
+    }
+    seeds.push(("short.wal".into(), Format::Wal, wal_text(&records[..3])));
+    seeds.push(("long.wal".into(), Format::Wal, wal_text(&records)));
+    seeds.push(("kway.jsonl".into(), Format::Trace, trace_text()));
     seeds
+}
+
+/// The scratch journal file the sweep replays mutated journals from.
+fn wal_path() -> PathBuf {
+    std::env::temp_dir().join(format!("netpart-fuzz-{}.wal", std::process::id()))
 }
 
 /// A random byte offset in `0..=len`.
@@ -135,6 +232,14 @@ fn reseal(spec: &str) -> String {
     format!("{body}#fnv={:016x}\n", h.finish())
 }
 
+/// [`reseal`] for a journal record line, whose checksum closes the line.
+fn reseal_record(line: &str) -> String {
+    let body = line.rsplit_once(" #fnv=").map_or(line, |(body, _)| body);
+    let mut h = Fnv1a::new();
+    h.write(body.as_bytes());
+    format!("{body} #fnv={:016x}", h.finish())
+}
+
 /// How far a case got.
 #[derive(Clone, Copy, PartialEq)]
 enum Reached {
@@ -145,8 +250,9 @@ enum Reached {
 }
 
 /// Parses `text` as `format`; on success checks writer idempotence and,
-/// for a BLIF, drives the ingest layers.
-fn check(format: Format, text: &str) -> Reached {
+/// for a BLIF, drives the ingest layers. A journal is replayed from
+/// `wal`, a scratch file path.
+fn check(format: Format, text: &str, wal: &Path) -> Reached {
     match format {
         Format::Blif => {
             let Ok(nl) = parse_blif(text) else {
@@ -197,6 +303,51 @@ fn check(format: Format, text: &str) -> Reached {
             assert_eq!(again.to_text(), written, "job spec writer not idempotent");
             Reached::RoundTripped
         }
+        Format::WalRecord => {
+            let Ok((seq, rec)) = WalRecord::parse(text) else {
+                return Reached::Rejected;
+            };
+            let again = WalRecord::parse(&rec.encode(seq)).expect("encoded record parses");
+            assert_eq!(again, (seq, rec), "journal record does not round-trip");
+            Reached::RoundTripped
+        }
+        Format::Wal => {
+            std::fs::write(wal, text).expect("write scratch journal");
+            let Ok(recovery) = Wal::replay_readonly(wal) else {
+                return Reached::Rejected;
+            };
+            // The replayed records are the journal's valid prefix: they
+            // re-encode to exactly the bytes kept, and a clean replay
+            // kept everything.
+            let records: Vec<WalRecord> = recovery.records.iter().map(|(_, r)| r.clone()).collect();
+            let prefix = if text.is_empty() {
+                String::new() // an empty journal replays as empty
+            } else {
+                wal_text(&records)
+            };
+            let kept = text.len() as u64 - recovery.truncated_bytes;
+            assert_eq!(prefix.len() as u64, kept, "replay kept a different prefix");
+            assert!(
+                text.starts_with(&prefix),
+                "replayed records are not the prefix"
+            );
+            assert_eq!(recovery.torn_tail, kept < text.len() as u64);
+            Reached::RoundTripped
+        }
+        Format::Trace => {
+            let scan = scan_trace(text);
+            if !scan.errors.is_empty() {
+                assert!(
+                    scan.errors
+                        .iter()
+                        .all(|e| e.starts_with("line ") || e.starts_with("end of trace: ")),
+                    "trace error without a position: {:?}",
+                    scan.errors
+                );
+                return Reached::Rejected;
+            }
+            Reached::RoundTripped
+        }
     }
 }
 
@@ -205,18 +356,21 @@ fn check(format: Format, text: &str) -> Reached {
 /// the sweep cannot pass by rejecting everything.
 fn sweep(seed: u64, cases: usize) {
     let seeds = seeds();
-    assert!(seeds.len() >= 25, "corpus shrank: {} seeds", seeds.len());
+    assert!(seeds.len() >= 35, "corpus shrank: {} seeds", seeds.len());
+    let wal = wal_path();
     let mut rng = Rng::seed_from_u64(seed);
     // Accepted cases per format, in `Format` order, and mapped BLIFs.
-    let mut accepted = [0usize; 4];
+    let mut accepted = [0usize; 7];
     let mut mapped = 0;
     for case in 0..cases {
         let (name, format, text) = &seeds[case % seeds.len()];
         let mut input = mutate(&mut rng, text);
-        if matches!(format, Format::JobSpec) && rng.gen_bool(0.5) {
-            input = reseal(&input);
+        match format {
+            Format::JobSpec if rng.gen_bool(0.5) => input = reseal(&input),
+            Format::WalRecord if rng.gen_bool(0.5) => input = reseal_record(&input),
+            _ => {}
         }
-        match catch_unwind(AssertUnwindSafe(|| check(*format, &input))) {
+        match catch_unwind(AssertUnwindSafe(|| check(*format, &input, &wal))) {
             Ok(Reached::Rejected) => {}
             Ok(reached) => {
                 accepted[*format as usize] += 1;
@@ -232,6 +386,7 @@ fn sweep(seed: u64, cases: usize) {
             }
         }
     }
+    let _ = std::fs::remove_file(&wal);
     assert!(
         accepted.iter().all(|&n| n > 0) && mapped > 0,
         "accepted per format {accepted:?}, mapped {mapped}"

@@ -45,7 +45,7 @@ fn eq7_matches_engine() {
             if !distinct_nets(&hg, c) {
                 continue;
             }
-            let v = extract_vectors(&engine, c).expect("single cells have vectors");
+            let v = extract_vectors(&hg, &engine, c).expect("single cells have vectors");
             let side = sides[c.0 as usize];
             let formula = single_move_gain(&v);
             let exact = engine.peek_gain(c, CellState::Single { side: 1 - side });
@@ -65,7 +65,7 @@ fn eq8_matches_engine() {
             if hg.cell(c).is_terminal() || !distinct_nets(&hg, c) {
                 continue;
             }
-            let v = extract_vectors(&engine, c).expect("single cells have vectors");
+            let v = extract_vectors(&hg, &engine, c).expect("single cells have vectors");
             let side = sides[c.0 as usize];
             let formula = traditional_gain(&v);
             let exact = engine.peek_gain(c, CellState::Traditional { orig_side: side });
@@ -87,7 +87,7 @@ fn eq9_to_11_match_engine() {
             if cell.is_terminal() || cell.m_outputs() < 2 || !distinct_nets(&hg, c) {
                 continue;
             }
-            let v = extract_vectors(&engine, c).expect("single cells have vectors");
+            let v = extract_vectors(&hg, &engine, c).expect("single cells have vectors");
             let side = sides[c.0 as usize];
             let mut best_engine = i64::MIN;
             for o in 0..cell.m_outputs() {
