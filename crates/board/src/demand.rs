@@ -86,9 +86,6 @@ mod tests {
         p.place(netpart_hypergraph::CellId(1), PartId(2));
         let board = Board::direct2();
         let err = demands(&hg, &p, &board).unwrap_err();
-        assert_eq!(
-            err,
-            BoardError::SitesExceeded { parts: 3, sites: 2 }
-        );
+        assert_eq!(err, BoardError::SitesExceeded { parts: 3, sites: 2 });
     }
 }

@@ -54,7 +54,10 @@ impl fmt::Display for BoardError {
                 "placement has {parts} parts but the board has only {sites} device sites"
             ),
             BoardError::SiteOutOfRange { site, sites } => {
-                write!(f, "site index {site} out of range (board has {sites} sites)")
+                write!(
+                    f,
+                    "site index {site} out of range (board has {sites} sites)"
+                )
             }
         }
     }

@@ -100,7 +100,10 @@ pub fn parse(text: &str) -> Result<Board, BoardError> {
                 let a = endpoint(a_name)?;
                 let b = endpoint(b_name)?;
                 if a == b {
-                    return fail(lineno, format!("channel `{a_name}`-`{b_name}` is a self-loop"));
+                    return fail(
+                        lineno,
+                        format!("channel `{a_name}`-`{b_name}` is a self-loop"),
+                    );
                 }
                 let mut capacity = None;
                 let mut hop = None;
@@ -162,7 +165,10 @@ pub fn parse(text: &str) -> Result<Board, BoardError> {
     }
 
     let Some(name) = name else {
-        return fail(0, "truncated board description: missing `board` header".into());
+        return fail(
+            0,
+            "truncated board description: missing `board` header".into(),
+        );
     };
     if !ended {
         return fail(
@@ -219,8 +225,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_reports_its_line() {
-        let err =
-            parse("board z\nsite a\nsite b\nchannel a b capacity=0 hop=1\nend board\n").unwrap_err();
+        let err = parse("board z\nsite a\nsite b\nchannel a b capacity=0 hop=1\nend board\n")
+            .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("line 4"), "{msg}");
         assert!(msg.contains("capacity must be positive"), "{msg}");
@@ -243,8 +249,9 @@ mod tests {
 
     #[test]
     fn disconnected_board_reports_last_site_line() {
-        let err = parse("board s\nsite a\nsite b\nsite c\nchannel a b capacity=1 hop=1\nend board\n")
-            .unwrap_err();
+        let err =
+            parse("board s\nsite a\nsite b\nsite c\nchannel a b capacity=1 hop=1\nend board\n")
+                .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("disconnected"), "{msg}");
         assert!(msg.contains("line 4"), "{msg}");

@@ -327,7 +327,11 @@ mod tests {
                 .collect();
             Board::try_new("mesh2x2", mesh.sites().to_vec(), channels).expect("valid")
         };
-        let demands = vec![demand(0, &[0, 3]), demand(1, &[1, 2]), demand(2, &[0, 1, 3])];
+        let demands = vec![
+            demand(0, &[0, 3]),
+            demand(1, &[1, 2]),
+            demand(2, &[0, 1, 3]),
+        ];
         let tight = route_nets(&mk(1), &demands).expect("routes");
         let roomy = route_nets(&mk(1000), &demands).expect("routes");
         assert_eq!(tight.routes, roomy.routes);

@@ -945,7 +945,10 @@ pub fn kway_partition_with_clock(
                     .field("cut", report.recomputed().cut),
             );
         }
-        debug_assert!(report.is_clean(), "post-run certificate self-check: {report}");
+        debug_assert!(
+            report.is_clean(),
+            "post-run certificate self-check: {report}"
+        );
     }
     Ok(result)
 }

@@ -59,11 +59,7 @@ pub struct ParRefineOutcome {
 
 /// One region's proposals against a frozen snapshot: every
 /// positive-gain boundary flip in `[lo, hi)`, ascending by cell id.
-fn propose_region(
-    engine: &EngineState<'_>,
-    lo: usize,
-    hi: usize,
-) -> Vec<(u32, i64)> {
+fn propose_region(engine: &EngineState<'_>, lo: usize, hi: usize) -> Vec<(u32, i64)> {
     let mut out = Vec::new();
     for i in lo..hi {
         let c = CellId(i as u32);

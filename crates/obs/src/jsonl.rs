@@ -243,7 +243,10 @@ impl JsonlRecorder {
         let Some((tmp, final_path)) = &self.atomic else {
             return Ok(());
         };
-        if self.committed.swap(true, std::sync::atomic::Ordering::SeqCst) {
+        if self
+            .committed
+            .swap(true, std::sync::atomic::Ordering::SeqCst)
+        {
             return Ok(());
         }
         // Route post-commit records into the void rather than a file

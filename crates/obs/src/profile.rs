@@ -428,7 +428,11 @@ mod tests {
         ];
         let p = Profile::from_events(&events, 100);
         assert_eq!(p.roots.len(), 2);
-        let w = p.roots.iter().find(|r| r.name == "timing/worker").expect("worker node");
+        let w = p
+            .roots
+            .iter()
+            .find(|r| r.name == "timing/worker")
+            .expect("worker node");
         assert_eq!(w.count, 2);
         assert_eq!(w.incl_us, 100);
         // Concurrent worker time does not count toward coverage.

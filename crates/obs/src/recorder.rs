@@ -423,7 +423,10 @@ mod tests {
         let evs = b.take();
         assert_eq!(evs.len(), 2);
         for e in &evs {
-            assert_eq!(e.fields[0], ("span", crate::event::Value::Str("level".into())));
+            assert_eq!(
+                e.fields[0],
+                ("span", crate::event::Value::Str("level".into()))
+            );
             assert_eq!(e.fields[1], ("level", crate::event::Value::U64(3)));
         }
         assert!(evs[0].timing.is_empty(), "enter carries no timing");

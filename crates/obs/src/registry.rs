@@ -199,7 +199,11 @@ impl MetricsRegistry {
 
     /// A counter's current value (0 when never written).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(&sanitize(name)).copied().unwrap_or(0)
+        self.lock()
+            .counters
+            .get(&sanitize(name))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// A gauge's current value.
@@ -209,7 +213,10 @@ impl MetricsRegistry {
 
     /// A histogram's `q`-quantile (see [`LatencyHist::quantile`]).
     pub fn quantile(&self, name: &str, q: f64) -> Option<QuantileBound> {
-        self.lock().hists.get(&sanitize(name)).and_then(|h| h.quantile(q))
+        self.lock()
+            .hists
+            .get(&sanitize(name))
+            .and_then(|h| h.quantile(q))
     }
 
     /// A monotonic change counter: bumped by every mutation, so writers
@@ -425,8 +432,12 @@ pub fn parse_prometheus(text: &str) -> Result<PromText, String> {
         let (name, le) = match ident.split_once('{') {
             None => (ident.to_string(), None),
             Some((name, labels)) => {
-                let labels = labels.strip_suffix('}').ok_or_else(|| err("unclosed labels"))?;
-                let le = labels.strip_prefix("le=\"").and_then(|v| v.strip_suffix('"'));
+                let labels = labels
+                    .strip_suffix('}')
+                    .ok_or_else(|| err("unclosed labels"))?;
+                let le = labels
+                    .strip_prefix("le=\"")
+                    .and_then(|v| v.strip_suffix('"'));
                 let le = match le {
                     Some("+Inf") => Some(u64::MAX),
                     Some(v) => Some(v.parse().map_err(|_| err("bad le bound"))?),
@@ -435,11 +446,7 @@ pub fn parse_prometheus(text: &str) -> Result<PromText, String> {
                 (name.to_string(), le)
             }
         };
-        out.samples.push(PromSample {
-            name,
-            le,
-            value,
-        });
+        out.samples.push(PromSample { name, le, value });
     }
     Ok(out)
 }
@@ -459,8 +466,16 @@ mod tests {
         // 100000ms exceeds the largest finite bound (32768): overflow.
         let cum = h.cumulative();
         assert_eq!(cum.last(), Some(&(None, 7)));
-        assert_eq!(h.quantile(0.5), Some(QuantileBound::Finite(4)), "4 of 7 within <=4ms");
-        assert_eq!(h.quantile(0.7), Some(QuantileBound::Finite(8)), "5 of 7 within <=8ms");
+        assert_eq!(
+            h.quantile(0.5),
+            Some(QuantileBound::Finite(4)),
+            "4 of 7 within <=4ms"
+        );
+        assert_eq!(
+            h.quantile(0.7),
+            Some(QuantileBound::Finite(8)),
+            "5 of 7 within <=8ms"
+        );
         // p90 of 7 observations is the 7th (the overflow one): the
         // +Inf bucket has no finite upper bound, so the quantile is
         // Overflow — never a made-up finite number.

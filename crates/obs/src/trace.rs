@@ -413,9 +413,7 @@ fn check_line(
                 }
             }
             "gauge" => {
-                if key(idx) == Some("value")
-                    && matches!(obj[idx].1, Json::Num(_) | Json::Null)
-                {
+                if key(idx) == Some("value") && matches!(obj[idx].1, Json::Num(_) | Json::Null) {
                     idx += 1;
                 } else {
                     bad!("gauge needs a numeric (or null) `value`");
@@ -534,8 +532,9 @@ pub fn scan_trace(text: &str) -> TraceScan {
                 let open = timing_open.entry(span_id.clone()).or_insert(0);
                 *open -= 1;
                 if *open < 0 {
-                    scan.errors
-                        .push(format!("line {ln}: span.exit for {span_id} before its enter"));
+                    scan.errors.push(format!(
+                        "line {ln}: span.exit for {span_id} before its enter"
+                    ));
                 }
                 let agg = scan.summary.spans.entry(span_id).or_default();
                 agg.count += 1;
@@ -554,15 +553,17 @@ pub fn scan_trace(text: &str) -> TraceScan {
                     ));
                 }
                 None => {
-                    scan.errors
-                        .push(format!("line {ln}: span.exit for {span_id} with no open span"));
+                    scan.errors.push(format!(
+                        "line {ln}: span.exit for {span_id} with no open span"
+                    ));
                 }
             },
             _ => unreachable!("event name was matched above"),
         }
     }
     for (id, _) in stack {
-        scan.errors.push(format!("end of trace: span {id} never exited"));
+        scan.errors
+            .push(format!("end of trace: span {id} never exited"));
     }
     for (id, open) in timing_open {
         if open > 0 {
@@ -635,11 +636,15 @@ mod tests {
         .expect("parse");
         assert_eq!(j.get("scope").and_then(Json::as_str), Some("fm"));
         assert_eq!(
-            j.get("fields").and_then(|f| f.get("s")).and_then(Json::as_str),
+            j.get("fields")
+                .and_then(|f| f.get("s"))
+                .and_then(Json::as_str),
             Some("a\"b\\c\nd\u{1}")
         );
         assert_eq!(
-            j.get("timing").and_then(|t| t.get("wall_ms")).and_then(Json::as_u64),
+            j.get("timing")
+                .and_then(|t| t.get("wall_ms"))
+                .and_then(Json::as_u64),
             Some(7)
         );
         // Numbers, escapes, nesting.
@@ -684,7 +689,10 @@ mod tests {
     fn schema_violations_are_reported() {
         let cases = [
             (r#"{"event":"x","scope":"a","level":"info"}"#, "key 1"),
-            (r#"{"scope":"a","event":"x","level":"loud"}"#, "unknown level"),
+            (
+                r#"{"scope":"a","event":"x","level":"loud"}"#,
+                "unknown level",
+            ),
             (
                 r#"{"scope":"a","event":"x","level":"info","kind":"counter","value":-1}"#,
                 "non-negative",
@@ -705,9 +713,15 @@ mod tests {
                 r#"{"scope":"a","event":"x","level":"info","fields":{"a":1,"a":2}}"#,
                 "duplicate key",
             ),
-            (r#"{"scope":"a","event":"x","level":"info","extra":1}"#, "trailing keys"),
+            (
+                r#"{"scope":"a","event":"x","level":"info","extra":1}"#,
+                "trailing keys",
+            ),
             (r#"[1,2]"#, "not a JSON object"),
-            (r#"{"scope":"a","event":"span.exit","level":"debug"}"#, "`span` field"),
+            (
+                r#"{"scope":"a","event":"span.exit","level":"debug"}"#,
+                "`span` field",
+            ),
             (
                 r#"{"scope":"a","event":"span.exit","level":"debug","fields":{"span":"x"}}"#,
                 "no open span",
@@ -734,8 +748,16 @@ mod tests {
         let a_exit = Event::new("a", "span.exit", Level::Debug).field("span", "outer");
         let b_exit = Event::new("b", "span.exit", Level::Debug).field("span", "inner");
         // Crossed exits.
-        let scan = scan_trace(&to_jsonl(&[a.clone(), b.clone(), a_exit.clone(), b_exit.clone()]));
-        assert!(scan.errors.iter().any(|e| e.contains("innermost open span")));
+        let scan = scan_trace(&to_jsonl(&[
+            a.clone(),
+            b.clone(),
+            a_exit.clone(),
+            b_exit.clone(),
+        ]));
+        assert!(scan
+            .errors
+            .iter()
+            .any(|e| e.contains("innermost open span")));
         // Never closed.
         let scan = scan_trace(&to_jsonl(&[a.clone(), b.clone(), b_exit.clone()]));
         assert!(scan.errors.iter().any(|e| e.contains("never exited")));
@@ -746,7 +768,8 @@ mod tests {
 
     #[test]
     fn timing_scope_spans_balance_by_count_not_order() {
-        let enter = |_w: u64| Event::new(TIMING_SCOPE, "span.enter", Level::Debug).field("span", "worker");
+        let enter =
+            |_w: u64| Event::new(TIMING_SCOPE, "span.enter", Level::Debug).field("span", "worker");
         let exit = |_w: u64| {
             Event::new(TIMING_SCOPE, "span.exit", Level::Debug)
                 .field("span", "worker")
@@ -755,7 +778,13 @@ mod tests {
         // Interleaved enters/exits from two workers: fine.
         let scan = scan_trace(&to_jsonl(&[enter(0), enter(1), exit(0), exit(1)]));
         assert!(scan.is_valid(), "errors: {:?}", scan.errors);
-        assert_eq!(scan.summary.spans["timing/worker"], SpanAgg { count: 2, total_us: 1000 });
+        assert_eq!(
+            scan.summary.spans["timing/worker"],
+            SpanAgg {
+                count: 2,
+                total_us: 1000
+            }
+        );
         // Exit before any enter: error.
         let scan = scan_trace(&to_jsonl(&[exit(0)]));
         assert!(scan.errors.iter().any(|e| e.contains("before its enter")));
@@ -767,12 +796,17 @@ mod tests {
     #[test]
     fn diff_stripped_ignores_timing_and_finds_real_divergence() {
         let base = [
-            Event::new("fm", "pass", Level::Debug).field("cut", 10u64).timing("wall_ms", 5u64),
+            Event::new("fm", "pass", Level::Debug)
+                .field("cut", 10u64)
+                .timing("wall_ms", 5u64),
             Event::new("fm", "done", Level::Info).field("cut", 8u64),
         ];
         let mut noisy = base.to_vec();
         noisy[0].timing = vec![("wall_ms", crate::event::Value::U64(900))];
-        noisy.insert(1, Event::new(TIMING_SCOPE, "claim", Level::Debug).field("worker", 3u64));
+        noisy.insert(
+            1,
+            Event::new(TIMING_SCOPE, "claim", Level::Debug).field("worker", 3u64),
+        );
         assert_eq!(diff_stripped(&to_jsonl(&base), &to_jsonl(&noisy)), None);
 
         let mut diverged = base.to_vec();

@@ -259,7 +259,10 @@ pub fn profile_table(title: impl Into<String>, profile: &netpart_obs::Profile) -
         if wall > 0 { "100.0".into() } else { "-".into() },
     ]);
     let name_width = rows.iter().map(|r| r[0].len()).max().unwrap_or(0);
-    let mut t = Table::new(title, &["Phase", "Count", "Incl (ms)", "Excl (ms)", "% wall"]);
+    let mut t = Table::new(
+        title,
+        &["Phase", "Count", "Incl (ms)", "Excl (ms)", "% wall"],
+    );
     for mut row in rows {
         // Trailing pad: equal-length phase cells defeat right alignment.
         row[0] = format!("{:<name_width$}", row[0]);

@@ -106,7 +106,9 @@ impl CacheEntry {
             .and_then(|v| u64::from_str_radix(v, 16).ok())
             .ok_or_else(|| format!("bad key line {key_line:?}"))?;
         let mut section = |name: &str| -> Result<String, String> {
-            let head = lines.next().ok_or_else(|| format!("missing {name} count"))?;
+            let head = lines
+                .next()
+                .ok_or_else(|| format!("missing {name} count"))?;
             let n: usize = head
                 .strip_prefix(name)
                 .and_then(|v| v.trim().parse().ok())
@@ -182,7 +184,10 @@ impl DiskCache {
             Err(reason) => return self.evict(&path, reason),
         };
         if entry.key != key {
-            return self.evict(&path, format!("key mismatch: entry says {:016x}", entry.key));
+            return self.evict(
+                &path,
+                format!("key mismatch: entry says {:016x}", entry.key),
+            );
         }
         match verify_text(hg, &entry.cert) {
             Ok(report) if report.is_clean() => CacheLookup::Hit(entry),

@@ -22,9 +22,7 @@
 //! fails its checksum (or does not parse) is never executed — the
 //! server quarantines the job as invalid input.
 
-use netpart_core::{
-    BipartitionConfig, Budget, KWayConfig, PartitionError, ReplicationMode,
-};
+use netpart_core::{BipartitionConfig, Budget, KWayConfig, PartitionError, ReplicationMode};
 use netpart_fpga::DeviceLibrary;
 use netpart_hypergraph::Hypergraph;
 use netpart_rng::Fnv1a;

@@ -180,12 +180,17 @@ pub fn submit_job(
         .count();
     let open = queue.open_count() + unadmitted;
     if open >= max_queue {
-        return Ok(SubmitOutcome::QueueFull { open, max: max_queue });
+        return Ok(SubmitOutcome::QueueFull {
+            open,
+            max: max_queue,
+        });
     }
     let inj = Injector::none();
     atomic_write(&jobs_dir.join(format!("{id}.blif")), blif.as_bytes(), &inj)?;
     atomic_write(&spec_path, text.as_bytes(), &inj)?;
-    Ok(SubmitOutcome::Submitted { job: id.to_string() })
+    Ok(SubmitOutcome::Submitted {
+        job: id.to_string(),
+    })
 }
 
 /// The `.job` file stems under `dir`, sorted (the admission order).
@@ -421,8 +426,13 @@ impl Server {
                 // count depends on backoff/watch pacing): reserved
                 // scope, stripped whole-line by determinism checks.
                 let recorder = Arc::clone(&self.recorder);
-                let round_span =
-                    Span::enter_with(recorder.as_ref(), TIMING_SCOPE, "round", "round", self.round);
+                let round_span = Span::enter_with(
+                    recorder.as_ref(),
+                    TIMING_SCOPE,
+                    "round",
+                    "round",
+                    self.round,
+                );
                 for job in eligible {
                     if self.drain_requested() {
                         drained = true;
@@ -562,8 +572,13 @@ impl Server {
         self.report.executed += 1;
 
         let recorder = Arc::clone(&self.recorder);
-        let span =
-            Span::enter_with(recorder.as_ref(), "serve", "execute", "job", job.to_string());
+        let span = Span::enter_with(
+            recorder.as_ref(),
+            "serve",
+            "execute",
+            "job",
+            job.to_string(),
+        );
         let outcome = self
             .prepare(job)
             .and_then(|prep| self.attempt(job, attempt, &prep));
@@ -741,7 +756,10 @@ impl Server {
                         100.0 * part.iob_util
                     );
                 }
-                let cert = pres.certificate(&prep.hg, &cfg).with_source(&source).to_text();
+                let cert = pres
+                    .certificate(&prep.hg, &cfg)
+                    .with_source(&source)
+                    .to_text();
                 Ok((s, Some(cert)))
             }
         }

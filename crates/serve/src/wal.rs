@@ -194,11 +194,9 @@ impl WalRecord {
                 attempt,
                 delay,
             } => format!("retry {job} {attempt} {delay}"),
-            WalRecord::Quarantine {
-                job,
-                attempts,
-                msg,
-            } => format!("quarantine {job} {attempts} {}", escape(msg)),
+            WalRecord::Quarantine { job, attempts, msg } => {
+                format!("quarantine {job} {attempts} {}", escape(msg))
+            }
         }
     }
 
@@ -230,9 +228,7 @@ impl WalRecord {
         }
         let mut tok = body.split(' ');
         let mut next = |what: &str| tok.next().ok_or_else(|| format!("missing {what}"));
-        let seq: u64 = next("seq")?
-            .parse()
-            .map_err(|e| format!("bad seq: {e}"))?;
+        let seq: u64 = next("seq")?.parse().map_err(|e| format!("bad seq: {e}"))?;
         let label = next("label")?;
         let job = next("job")?.to_string();
         let rec = match label {
@@ -257,8 +253,7 @@ impl WalRecord {
                     .parse()
                     .map_err(|e| format!("bad attempt: {e}"))?,
                 cached: next("cached")? == "1",
-                key: u64::from_str_radix(next("key")?, 16)
-                    .map_err(|e| format!("bad key: {e}"))?,
+                key: u64::from_str_radix(next("key")?, 16).map_err(|e| format!("bad key: {e}"))?,
             },
             "fail" => WalRecord::Fail {
                 job,
@@ -453,9 +448,7 @@ impl Wal {
     pub fn replay_readonly(path: &Path) -> Result<Recovery, ServeError> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Recovery::default())
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Recovery::default()),
             Err(e) => {
                 return Err(ServeError::io(format!(
                     "read journal {}: {e}",
@@ -596,7 +589,10 @@ mod tests {
         assert_eq!(rec.records.len(), 7);
         assert_eq!(wal.next_seq(), 8);
         assert_eq!(
-            rec.records.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
+            rec.records
+                .iter()
+                .map(|(_, r)| r.clone())
+                .collect::<Vec<_>>(),
             sample_records()
         );
         let _ = std::fs::remove_dir_all(&d);

@@ -96,9 +96,7 @@ fn every_single_bit_flip_is_detected_and_evicted() {
             std::fs::write(&entry_path, &poisoned).expect("write poisoned");
             let cache = DiskCache::open(&spool.join("cache")).expect("open cache");
             match cache.load(key, &hg) {
-                CacheLookup::Hit(_) => panic!(
-                    "bit {bit} of byte {byte} served despite corruption"
-                ),
+                CacheLookup::Hit(_) => panic!("bit {bit} of byte {byte} served despite corruption"),
                 CacheLookup::Evicted { .. } => {
                     assert!(
                         !entry_path.exists(),
@@ -108,9 +106,9 @@ fn every_single_bit_flip_is_detected_and_evicted() {
                 // A flip inside the key digits of the filename-keyed
                 // content can also manifest as a key mismatch eviction;
                 // a plain miss can only happen if the file vanished.
-                CacheLookup::Miss => panic!(
-                    "byte {byte} bit {bit}: entry file ignored instead of evicted"
-                ),
+                CacheLookup::Miss => {
+                    panic!("byte {byte} bit {bit}: entry file ignored instead of evicted")
+                }
             }
         }
     }
@@ -163,7 +161,10 @@ fn eviction_recomputes_and_repopulates() {
 
     let cert = std::fs::read_to_string(spool.join("results/again.cert")).expect("cert");
     let report = verify_text(&hypergraph(), &cert).expect("cert parses");
-    assert!(report.is_clean(), "recomputed certificate rejected: {report}");
+    assert!(
+        report.is_clean(),
+        "recomputed certificate rejected: {report}"
+    );
 
     // The recompute repopulated the cache: a third identical job hits.
     assert!(entry_path.exists(), "cache not repopulated after eviction");

@@ -25,10 +25,7 @@ use netpart_serve::{
 use std::path::{Path, PathBuf};
 
 fn tdir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "netpart-recovery-{name}-{}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("netpart-recovery-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).expect("temp dir");
     d
@@ -132,10 +129,7 @@ fn assert_done_with_verified_cert(spool: &Path, job: &str) {
         .expect("map")
         .to_hypergraph(&nl);
     let report = netpart_verify::verify_text(&hg, &cert).expect("certificate parses");
-    assert!(
-        report.is_clean(),
-        "served certificate rejected: {report}"
-    );
+    assert!(report.is_clean(), "served certificate rejected: {report}");
 }
 
 /// Crash after each journal transition of the happy path; the job must
@@ -353,7 +347,10 @@ fn corrupt_spec_quarantines_immediately() {
     match &entry.state {
         JobState::Quarantined { attempts, msg } => {
             assert_eq!(*attempts, 1, "no retries for permanent errors");
-            assert!(msg.contains("checksum") || msg.contains("job spec"), "{msg}");
+            assert!(
+                msg.contains("checksum") || msg.contains("job spec"),
+                "{msg}"
+            );
         }
         other => panic!("expected quarantine, got {other:?}"),
     }

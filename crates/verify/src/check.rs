@@ -423,7 +423,11 @@ impl fmt::Display for VerifyReport {
             }
             return Ok(());
         }
-        writeln!(f, "certificate REJECTED: {} violation(s)", self.violations.len())?;
+        writeln!(
+            f,
+            "certificate REJECTED: {} violation(s)",
+            self.violations.len()
+        )?;
         for v in &self.violations {
             writeln!(f, "  [{}] {v}", v.code())?;
         }
@@ -847,12 +851,18 @@ fn check_board(
         let mut valid = true;
         for &c in channels {
             if (c as usize) >= board.channels.len() {
-                violations.push(Violation::PhantomChannel { net: *net, channel: c });
+                violations.push(Violation::PhantomChannel {
+                    net: *net,
+                    channel: c,
+                });
                 valid = false;
                 continue;
             }
             if seen.contains(&c) {
-                violations.push(Violation::RouteDuplicateChannel { net: *net, channel: c });
+                violations.push(Violation::RouteDuplicateChannel {
+                    net: *net,
+                    channel: c,
+                });
             } else {
                 seen.push(c);
             }
@@ -861,9 +871,7 @@ fn check_board(
             continue;
         }
         // Connectivity: all touched sites in one component of the route.
-        let idx = cut_actual
-            .binary_search(net)
-            .expect("checked in_cut above");
+        let idx = cut_actual.binary_search(net).expect("checked in_cut above");
         let sites = &cut_parts[idx];
         if sites.iter().any(|&s| s >= board.sites) {
             continue; // already reported as BoardSiteOverflow
@@ -881,7 +889,10 @@ fn check_board(
             if (ch.a as usize) >= board.sites || (ch.b as usize) >= board.sites {
                 continue; // already reported as ChannelEndpointOutOfRange
             }
-            let (ra, rb) = (find(&mut root, ch.a as usize), find(&mut root, ch.b as usize));
+            let (ra, rb) = (
+                find(&mut root, ch.a as usize),
+                find(&mut root, ch.b as usize),
+            );
             root[ra] = rb;
         }
         let anchor = find(&mut root, sites[0]);

@@ -73,7 +73,10 @@ fn generous(name: &str, price: u64) -> DeviceSpec {
 /// circuit, built by bootstrapping the claims from the verifier's own
 /// recomputation (so base-cleanliness is guaranteed by construction,
 /// not by duplicating the claim math here).
-fn base_certificate(hg: &netpart_hypergraph::Hypergraph, placement: &Placement) -> SolutionCertificate {
+fn base_certificate(
+    hg: &netpart_hypergraph::Hypergraph,
+    placement: &Placement,
+) -> SolutionCertificate {
     let mut cert = SolutionCertificate::from_bipartition(hg, placement, 7);
     cert.kind = CertKind::KWay;
     cert.library = vec![generous("gen-a", 100), generous("gen-b", 170)];
@@ -114,7 +117,10 @@ fn every_violation_code_is_stable_and_has_a_triggering_input() {
     }
     let base = base_certificate(&hg, &placement);
     let report = verify(&hg, &base);
-    assert!(report.is_clean(), "base certificate must be honest: {report}");
+    assert!(
+        report.is_clean(),
+        "base certificate must be honest: {report}"
+    );
     assert!(
         !base.claims.cut_nets.is_empty(),
         "the alternating placement must cut nets for the route cases"
@@ -147,8 +153,13 @@ fn every_violation_code_is_stable_and_has_a_triggering_input() {
             Box::new({
                 let ghost = hg.n_cells() as u32;
                 move |c| {
-                    c.cells
-                        .push((ghost, vec![CellCopySpec { part: 0, outputs: 1 }]))
+                    c.cells.push((
+                        ghost,
+                        vec![CellCopySpec {
+                            part: 0,
+                            outputs: 1,
+                        }],
+                    ))
                 }
             }),
         ),
@@ -160,16 +171,19 @@ fn every_violation_code_is_stable_and_has_a_triggering_input() {
             }),
         ),
         ("missing-cell", Box::new(|c| drop(c.cells.remove(0)))),
-        (
-            "part-out-of-range",
-            Box::new(|c| c.cells[0].1[0].part = 2),
-        ),
+        ("part-out-of-range", Box::new(|c| c.cells[0].1[0].part = 2)),
         (
             "empty-copy",
             Box::new(move |c| {
                 c.cells[logic.index()].1 = vec![
-                    CellCopySpec { part: 0, outputs: logic_full },
-                    CellCopySpec { part: 1, outputs: 0 },
+                    CellCopySpec {
+                        part: 0,
+                        outputs: logic_full,
+                    },
+                    CellCopySpec {
+                        part: 1,
+                        outputs: 0,
+                    },
                 ];
             }),
         ),
@@ -182,8 +196,14 @@ fn every_violation_code_is_stable_and_has_a_triggering_input() {
             Box::new(move |c| {
                 let full = c.cells[pad.index()].1[0].outputs;
                 c.cells[pad.index()].1 = vec![
-                    CellCopySpec { part: 0, outputs: full },
-                    CellCopySpec { part: 1, outputs: 0 },
+                    CellCopySpec {
+                        part: 0,
+                        outputs: full,
+                    },
+                    CellCopySpec {
+                        part: 1,
+                        outputs: 0,
+                    },
                 ];
             }),
         ),
@@ -211,7 +231,10 @@ fn every_violation_code_is_stable_and_has_a_triggering_input() {
                 c.claims.cut_nets.remove(0);
             }),
         ),
-        ("part-clb-mismatch", Box::new(|c| c.claims.part_clbs[0] += 1)),
+        (
+            "part-clb-mismatch",
+            Box::new(|c| c.claims.part_clbs[0] += 1),
+        ),
         (
             "part-terminal-mismatch",
             Box::new(|c| c.claims.part_terminals[0] += 1),
@@ -271,7 +294,11 @@ fn every_violation_code_is_stable_and_has_a_triggering_input() {
         ),
         (
             "route-disconnected",
-            Box::new(|c| c.board.as_mut().expect("board attached").routes[0].1.clear()),
+            Box::new(|c| {
+                c.board.as_mut().expect("board attached").routes[0]
+                    .1
+                    .clear()
+            }),
         ),
         (
             "hops-mismatch",

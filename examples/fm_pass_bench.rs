@@ -117,15 +117,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let area = hg.total_area();
     let lib = DeviceLibrary::xc3000();
     let dev = lib.device(lib.index_of("XC3090").ok_or("no XC3090 in the library")?);
-    let cfg = BipartitionConfig::bounded(
-        [dev.min_clbs(), 0],
-        [dev.max_clbs().min(area - 1), area],
-    )
-    .with_seed(1)
-    .with_max_passes(8)
-    .with_replication(ReplicationMode::functional(0))
-    .with_terminal_weight([1, 0])
-    .with_max_growth(Some((area / 16).max(4)));
+    let cfg = BipartitionConfig::bounded([dev.min_clbs(), 0], [dev.max_clbs().min(area - 1), area])
+        .with_seed(1)
+        .with_max_passes(8)
+        .with_replication(ReplicationMode::functional(0))
+        .with_terminal_weight([1, 0])
+        .with_max_growth(Some((area / 16).max(4)));
     let (ms, cut, passes) = time_buckets(&hg, &cfg, reps);
     let pass_ms = ms / passes as f64;
     println!();

@@ -54,7 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut t = Table::new(
         "Multilevel V-cycle vs flat FM (Rent-rule synthetics, p = 0.65)",
         &[
-            "gates", "CLBs", "flat (ms)", "ml (ms)", "speedup", "cut flat/ml", "levels",
+            "gates",
+            "CLBs",
+            "flat (ms)",
+            "ml (ms)",
+            "speedup",
+            "cut flat/ml",
+            "levels",
         ],
     );
     let mut snap = MetricsSnapshot::new();

@@ -152,9 +152,7 @@ use netpart::prelude::*;
 use netpart::report::{
     metrics_table, profile_table, violation_table, worker_table, Table, WorkerRow,
 };
-use netpart::serve::{
-    atomic_write, CrashMode, Injector, JobState, QueueState, ServeError, Wal,
-};
+use netpart::serve::{atomic_write, CrashMode, Injector, JobState, QueueState, ServeError, Wal};
 use std::error::Error;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -767,7 +765,12 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     }
     let mut routed = None;
     if let Some(spec) = &f.board {
-        routed = Some(route_board(spec, &hg, &res.placement, obs.recorder.as_ref())?);
+        routed = Some(route_board(
+            spec,
+            &hg,
+            &res.placement,
+            obs.recorder.as_ref(),
+        )?);
     }
     if let Some(out) = &f.assign {
         let mut csv = String::from("cell,part,outputs_mask\n");
@@ -975,9 +978,16 @@ fn cmd_queue(spool: &str) -> Result<(), Box<dyn Error>> {
     let spool = Path::new(spool);
     let replay = Wal::replay_readonly(&spool.join("journal.wal"))?;
     let queue = QueueState::replay(replay.records.iter().map(|(_, r)| r));
-    println!("{} journal record(s), {} open job(s)", replay.records.len(), queue.open_count());
+    println!(
+        "{} journal record(s), {} open job(s)",
+        replay.records.len(),
+        queue.open_count()
+    );
     if replay.torn_tail {
-        println!("warning: torn journal tail ({} byte(s) pending truncation by the server)", replay.truncated_bytes);
+        println!(
+            "warning: torn journal tail ({} byte(s) pending truncation by the server)",
+            replay.truncated_bytes
+        );
     }
     for e in queue.jobs() {
         let state = match &e.state {
@@ -1133,7 +1143,10 @@ fn cmd_serve_status(spool: &str) -> Result<(), Box<dyn Error>> {
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let prom = parse_prometheus(&text)?;
-    let mut t = Table::new(format!("service metrics ({spool})"), &["Metric", "Kind", "Value"]);
+    let mut t = Table::new(
+        format!("service metrics ({spool})"),
+        &["Metric", "Kind", "Value"],
+    );
     for (name, ty) in &prom.types {
         match ty.as_str() {
             "histogram" => {
@@ -1166,7 +1179,9 @@ fn cmd_serve_status(spool: &str) -> Result<(), Box<dyn Error>> {
 
 fn cmd_synth(gates: &str, out: Option<&String>, f: &Flags) -> Result<(), Box<dyn Error>> {
     let gates: usize = gates.parse()?;
-    let mut cfg = GeneratorConfig::new(gates).with_dff(f.dff).with_seed(f.seed);
+    let mut cfg = GeneratorConfig::new(gates)
+        .with_dff(f.dff)
+        .with_seed(f.seed);
     if let Some(p) = f.rent {
         cfg = cfg.with_rent(p);
     }

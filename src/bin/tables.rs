@@ -54,14 +54,20 @@ fn parse_args() -> Result<Options, String> {
             args.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match a.as_str() {
-            "--runs" => opts.runs = need("--runs")?.parse().map_err(|e| format!("--runs: {e}"))?,
+            "--runs" => {
+                opts.runs = need("--runs")?
+                    .parse()
+                    .map_err(|e| format!("--runs: {e}"))?
+            }
             "--candidates" => {
                 opts.candidates = need("--candidates")?
                     .parse()
                     .map_err(|e| format!("--candidates: {e}"))?
             }
             "--scale" => {
-                opts.scale = need("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?
+                opts.scale = need("--scale")?
+                    .parse()
+                    .map_err(|e| format!("--scale: {e}"))?
             }
             "--kway-scale" => {
                 opts.kway_scale = need("--kway-scale")?
@@ -69,9 +75,7 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--kway-scale: {e}"))?
             }
             "--out" => opts.out = PathBuf::from(need("--out")?),
-            "--only" => {
-                opts.only = need("--only")?.split(',').map(str::to_string).collect()
-            }
+            "--only" => opts.only = need("--only")?.split(',').map(str::to_string).collect(),
             "--timing" => opts.timing = Timing::Wall,
             _ if a.starts_with('-') => return Err(format!("unknown flag {a}")),
             _ if opts.exhibit.is_empty() => opts.exhibit = a,
@@ -96,7 +100,11 @@ fn emit(table: &Table, out: &PathBuf, file: &str) {
     }
 }
 
-fn build_suite(scale: usize, only: &[&str], what: &str) -> Vec<(String, netpart::hypergraph::Hypergraph)> {
+fn build_suite(
+    scale: usize,
+    only: &[&str],
+    what: &str,
+) -> Vec<(String, netpart::hypergraph::Hypergraph)> {
     eprintln!(
         "building benchmark suite for {what} (scale 1/{scale}, circuits: {}) ...",
         if only.is_empty() { "all" } else { "subset" }

@@ -71,7 +71,10 @@ impl fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExperimentError::UnknownCircuit { name, expected } => {
-                write!(f, "unknown benchmark {name:?} (expected one of: {expected})")
+                write!(
+                    f,
+                    "unknown benchmark {name:?} (expected one of: {expected})"
+                )
             }
             ExperimentError::MappingFailed { name, reason } => {
                 write!(f, "technology mapping failed for {name}: {reason}")
@@ -156,7 +159,15 @@ pub fn table1() -> Table {
     let lib = DeviceLibrary::xc3000();
     let mut t = Table::new(
         "Table I — XC3000 device library subset",
-        &["Device", "c_i (CLB)", "t_i (IOB)", "d_i (N$)", "l_i", "u_i", "d_i/c_i"],
+        &[
+            "Device",
+            "c_i (CLB)",
+            "t_i (IOB)",
+            "d_i (N$)",
+            "l_i",
+            "u_i",
+            "d_i/c_i",
+        ],
     );
     for d in &lib {
         t.row([
@@ -198,7 +209,16 @@ pub fn table2(suite: &[(String, Hypergraph)]) -> Table {
 pub fn figure3(suite: &[(String, Hypergraph)]) -> Table {
     let mut t = Table::new(
         "Figure 3 — cell distribution vs replication potential ψ (% of cells)",
-        &["Circuit", "ψ=0 (1-out)", "ψ=0* (multi)", "ψ=1", "ψ=2", "ψ=3", "ψ=4", "ψ≥5"],
+        &[
+            "Circuit",
+            "ψ=0 (1-out)",
+            "ψ=0* (multi)",
+            "ψ=1",
+            "ψ=2",
+            "ψ=3",
+            "ψ=4",
+            "ψ≥5",
+        ],
     );
     for (name, hg) in suite {
         let mut buckets = [0usize; 7];
@@ -221,11 +241,7 @@ pub fn figure3(suite: &[(String, Hypergraph)]) -> Table {
             buckets[idx] += 1;
         }
         let mut row = vec![name.clone()];
-        row.extend(
-            buckets
-                .iter()
-                .map(|&b| pct(b as f64 / total.max(1) as f64)),
-        );
+        row.extend(buckets.iter().map(|&b| pct(b as f64 / total.max(1) as f64)));
         t.row(row);
     }
     t
@@ -334,8 +350,15 @@ pub fn table3(
     let mut t = Table::new(
         format!("Table III — cutset size over {runs} runs (equal halves, T = 0)"),
         &[
-            "Circuit", "FM best", "FM avg", "FR best", "FR avg", "Best red %", "Avg red %",
-            "Repl cells", "CPU ovh %",
+            "Circuit",
+            "FM best",
+            "FM avg",
+            "FR best",
+            "FR avg",
+            "Best red %",
+            "Avg red %",
+            "Repl cells",
+            "CPU ovh %",
         ],
     );
     let cpu = |r: &Table3Record| match timing {
@@ -500,7 +523,14 @@ pub fn tables_4_to_7(
     let thresholds = [None, Some(0), Some(1), Some(2), Some(3)];
     let mut all = Vec::new();
     for (name, hg) in suite {
-        all.extend(kway_experiment(name, hg, &thresholds, candidates, seed, timing));
+        all.extend(kway_experiment(
+            name,
+            hg,
+            &thresholds,
+            candidates,
+            seed,
+            timing,
+        ));
     }
     let by = |name: &str, th: Option<u32>| -> Result<&KWayRecord, ExperimentError> {
         all.iter()
@@ -517,19 +547,33 @@ pub fn tables_4_to_7(
 
     let mut t4 = Table::new(
         format!("Table IV — replicated cells (%) and CPU cost ({candidates} feasible partitions)"),
-        &["Circuit", "T=0 %", "T=1 %", "T=2 %", "T=3 %", "CPU T=3 (s)", "CPU [3] (s)"],
+        &[
+            "Circuit",
+            "T=0 %",
+            "T=1 %",
+            "T=2 %",
+            "T=3 %",
+            "CPU T=3 (s)",
+            "CPU [3] (s)",
+        ],
     );
     let mut t5 = Table::new(
         "Table V — average CLB utilization (%) after partitioning",
-        &["Circuit", "[3]", "T=1", "Incr.", "T=2", "Incr.", "T=3", "Incr."],
+        &[
+            "Circuit", "[3]", "T=1", "Incr.", "T=2", "Incr.", "T=3", "Incr.",
+        ],
     );
     let mut t6 = Table::new(
         "Table VI — total device cost after partitioning",
-        &["Circuit", "[3]", "T=1", "Red. %", "T=2", "Red. %", "T=3", "Red. %"],
+        &[
+            "Circuit", "[3]", "T=1", "Red. %", "T=2", "Red. %", "T=3", "Red. %",
+        ],
     );
     let mut t7 = Table::new(
         "Table VII — average IOB utilization (%) after partitioning",
-        &["Circuit", "[3]", "T=1", "Red. %", "T=2", "Red. %", "T=3", "Red. %"],
+        &[
+            "Circuit", "[3]", "T=1", "Red. %", "T=2", "Red. %", "T=3", "Red. %",
+        ],
     );
 
     for (name, _) in suite {
@@ -559,7 +603,10 @@ pub fn tables_4_to_7(
                 pct(1.0 - r.cost as f64 / base.cost.max(1) as f64),
             ));
             row7.push(fmt_or_dash(r.feasible, pct(r.iob_util)));
-            row7.push(fmt_or_dash(ok, pct(1.0 - r.iob_util / base.iob_util.max(1e-9))));
+            row7.push(fmt_or_dash(
+                ok,
+                pct(1.0 - r.iob_util / base.iob_util.max(1e-9)),
+            ));
         }
         t5.row(row5);
         t6.row(row6);
@@ -621,7 +668,14 @@ pub fn board_matrix(
     let mut t = Table::new(
         "Board matrix — cut nets routed over the builtin board topologies",
         &[
-            "Circuit", "Board", "Parts", "Routed", "Hops", "Congestion", "Overflow", "Max util",
+            "Circuit",
+            "Board",
+            "Parts",
+            "Routed",
+            "Hops",
+            "Congestion",
+            "Overflow",
+            "Max util",
             "Legal",
         ],
     );

@@ -25,10 +25,7 @@ struct Lab {
 
 impl Lab {
     fn new(tag: &str, gates: u32) -> Lab {
-        let dir = std::env::temp_dir().join(format!(
-            "netpart-board-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("netpart-board-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let lab = Lab { dir };
         let out = netpart()

@@ -57,7 +57,10 @@ fn kway_certificate_round_trips_clean_and_bit_exact() {
     assert!(report.is_clean(), "honest certificate rejected: {report}");
     // The independent recomputation reproduces the paper metrics
     // bit-for-bit, not just approximately.
-    assert_eq!(report.recomputed().total_cost, Some(res.evaluation.total_cost));
+    assert_eq!(
+        report.recomputed().total_cost,
+        Some(res.evaluation.total_cost)
+    );
     assert_eq!(
         report.recomputed().kbar.map(f64::to_bits),
         Some(res.evaluation.avg_iob_util.to_bits())
@@ -76,8 +79,14 @@ fn engine_portfolio_certificates_round_trip_clean() {
     let cert = pres
         .certificate(&hg, &bcfg)
         .expect("winner exports a placement");
-    let report = verify(&hg, &SolutionCertificate::parse(&cert.to_text()).expect("parses"));
-    assert!(report.is_clean(), "portfolio certificate rejected: {report}");
+    let report = verify(
+        &hg,
+        &SolutionCertificate::parse(&cert.to_text()).expect("parses"),
+    );
+    assert!(
+        report.is_clean(),
+        "portfolio certificate rejected: {report}"
+    );
 
     let kcfg = KWayConfig::new(DeviceLibrary::xc3000())
         .with_candidates(2)
@@ -85,8 +94,14 @@ fn engine_portfolio_certificates_round_trip_clean() {
         .with_max_passes(8);
     let (kres, _) = engine.kway(&hg, &kcfg, 3).expect("portfolio completes");
     let kcert = kres.certificate(&hg, &kcfg);
-    let report = verify(&hg, &SolutionCertificate::parse(&kcert.to_text()).expect("parses"));
-    assert!(report.is_clean(), "k-way portfolio certificate rejected: {report}");
+    let report = verify(
+        &hg,
+        &SolutionCertificate::parse(&kcert.to_text()).expect("parses"),
+    );
+    assert!(
+        report.is_clean(),
+        "k-way portfolio certificate rejected: {report}"
+    );
 }
 
 #[test]
@@ -102,7 +117,10 @@ fn tampered_cost_claim_is_caught() {
     cert.claims.total_cost = Some(honest + 1);
     let report = verify(&hg, &cert);
     assert!(
-        report.violations().iter().any(|v| v.code() == "cost-mismatch"),
+        report
+            .violations()
+            .iter()
+            .any(|v| v.code() == "cost-mismatch"),
         "inflated cost not flagged: {report}"
     );
 }
@@ -119,7 +137,10 @@ fn tampered_cut_claim_is_caught() {
     cert.claims.cut_nets.sort_unstable();
     let report = verify(&hg, &cert);
     assert!(
-        report.violations().iter().any(|v| v.code() == "cut-net-not-cut"),
+        report
+            .violations()
+            .iter()
+            .any(|v| v.code() == "cut-net-not-cut"),
         "phantom cut claim not flagged: {report}"
     );
 }
@@ -149,9 +170,7 @@ fn moved_cell_invalidates_claims() {
     let entry = cert
         .cells
         .iter_mut()
-        .find(|(id, copies)| {
-            copies.len() == 1 && !hg.cell(CellId(*id)).is_terminal()
-        })
+        .find(|(id, copies)| copies.len() == 1 && !hg.cell(CellId(*id)).is_terminal())
         .expect("an unreplicated interior cell exists");
     entry.1[0].part ^= 1;
     let report = verify(&hg, &cert);

@@ -350,7 +350,10 @@ fn truncated_certificate_exits_six() {
 fn duplicate_cell_certificate_exits_six() {
     let (code, err) = verify_cert("cert_duplicate_cell.cert");
     assert_eq!(code, Some(6));
-    assert!(err.contains("duplicate-cell"), "stderr lacks the code: {err}");
+    assert!(
+        err.contains("duplicate-cell"),
+        "stderr lacks the code: {err}"
+    );
 }
 
 #[test]

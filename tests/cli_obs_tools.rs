@@ -63,8 +63,12 @@ fn trace_validate_accepts_flat_and_multilevel_traces() {
     let blif = synth(&dir, "400", "7");
     for (extra, tag) in [(&[][..], "flat"), (&["--multilevel"][..], "ml")] {
         let trace = traced(&dir, &blif, extra, tag);
-        let (stdout, _) = run_ok(netpart().args(["trace", "validate", trace.to_str().expect("utf8")]));
-        assert!(stdout.starts_with("ok:"), "unexpected validate output: {stdout}");
+        let (stdout, _) =
+            run_ok(netpart().args(["trace", "validate", trace.to_str().expect("utf8")]));
+        assert!(
+            stdout.starts_with("ok:"),
+            "unexpected validate output: {stdout}"
+        );
     }
 }
 
@@ -99,7 +103,10 @@ fn trace_diff_is_clean_across_jobs_and_flags_real_divergence() {
         t1.to_str().expect("utf8"),
         t8.to_str().expect("utf8"),
     ]));
-    assert!(stdout.contains("identical after timing strip"), "got: {stdout}");
+    assert!(
+        stdout.contains("identical after timing strip"),
+        "got: {stdout}"
+    );
     // A different seed is a real divergence: exit 1 and a located line.
     let other = traced(&dir, &blif, &["--jobs", "1", "--epsilon", "0.3"], "eps");
     let out = netpart()
@@ -124,7 +131,13 @@ fn trace_summarize_renders_event_and_span_tables() {
     let blif = synth(&dir, "400", "11");
     let trace = traced(&dir, &blif, &[], "sum");
     let (stdout, _) = run_ok(netpart().args(["trace", "summarize", trace.to_str().expect("utf8")]));
-    for needle in ["events", "fm.pass", "spans", "fm/pass", "engine/bipartition"] {
+    for needle in [
+        "events",
+        "fm.pass",
+        "spans",
+        "fm/pass",
+        "engine/bipartition",
+    ] {
         assert!(stdout.contains(needle), "missing {needle} in:\n{stdout}");
     }
 }
@@ -148,12 +161,24 @@ fn profile_out_writes_a_self_time_tree_that_covers_the_run() {
         profile.to_str().expect("utf8"),
         "-v",
     ]));
-    assert!(stderr.contains("span profile"), "no profile table with -v: {stderr}");
+    assert!(
+        stderr.contains("span profile"),
+        "no profile table with -v: {stderr}"
+    );
     let text = std::fs::read_to_string(&profile).expect("profile written");
     let json = parse_json(&text).expect("profile is valid JSON");
-    let total = json.get("total_wall_us").and_then(|v| v.as_u64()).expect("total");
-    let covered = json.get("covered_us").and_then(|v| v.as_u64()).expect("covered");
-    assert!(covered <= total + total / 100, "covered {covered} overshoots wall {total}");
+    let total = json
+        .get("total_wall_us")
+        .and_then(|v| v.as_u64())
+        .expect("total");
+    let covered = json
+        .get("covered_us")
+        .and_then(|v| v.as_u64())
+        .expect("covered");
+    assert!(
+        covered <= total + total / 100,
+        "covered {covered} overshoots wall {total}"
+    );
     assert!(
         covered * 2 >= total,
         "instrumented spans cover under half the wall window: {covered}/{total}"
@@ -168,7 +193,10 @@ fn profile_out_writes_a_self_time_tree_that_covers_the_run() {
         "engine/bipartition",
         "fm/pass",
     ] {
-        assert!(text.contains(needle), "missing {needle} in profile:\n{text}");
+        assert!(
+            text.contains(needle),
+            "missing {needle} in profile:\n{text}"
+        );
     }
 }
 
@@ -199,13 +227,28 @@ fn serve_exposes_prometheus_metrics_and_serve_status_renders_them() {
     // metrics.prom parses and carries the service counters.
     let prom_text = std::fs::read_to_string(spool.join("metrics.prom")).expect("metrics.prom");
     let prom = parse_prometheus(&prom_text).expect("exposition parses");
-    assert_eq!(prom.value("netpart_serve_done_total"), Some(1.0), "in:\n{prom_text}");
-    assert_eq!(prom.value("netpart_serve_queue_depth"), Some(0.0), "drained queue");
+    assert_eq!(
+        prom.value("netpart_serve_done_total"),
+        Some(1.0),
+        "in:\n{prom_text}"
+    );
+    assert_eq!(
+        prom.value("netpart_serve_queue_depth"),
+        Some(0.0),
+        "drained queue"
+    );
     assert_eq!(prom.value("netpart_serve_latency_ms_count"), Some(1.0));
-    assert!(prom.histograms().contains(&"netpart_serve_latency_ms".to_string()));
+    assert!(prom
+        .histograms()
+        .contains(&"netpart_serve_latency_ms".to_string()));
     // serve-status renders the same numbers as a table.
     let (stdout, _) = run_ok(netpart().args(["serve-status", spool.to_str().expect("utf8")]));
-    for needle in ["netpart_serve_done_total", "netpart_serve_latency_ms", "p50", "p99"] {
+    for needle in [
+        "netpart_serve_done_total",
+        "netpart_serve_latency_ms",
+        "p50",
+        "p99",
+    ] {
         assert!(stdout.contains(needle), "missing {needle} in:\n{stdout}");
     }
 }

@@ -68,7 +68,10 @@ fn golden_csv_headers_match_the_drivers() {
     expect(table2(&[]).to_csv(), "table2.csv");
     expect(figure3(&[]).to_csv(), "figure3.csv");
     expect(
-        table3(&[], 20, Timing::Deterministic).expect("empty suite").0.to_csv(),
+        table3(&[], 20, Timing::Deterministic)
+            .expect("empty suite")
+            .0
+            .to_csv(),
         "table3.csv",
     );
     let (t4, t5, t6, t7, _) =

@@ -56,10 +56,14 @@ fn engine_cert(hg: &netpart::hypergraph::Hypergraph, seed: u64, jobs: usize, ml:
     let mut engine = Engine::new(jobs);
     if ml {
         engine = engine.with_multilevel(Some(
-            MultilevelConfig::new().with_min_cells(48).with_max_levels(8),
+            MultilevelConfig::new()
+                .with_min_cells(48)
+                .with_max_levels(8),
         ));
     }
-    let (stats, _) = engine.bipartition_many(hg, &cfg, 6).expect("portfolio runs");
+    let (stats, _) = engine
+        .bipartition_many(hg, &cfg, 6)
+        .expect("portfolio runs");
     let mut best = stats.best().clone();
     let out = engine
         .par_refine(hg, &cfg, &mut best)

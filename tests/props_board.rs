@@ -93,7 +93,11 @@ fn assert_routing_valid(board: &Board, demands: &[NetDemand], routing: &Routing)
         let mut parent: Vec<u32> = (0..board.n_sites() as u32).collect();
         for &c in &route.channels {
             let ch = board.channels()[c as usize];
-            assert!(!seen[c as usize], "duplicate channel {c} in net {}", route.net);
+            assert!(
+                !seen[c as usize],
+                "duplicate channel {c} in net {}",
+                route.net
+            );
             seen[c as usize] = true;
             loads[c as usize] += 1;
             hops += u64::from(ch.hop);
@@ -182,10 +186,8 @@ fn with_capacity(board: &Board, channel: usize, capacity: u32) -> Board {
                 n_channel_lines += 1;
                 if this == channel {
                     let cap = board.channels()[channel].capacity;
-                    return line.replace(
-                        &format!("capacity={cap}"),
-                        &format!("capacity={capacity}"),
-                    );
+                    return line
+                        .replace(&format!("capacity={cap}"), &format!("capacity={capacity}"));
                 }
             }
             line.to_string()

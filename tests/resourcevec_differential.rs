@@ -81,14 +81,26 @@ fn device_arithmetic_matches_the_scalar_reference() {
             let (dev, reference) = random_pair(&mut rng);
             assert_eq!(dev.clbs(), reference.clbs, "seed {seed} case {case}");
             assert_eq!(dev.iobs(), reference.iobs);
-            assert_eq!(dev.min_clbs(), reference.min_clbs(), "seed {seed} case {case}");
-            assert_eq!(dev.max_clbs(), reference.max_clbs(), "seed {seed} case {case}");
+            assert_eq!(
+                dev.min_clbs(),
+                reference.min_clbs(),
+                "seed {seed} case {case}"
+            );
+            assert_eq!(
+                dev.max_clbs(),
+                reference.max_clbs(),
+                "seed {seed} case {case}"
+            );
             assert_eq!(
                 dev.cost_per_clb().to_bits(),
                 reference.cost_per_clb().to_bits(),
                 "seed {seed} case {case}: cost_per_clb drifted"
             );
-            assert_eq!(dev.to_string(), reference.display("R"), "seed {seed} case {case}");
+            assert_eq!(
+                dev.to_string(),
+                reference.display("R"),
+                "seed {seed} case {case}"
+            );
             for _ in 0..20 {
                 let clbs = rng.gen_range(0..768) as u64;
                 let terminals = rng.gen_range(0..384) as u64;

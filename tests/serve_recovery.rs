@@ -177,7 +177,7 @@ fn sigkill_mid_run_then_restart_settles_all_jobs() {
 /// Submissions beyond `--max-queue` exit 7 and leave the spool
 /// untouched.
 #[test]
-fn queue_full_submission_exits_seven()  {
+fn queue_full_submission_exits_seven() {
     let spool = tdir("full");
     let blif = synth(&spool);
     submit(&spool, &blif, "q1");
