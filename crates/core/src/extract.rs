@@ -38,7 +38,7 @@
 use crate::csr::{CellAttrs, CsrGraph, CsrPin, NetPin};
 use crate::state::{full_mask, CellState, EngineState};
 #[cfg(test)]
-use netpart_hypergraph::{AdjacencyMatrix, BitVec, CellKind, HypergraphBuilder, PartId, Placement};
+use netpart_hypergraph::{AdjacencyMatrix, CellKind, HypergraphBuilder, PartId, Placement};
 use netpart_hypergraph::{CellId, Hypergraph, NetId, Pin};
 
 /// A circuit the carve bipartitions: its CSR arenas, and for every cell
@@ -397,22 +397,22 @@ pub(crate) fn extract_rest(
                 .filter(|&j| placement.pin_connected(hg, c, ci, Pin::Input(j as u16)))
                 .collect();
             let adj = cell.adjacency();
-            let rows: Vec<BitVec> = kept_outputs
-                .iter()
-                .map(|&o| {
-                    let mut row = BitVec::zeros(kept_inputs.len());
-                    for (jj, &j) in kept_inputs.iter().enumerate() {
-                        if !cell.is_terminal() && adj.depends(o, j) {
-                            row.set(jj, true);
-                        }
-                    }
-                    row
-                })
-                .collect();
             let new_adj = if cell.is_terminal() {
                 AdjacencyMatrix::pad()
             } else {
-                AdjacencyMatrix::from_bitvec_rows(kept_inputs.len(), rows)
+                // A kept input controls the kept outputs it controlled,
+                // renumbered in order.
+                let masks = kept_inputs
+                    .iter()
+                    .map(|&j| {
+                        kept_outputs
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &o)| adj.depends(o, j))
+                            .fold(0, |mask, (oo, _)| mask | 1 << oo)
+                    })
+                    .collect();
+                AdjacencyMatrix::from_input_masks(kept_outputs.len(), masks)
             };
             let id = b.add_cell(
                 cell.name().to_string(),

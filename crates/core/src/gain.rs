@@ -1,7 +1,8 @@
 //! The paper's unified gain model (§III, eqs. 7–11).
 //!
 //! For an unreplicated `n`-input, `m`-output cell the model works on four
-//! binary vectors besides the adjacency vectors `A_Xi`:
+//! binary vectors besides the adjacency vectors `A_Xi`, each a word with
+//! one bit per pin:
 //!
 //! * `C^I`, `C^O` — *cutset adjacency*: bit `j` set iff the net on
 //!   input/output pin `j` is currently cut;
@@ -17,74 +18,76 @@
 //! implicit assumption).
 
 use crate::state::EngineState;
-use netpart_hypergraph::{AdjacencyMatrix, BitVec, CellId, Hypergraph, Pin};
+use netpart_hypergraph::{AdjacencyMatrix, CellId, Hypergraph, Pin};
 
-/// The four per-cell vectors of the unified cost model.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The four per-cell vectors of the unified cost model: bit `j` of a
+/// vector is pin `j`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CellVectors {
+    /// The cell's input count `n`.
+    pub n_inputs: usize,
     /// Cutset adjacency over input pins (`C^I`).
-    pub c_i: BitVec,
+    pub c_i: u64,
     /// Cutset adjacency over output pins (`C^O`).
-    pub c_o: BitVec,
+    pub c_o: u64,
     /// Critical nets over input pins (`Q^I`).
-    pub q_i: BitVec,
+    pub q_i: u64,
     /// Critical nets over output pins (`Q^O`).
-    pub q_o: BitVec,
+    pub q_o: u64,
 }
 
 /// Extracts `C^I`, `C^O`, `Q^I`, `Q^O` for an unreplicated cell from the
 /// engine state of a bipartition of `hg`.
 ///
-/// Returns `None` if the cell is replicated or two of its pins share a
-/// net (the vector model indexes nets by pin).
+/// Returns `None` if the cell is replicated, has more than 64 inputs or
+/// outputs, or two of its pins share a net (the vector model indexes nets
+/// by pin).
 pub fn extract_vectors(
     hg: &Hypergraph,
     engine: &EngineState<'_>,
     c: CellId,
 ) -> Option<CellVectors> {
-    if engine.cell_state(c).is_replicated() {
+    let cell = hg.cell(c);
+    let (n, m) = (cell.n_inputs(), cell.m_outputs());
+    if engine.cell_state(c).is_replicated() || n > 64 || m > 64 {
         return None;
     }
-    let cell = hg.cell(c);
     let mut nets: Vec<_> = cell.incident_nets().collect();
     nets.sort_unstable();
-    let distinct = nets.windows(2).all(|w| w[0] != w[1]);
-    if !distinct {
+    if nets.windows(2).any(|w| w[0] == w[1]) {
         return None;
     }
-    let n = cell.n_inputs();
-    let m = cell.m_outputs();
+    let bit = |set: bool, j: usize| u64::from(set) << j;
     let mut v = CellVectors {
-        c_i: BitVec::zeros(n),
-        c_o: BitVec::zeros(m),
-        q_i: BitVec::zeros(n),
-        q_o: BitVec::zeros(m),
+        n_inputs: n,
+        ..CellVectors::default()
     };
     for j in 0..n {
-        v.c_i.set(j, engine.is_cut(cell.input_net(j)));
-        v.q_i
-            .set(j, engine.pin_critical(hg, c, Pin::Input(j as u16)));
+        v.c_i |= bit(engine.is_cut(cell.input_net(j)), j);
+        v.q_i |= bit(engine.pin_critical(hg, c, Pin::Input(j as u16)), j);
     }
     for o in 0..m {
-        v.c_o.set(o, engine.is_cut(cell.output_net(o)));
-        v.q_o
-            .set(o, engine.pin_critical(hg, c, Pin::Output(o as u16)));
+        v.c_o |= bit(engine.is_cut(cell.output_net(o)), o);
+        v.q_o |= bit(engine.pin_critical(hg, c, Pin::Output(o as u16)), o);
     }
     Some(v)
+}
+
+/// `‖x‖`, the norm of a vector.
+fn norm(x: u64) -> i64 {
+    i64::from(x.count_ones())
 }
 
 /// Eq. 7: the gain of moving the whole cell across the cut,
 /// `G_m = (‖C^I∘Q^I‖ + ‖C^O∘Q^O‖) − (‖C̄^I∘Q^I‖ + ‖C̄^O∘Q^O‖)`.
 pub fn single_move_gain(v: &CellVectors) -> i64 {
-    let plus = v.c_i.and(&v.q_i).norm() + v.c_o.and(&v.q_o).norm();
-    let minus = v.c_i.complement().and(&v.q_i).norm() + v.c_o.complement().and(&v.q_o).norm();
-    plus as i64 - minus as i64
+    norm(v.c_i & v.q_i) + norm(v.c_o & v.q_o) - norm(!v.c_i & v.q_i) - norm(!v.c_o & v.q_o)
 }
 
 /// Eq. 8: the gain of traditional (Kring–Newton) replication,
 /// `G_tr = (‖C^I‖ + ‖C^O‖) − n`.
 pub fn traditional_gain(v: &CellVectors) -> i64 {
-    (v.c_i.norm() + v.c_o.norm()) as i64 - v.c_i.len() as i64
+    norm(v.c_i) + norm(v.c_o) - v.n_inputs as i64
 }
 
 /// Eqs. 9–10 generalized to `m` outputs: the gain of functional
@@ -101,25 +104,30 @@ pub fn traditional_gain(v: &CellVectors) -> i64 {
 ///
 /// # Panics
 ///
-/// Panics if `replica_output` is out of range or vector shapes mismatch
-/// the adjacency matrix.
+/// Panics if `replica_output` is out of range or the input count differs
+/// from the adjacency matrix's.
 pub fn functional_gain(adj: &AdjacencyMatrix, v: &CellVectors, replica_output: usize) -> i64 {
-    let m = adj.m_outputs();
-    assert!(replica_output < m, "output index out of range");
-    assert_eq!(adj.n_inputs(), v.c_i.len(), "input arity mismatch");
-    assert_eq!(m, v.c_o.len(), "output arity mismatch");
-    let mut exclusive = adj.row(replica_output).clone();
-    for j in 0..m {
-        if j != replica_output {
-            exclusive = exclusive.and(&adj.row(j).complement());
+    assert!(
+        replica_output < adj.m_outputs(),
+        "output index out of range"
+    );
+    assert_eq!(adj.n_inputs(), v.n_inputs, "input arity mismatch");
+    // `A_Xi` split by input: `E_i` holds the inputs whose mask is `X_i`
+    // alone (eq. 4's `A_Xi ∧ Π_{j≠i} ¬A_Xj`), `S_i` the rest of `A_Xi`.
+    let kept = 1 << replica_output;
+    let (mut exclusive, mut shared) = (0u64, 0u64);
+    for j in 0..v.n_inputs {
+        let mask = adj.input_mask(j);
+        if mask == kept {
+            exclusive |= 1 << j;
+        } else if mask & kept != 0 {
+            shared |= 1 << j;
         }
     }
-    let shared = adj.row(replica_output).and(&exclusive.complement());
-    let moved = v.c_i.and(&v.q_i).and(&exclusive).norm() as i64
-        - v.c_i.complement().and(&v.q_i).and(&exclusive).norm() as i64;
-    let duplicated = v.c_i.complement().and(&shared).norm() as i64;
-    let c = i64::from(v.c_o.get(replica_output));
-    let q = i64::from(v.q_o.get(replica_output));
+    let moved = norm(v.c_i & v.q_i & exclusive) - norm(!v.c_i & v.q_i & exclusive);
+    let duplicated = norm(!v.c_i & shared);
+    let c = (v.c_o >> replica_output & 1) as i64;
+    let q = (v.q_o >> replica_output & 1) as i64;
     let output = c * q - (1 - c) * q;
     moved - duplicated + output
 }
@@ -274,10 +282,8 @@ mod tests {
     #[test]
     fn best_functional_needs_two_outputs() {
         let v = CellVectors {
-            c_i: BitVec::zeros(2),
-            c_o: BitVec::zeros(1),
-            q_i: BitVec::zeros(2),
-            q_o: BitVec::zeros(1),
+            n_inputs: 2,
+            ..CellVectors::default()
         };
         assert_eq!(best_functional_gain(&AdjacencyMatrix::full(2, 1), &v), None);
     }

@@ -1,15 +1,15 @@
 //! Output→input functional dependency of a cell and the paper's
 //! *replication potential* `ψ` (eq. 4).
 
-use crate::bitvec::BitVec;
 use crate::placement::OutputMask;
-use std::fmt;
 
 /// The functional dependency of a cell's outputs on its inputs.
 ///
-/// Row `i` is the paper's adjacency vector `A_Xi`: bit `j` is set iff input
-/// `j` controls output `X_i`. A cell with `n` inputs and `m` outputs has an
-/// `m × n` matrix.
+/// The paper writes it as one adjacency vector `A_Xi` per output: bit `j`
+/// of `A_Xi` is set iff input `j` controls output `X_i`. Every use reads
+/// it per input, so the matrix stores its columns: for each input, the
+/// mask of the outputs it controls, in one word. A cell with `n` inputs
+/// and `m ≤ 64` outputs stores `n` words.
 ///
 /// # Examples
 ///
@@ -21,11 +21,19 @@ use std::fmt;
 ///
 /// let adj = AdjacencyMatrix::from_rows(5, &[&[0, 1, 2, 3], &[3, 4]]);
 /// assert_eq!(adj.replication_potential(), 4);
+/// assert_eq!(adj.input_mask(3), 0b11);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdjacencyMatrix {
-    n_inputs: usize,
-    rows: Vec<BitVec>,
+    m_outputs: usize,
+    /// `masks[j]`: bit `o` is set iff input `j` controls output `o`.
+    masks: Vec<u64>,
+}
+
+/// The word with the low `m` bits set: every output of an `m`-output cell.
+fn all_outputs(m: usize) -> u64 {
+    assert!(m <= 64, "adjacency matrices hold at most 64 outputs");
+    1u64.checked_shl(m as u32).unwrap_or(0).wrapping_sub(1)
 }
 
 impl AdjacencyMatrix {
@@ -34,10 +42,14 @@ impl AdjacencyMatrix {
     /// This is the conservative assumption for cells whose internal function
     /// is unknown; it yields `ψ = 0` for multi-output cells, so functional
     /// replication degenerates to traditional replication.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m_outputs > 64`.
     pub fn full(n_inputs: usize, m_outputs: usize) -> Self {
         AdjacencyMatrix {
-            n_inputs,
-            rows: (0..m_outputs).map(|_| BitVec::ones(n_inputs)).collect(),
+            m_outputs,
+            masks: vec![all_outputs(m_outputs); n_inputs],
         }
     }
 
@@ -46,55 +58,51 @@ impl AdjacencyMatrix {
     /// Suitable for terminal nodes (0-input drivers or 0-output sinks).
     pub fn pad() -> Self {
         AdjacencyMatrix {
-            n_inputs: 0,
-            rows: Vec::new(),
+            m_outputs: 0,
+            masks: Vec::new(),
         }
     }
 
-    /// Builds a matrix from per-output support sets (input indices).
+    /// Builds a matrix from per-output support sets (input indices): the
+    /// rows `A_Xi`.
     ///
     /// # Panics
     ///
-    /// Panics if any listed input index is `>= n_inputs`.
+    /// Panics if any listed input index is `>= n_inputs`, or if there are
+    /// more than 64 outputs.
     pub fn from_rows(n_inputs: usize, supports: &[&[usize]]) -> Self {
-        AdjacencyMatrix {
-            n_inputs,
-            rows: supports
-                .iter()
-                .map(|s| BitVec::from_indices(n_inputs, s))
-                .collect(),
+        let mut masks = vec![0; n_inputs];
+        for (o, support) in supports.iter().enumerate() {
+            for &j in *support {
+                masks[j] |= 1 << o;
+            }
         }
+        Self::from_input_masks(supports.len(), masks)
     }
 
-    /// Builds a matrix directly from adjacency vectors.
+    /// Builds a matrix from its columns: `masks[j]` has bit `o` set iff
+    /// input `j` controls output `o`.
     ///
     /// # Panics
     ///
-    /// Panics if the rows do not all have length `n_inputs`.
-    pub fn from_bitvec_rows(n_inputs: usize, rows: Vec<BitVec>) -> Self {
-        for r in &rows {
-            assert_eq!(r.len(), n_inputs, "adjacency row length mismatch");
-        }
-        AdjacencyMatrix { n_inputs, rows }
+    /// Panics if `m_outputs > 64` or a mask names an output `>= m_outputs`.
+    pub fn from_input_masks(m_outputs: usize, masks: Vec<u64>) -> Self {
+        let all = all_outputs(m_outputs);
+        assert!(
+            masks.iter().all(|&mask| mask & !all == 0),
+            "input mask names an output out of range"
+        );
+        AdjacencyMatrix { m_outputs, masks }
     }
 
     /// Number of inputs (matrix columns).
     pub fn n_inputs(&self) -> usize {
-        self.n_inputs
+        self.masks.len()
     }
 
     /// Number of outputs (matrix rows).
     pub fn m_outputs(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The adjacency vector `A_Xo` of output `o`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `o` is out of range.
-    pub fn row(&self, o: usize) -> &BitVec {
-        &self.rows[o]
+        self.m_outputs
     }
 
     /// Returns `true` if input `j` controls output `o`.
@@ -103,7 +111,8 @@ impl AdjacencyMatrix {
     ///
     /// Panics if `o` or `j` is out of range.
     pub fn depends(&self, o: usize, j: usize) -> bool {
-        self.rows[o].get(j)
+        assert!(o < self.m_outputs, "output index out of range");
+        self.masks[j] >> o & 1 == 1
     }
 
     /// The outputs input `j` controls, as an [`OutputMask`]: bit `o` is
@@ -120,16 +129,13 @@ impl AdjacencyMatrix {
     /// outputs and `j >= n_inputs`.
     pub fn input_mask(&self, j: usize) -> OutputMask {
         assert!(
-            self.rows.len() <= OutputMask::BITS as usize,
+            self.m_outputs <= OutputMask::BITS as usize,
             "cells are limited to 32 outputs"
         );
-        let mut mask = 0;
-        for (o, row) in self.rows.iter().enumerate() {
-            if row.get(j) {
-                mask |= 1 << o;
-            }
+        if self.m_outputs == 0 {
+            return 0;
         }
-        mask
+        self.masks[j] as OutputMask
     }
 
     /// Returns `true` if input `j` controls no output at all.
@@ -137,18 +143,12 @@ impl AdjacencyMatrix {
     /// Such "global" inputs (e.g. a clock absorbed into a sequential cell
     /// model without a combinational output dependency) are treated as
     /// connected on every copy of a replicated cell — they can never float.
-    pub fn is_global_input(&self, j: usize) -> bool {
-        !self.rows.iter().any(|r| r.get(j))
-    }
-
-    /// The number of outputs that depend on input `j`.
     ///
     /// # Panics
     ///
-    /// Panics if `j >= n_inputs`.
-    pub fn fanout_of_input(&self, j: usize) -> usize {
-        assert!(j < self.n_inputs, "input index out of range");
-        self.rows.iter().filter(|r| r.get(j)).count()
+    /// Panics if the matrix has outputs and `j >= n_inputs`.
+    pub fn is_global_input(&self, j: usize) -> bool {
+        self.m_outputs == 0 || self.masks[j] == 0
     }
 
     /// The paper's replication potential `ψ` (eq. 4): the number of inputs
@@ -165,42 +165,12 @@ impl AdjacencyMatrix {
     /// assert_eq!(AdjacencyMatrix::full(4, 1).replication_potential(), 0);
     /// ```
     pub fn replication_potential(&self) -> usize {
-        if self.m_outputs() <= 1 {
+        if self.m_outputs <= 1 {
             return 0;
         }
         // Summing eq. 4's ‖A_Xi ∧ Π_{j≠i} ¬A_Xj‖ over the outputs counts
-        // each input whose column holds exactly one set bit once. Count
-        // the column bits saturating at two, 64 columns per word: `once`
-        // marks columns with at least one set bit, `twice` at least two.
-        (0..self.n_inputs.div_ceil(64))
-            .map(|w| {
-                let (mut once, mut twice) = (0u64, 0u64);
-                for r in &self.rows {
-                    let bits = r.words()[w];
-                    twice |= once & bits;
-                    once |= bits;
-                }
-                (once & !twice).count_ones() as usize
-            })
-            .sum()
-    }
-}
-
-impl fmt::Debug for AdjacencyMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "AdjacencyMatrix({}x{})[",
-            self.m_outputs(),
-            self.n_inputs
-        )?;
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{r}")?;
-        }
-        write!(f, "]")
+        // each input whose mask holds exactly one output once.
+        self.masks.iter().filter(|m| m.count_ones() == 1).count()
     }
 }
 
@@ -278,8 +248,8 @@ mod tests {
 
     #[test]
     fn psi_counts_exclusive_columns_past_one_word() {
-        // 130 inputs over three words: 0..64 only X0, 64..100 X0 and X1,
-        // 100..129 only X2, 129 global.
+        // 130 inputs: 0..64 only X0, 64..100 X0 and X1, 100..129 only X2,
+        // 129 global.
         let x0: Vec<usize> = (0..100).collect();
         let x1: Vec<usize> = (64..100).collect();
         let x2: Vec<usize> = (100..129).collect();
@@ -292,7 +262,7 @@ mod tests {
         let adj = AdjacencyMatrix::from_rows(3, &[&[0], &[2]]);
         assert!(adj.is_global_input(1));
         assert!(!adj.is_global_input(0));
-        assert_eq!(adj.fanout_of_input(0), 1);
-        assert_eq!(adj.fanout_of_input(1), 0);
+        assert_eq!(adj.input_mask(0), 0b01);
+        assert_eq!(adj.input_mask(1), 0);
     }
 }

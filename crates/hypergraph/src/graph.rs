@@ -303,19 +303,6 @@ impl Hypergraph {
         &self.nets[id.index()]
     }
 
-    /// The cell with the given id, or `None` if out of range — the
-    /// non-panicking form of [`cell`](Self::cell) for ids that come
-    /// from outside the graph's own iterators.
-    pub fn try_cell(&self, id: CellId) -> Option<&Cell> {
-        self.cells.get(id.index())
-    }
-
-    /// The net with the given id, or `None` if out of range — the
-    /// non-panicking form of [`net`](Self::net).
-    pub fn try_net(&self, id: NetId) -> Option<&Net> {
-        self.nets.get(id.index())
-    }
-
     /// Number of cells (including terminals).
     pub fn n_cells(&self) -> usize {
         self.cells.len()
@@ -362,28 +349,6 @@ impl Hypergraph {
         }
         s.pins = self.nets.iter().map(|n| n.degree() as u32).sum();
         s
-    }
-
-    /// Histogram of net degrees (pin counts): index `d` holds the number
-    /// of nets with `d` endpoints.
-    pub fn net_degree_histogram(&self) -> Vec<usize> {
-        let mut h = Vec::new();
-        for n in &self.nets {
-            let d = n.degree();
-            if d >= h.len() {
-                h.resize(d + 1, 0);
-            }
-            h[d] += 1;
-        }
-        h
-    }
-
-    /// Mean net degree (pins per net); 0 for a netless graph.
-    pub fn avg_net_degree(&self) -> f64 {
-        if self.nets.is_empty() {
-            return 0.0;
-        }
-        self.nets.iter().map(Net::degree).sum::<usize>() as f64 / self.nets.len() as f64
     }
 
     /// The distribution `d_X(ψ)` of interior cells over replication
@@ -465,14 +430,6 @@ mod tests {
         let hg = tiny().unwrap();
         let d = hg.replication_potential_distribution();
         assert_eq!(d, vec![1]); // one logic cell with ψ = 0
-    }
-
-    #[test]
-    fn degree_histogram_counts_pins() {
-        let hg = tiny().unwrap();
-        // Two 2-pin nets.
-        assert_eq!(hg.net_degree_histogram(), vec![0, 0, 2]);
-        assert!((hg.avg_net_degree() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -45,14 +45,12 @@
 #![warn(missing_docs)]
 
 mod adjacency;
-mod bitvec;
 mod builder;
 mod error;
 mod graph;
 mod placement;
 
 pub use adjacency::AdjacencyMatrix;
-pub use bitvec::BitVec;
 pub use builder::HypergraphBuilder;
 pub use error::BuildError;
 pub use graph::{Cell, CellId, CellKind, Endpoint, Hypergraph, Net, NetId, Pin, Stats};

@@ -316,14 +316,6 @@ impl Placement {
         hg.net_ids().filter(|&n| self.is_cut(hg, n)).count()
     }
 
-    /// Sum over cut nets of `span − 1` (the k-way "connectivity − 1"
-    /// metric; equals [`cut_size`](Self::cut_size) for bipartitions).
-    pub fn connectivity_cost(&self, hg: &Hypergraph) -> usize {
-        hg.net_ids()
-            .map(|n| self.net_span(hg, n).saturating_sub(1))
-            .sum()
-    }
-
     /// The area (elementary circuit units) occupied in `part`, counting
     /// every replica at the full cell area.
     pub fn part_area(&self, hg: &Hypergraph, part: PartId) -> u64 {
@@ -415,11 +407,6 @@ impl Placement {
     /// The number of cells with more than one copy.
     pub fn replicated_cell_count(&self) -> usize {
         self.copies.iter().filter(|c| c.len() > 1).count()
-    }
-
-    /// The number of extra copies beyond one per cell.
-    pub fn total_replicas(&self) -> usize {
-        self.copies.iter().map(|c| c.len() - 1).sum()
     }
 
     /// Checks structural invariants: every part in range; every cell's
@@ -566,7 +553,6 @@ mod tests {
         p.replicate(&hg, m, PartId(1), 0b01).unwrap();
         assert_eq!(p.part_areas(&hg), vec![1, 1]);
         assert_eq!(p.replicated_cell_count(), 1);
-        assert_eq!(p.total_replicas(), 1);
     }
 
     #[test]
@@ -606,16 +592,6 @@ mod tests {
         // Part 1: 5 crossing nets, one IOB each.
         assert_eq!(p.part_terminals(&hg, PartId(1)), 5);
         assert_eq!(p.part_terminal_counts(&hg), vec![5, 5]);
-    }
-
-    #[test]
-    fn connectivity_cost_multiway() {
-        let (hg, m, _) = fig1().unwrap();
-        let mut p = Placement::new_uniform(&hg, 3, PartId(0));
-        p.place(m, PartId(1));
-        // nets na..nc and nx, ny each span 2 parts → cost 5.
-        assert_eq!(p.connectivity_cost(&hg), 5);
-        assert_eq!(p.cut_size(&hg), 5);
     }
 
     #[test]

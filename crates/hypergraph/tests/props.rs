@@ -1,12 +1,12 @@
-//! Property tests for the hypergraph primitives: bit vectors, adjacency
-//! matrices, per-input output masks and the replication potential.
+//! Property tests for the hypergraph primitives: adjacency matrices,
+//! per-input output masks and the replication potential.
 //!
 //! Cases come from a seeded SplitMix64, so every run checks the same
 //! inputs and a failing assertion names the case that reproduces it.
 //! Matrices reach 32 outputs (the `OutputMask` width) and more than 64
-//! inputs, so adjacency rows span several words.
+//! inputs.
 
-use netpart_hypergraph::{AdjacencyMatrix, BitVec};
+use netpart_hypergraph::AdjacencyMatrix;
 
 /// Cases per property.
 const CASES: u64 = 256;
@@ -52,8 +52,15 @@ fn for_cases(property: u64, mut check: impl FnMut(&mut Gen, u64)) {
     }
 }
 
+/// The matrix with output `o` supported by the inputs set in `rows[o]`,
+/// built through the row constructor.
 fn matrix(rows: &[Vec<bool>], n: usize) -> AdjacencyMatrix {
-    AdjacencyMatrix::from_bitvec_rows(n, rows.iter().map(|r| BitVec::from_bools(r)).collect())
+    let supports: Vec<Vec<usize>> = rows
+        .iter()
+        .map(|r| (0..n).filter(|&j| r[j]).collect())
+        .collect();
+    let supports: Vec<&[usize]> = supports.iter().map(Vec::as_slice).collect();
+    AdjacencyMatrix::from_rows(n, &supports)
 }
 
 /// The columns of a boolean matrix as output masks: bit `o` of
@@ -70,72 +77,44 @@ fn columns(rows: &[Vec<bool>], n: usize) -> Vec<u32> {
     cols
 }
 
-/// The replication potential evaluated literally as eq. 4 of the paper:
-/// `ψ = Σ_i ‖A_Xi ∧ Π_{j≠i} ¬A_Xj‖` with the bit-vector complement,
-/// AND and norm, 0 for cells with at most one output.
-fn psi_eq4(adj: &AdjacencyMatrix) -> usize {
-    let m = adj.m_outputs();
-    if m <= 1 {
+/// The replication potential evaluated literally as eq. 4 of the paper
+/// on the boolean rows: `ψ = Σ_i ‖A_Xi ∧ Π_{j≠i} ¬A_Xj‖`, 0 for cells
+/// with at most one output.
+fn psi_eq4(rows: &[Vec<bool>], n: usize) -> usize {
+    if rows.len() <= 1 {
         return 0;
     }
-    (0..m)
+    (0..rows.len())
         .map(|i| {
-            (0..m)
-                .filter(|&j| j != i)
-                .fold(adj.row(i).clone(), |only_i, j| {
-                    only_i.and(&adj.row(j).complement())
-                })
-                .norm()
+            (0..n)
+                .filter(|&x| rows[i][x] && (0..rows.len()).filter(|&j| j != i).all(|j| !rows[j][x]))
+                .count()
         })
         .sum()
 }
 
-/// BitVec operations agree with a naive `Vec<bool>` model.
+/// `from_rows` agrees with an independent `Vec<Vec<bool>>` row model on
+/// the shape, every dependency, every input mask, the global inputs and
+/// ψ, for supports of up to 130 inputs and 32 outputs (empty ones too).
 #[test]
-fn bitvec_matches_bool_model() {
+fn from_rows_matches_bool_row_model() {
     for_cases(1, |g, case| {
-        let n = g.range(1, 200);
-        let (a, b) = (g.bits(n, 2), g.bits(n, 2));
-        let va = BitVec::from_bools(&a);
-        let vb = BitVec::from_bools(&b);
-        assert_eq!(va.norm(), a.iter().filter(|&&x| x).count(), "case {case}");
-        let and = va.and(&vb);
-        let or = va.or(&vb);
-        let not = va.complement();
-        for i in 0..n {
-            assert_eq!(and.get(i), a[i] && b[i], "case {case} bit {i}");
-            assert_eq!(or.get(i), a[i] || b[i], "case {case} bit {i}");
-            assert_eq!(not.get(i), !a[i], "case {case} bit {i}");
+        let (m, n) = (g.range(0, 32), g.range(0, 130));
+        let rows = g.rows(m, n);
+        let adj = matrix(&rows, n);
+        assert_eq!((adj.n_inputs(), adj.m_outputs()), (n, m), "case {case}");
+        for (j, &column) in columns(&rows, n).iter().enumerate() {
+            for (o, row) in rows.iter().enumerate() {
+                assert_eq!(adj.depends(o, j), row[j], "case {case} ({o}, {j})");
+            }
+            assert_eq!(adj.input_mask(j), column, "case {case} input {j}");
+            assert_eq!(adj.is_global_input(j), column == 0, "case {case} input {j}");
         }
         assert_eq!(
-            va.intersects(&vb),
-            a.iter().zip(&b).any(|(&x, &y)| x && y),
-            "case {case}"
+            adj.replication_potential(),
+            psi_eq4(&rows, n),
+            "case {case} ({m}x{n})"
         );
-        assert_eq!(
-            va.iter_ones().collect::<Vec<_>>(),
-            (0..n).filter(|&i| a[i]).collect::<Vec<_>>(),
-            "case {case}"
-        );
-        // De Morgan: ¬(a ∧ b) = ¬a ∨ ¬b.
-        assert_eq!(
-            va.and(&vb).complement(),
-            va.complement().or(&vb.complement()),
-            "case {case}"
-        );
-    });
-}
-
-/// `or_assign` equals `or`.
-#[test]
-fn or_assign_equals_or() {
-    for_cases(2, |g, case| {
-        let n = g.range(1, 100);
-        let va = BitVec::from_bools(&g.bits(n, 2));
-        let vb = BitVec::from_bools(&g.bits(n, 2));
-        let mut acc = va.clone();
-        acc.or_assign(&vb);
-        assert_eq!(acc, va.or(&vb), "case {case}");
     });
 }
 
@@ -157,7 +136,7 @@ fn psi_matches_naive_count_and_eq4() {
         };
         let psi = adj.replication_potential();
         assert_eq!(psi, naive, "case {case} ({m}x{n})");
-        assert_eq!(psi, psi_eq4(&adj), "case {case} ({m}x{n})");
+        assert_eq!(psi, psi_eq4(&rows, n), "case {case} ({m}x{n})");
         assert!(psi <= n, "case {case}");
     });
 }

@@ -20,12 +20,6 @@ pub struct MultilevelConfig {
     /// is where the flat partitioner runs, and it needs enough nodes
     /// left to find a good split.
     pub min_cells: usize,
-    /// Weight cap: no cluster may exceed this fraction of the total
-    /// cell area, keeping the balance window reachable at every level.
-    pub max_cluster_area: f64,
-    /// FM pass cap at intermediate refinement levels (the finest level
-    /// always runs the caller's full pass budget).
-    pub refine_passes: usize,
 }
 
 impl Default for MultilevelConfig {
@@ -34,8 +28,6 @@ impl Default for MultilevelConfig {
             max_levels: 12,
             coarsen_ratio: 0.9,
             min_cells: 3000,
-            max_cluster_area: 0.03,
-            refine_passes: 2,
         }
     }
 }
@@ -70,19 +62,6 @@ impl MultilevelConfig {
     /// Sets the minimum coarsenable cell count (at least 2).
     pub fn with_min_cells(mut self, n: usize) -> Self {
         self.min_cells = n.max(2);
-        self
-    }
-
-    /// Sets the cluster weight cap as a fraction of total area, clamped
-    /// to `[0.001, 1.0]`.
-    pub fn with_max_cluster_area(mut self, f: f64) -> Self {
-        self.max_cluster_area = f.clamp(0.001, 1.0);
-        self
-    }
-
-    /// Sets the intermediate-level FM pass cap (at least 1).
-    pub fn with_refine_passes(mut self, n: usize) -> Self {
-        self.refine_passes = n.max(1);
         self
     }
 }

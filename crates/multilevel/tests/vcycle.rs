@@ -124,7 +124,7 @@ fn psi_guard_stall_falls_back_to_unguarded_coarsening() {
     let mode = ReplicationMode::functional(1);
     // Precondition: one guarded coarsening step alone stalls (no pair
     // matched, or too few to shrink the graph).
-    let stalled = coarsen_once(&hg, &ml, mode, 3)
+    let stalled = coarsen_once(&hg, mode, 3)
         .is_none_or(|l| l.hg.n_cells() as f64 / hg.n_cells() as f64 > ml.coarsen_ratio);
     assert!(stalled, "test circuit no longer stalls under the guard");
     // The fallback makes the chain real again.

@@ -1,8 +1,7 @@
-//! DAG analysis utilities: topological order, levelization, transitive
-//! support and aggregate statistics.
+//! DAG analysis utilities: topological order, levelization and
+//! aggregate statistics.
 
-use crate::model::{Driver, GateId, Netlist, NetlistError, SignalId};
-use std::collections::BTreeSet;
+use crate::model::{Driver, GateId, Netlist, NetlistError};
 
 /// Returns the gates in a topological order of their *combinational*
 /// dependencies (a DFF's input does not constrain its order — the
@@ -54,7 +53,7 @@ pub fn topo_order(nl: &Netlist) -> Result<Vec<GateId>, NetlistError> {
 ///
 /// Returns [`NetlistError::CombinationalCycle`] on cyclic combinational
 /// logic.
-pub fn levelize(nl: &Netlist) -> Result<Vec<u32>, NetlistError> {
+fn levelize(nl: &Netlist) -> Result<Vec<u32>, NetlistError> {
     let order = topo_order(nl)?;
     let mut level = vec![0u32; nl.n_gates()];
     for g in order {
@@ -74,33 +73,6 @@ pub fn levelize(nl: &Netlist) -> Result<Vec<u32>, NetlistError> {
         level[g.index()] = lvl;
     }
     Ok(level)
-}
-
-/// The transitive *support* of a signal: the set of source signals
-/// (primary inputs and DFF outputs) it combinationally depends on.
-pub fn transitive_support(nl: &Netlist, signal: SignalId) -> BTreeSet<SignalId> {
-    let mut support = BTreeSet::new();
-    let mut stack = vec![signal];
-    let mut seen = vec![false; nl.n_signals()];
-    while let Some(s) = stack.pop() {
-        if seen[s.index()] {
-            continue;
-        }
-        seen[s.index()] = true;
-        match nl.driver(s) {
-            Driver::PrimaryInput => {
-                support.insert(s);
-            }
-            Driver::Gate(g) if nl.gate(g).kind.is_dff() => {
-                support.insert(s);
-            }
-            Driver::Gate(g) => {
-                stack.extend(nl.gate(g).inputs.iter().copied());
-            }
-            Driver::None => {}
-        }
-    }
-    support
 }
 
 /// Aggregate netlist statistics.
@@ -192,15 +164,6 @@ mod tests {
         assert_eq!(levels[1], 2);
         assert_eq!(levels[2], 3);
         assert_eq!(levels[3], 0); // DFF
-    }
-
-    #[test]
-    fn support_stops_at_state() {
-        let nl = chain();
-        let w2 = nl.signal_by_name("w2").unwrap();
-        let sup = transitive_support(&nl, w2);
-        let names: Vec<&str> = sup.iter().map(|&s| nl.signal_name(s)).collect();
-        assert_eq!(names, vec!["a", "q"]);
     }
 
     #[test]

@@ -360,6 +360,46 @@ c
         assert_eq!(write_blif(&back), write_blif(&parse_blif(&text).unwrap()));
     }
 
+    /// Every cover `write_blif` emits computes its gate: on each input
+    /// combination, some row matches iff the gate outputs 1.
+    #[test]
+    fn cover_rows_compute_their_gates() {
+        type Eval = fn(&[bool]) -> bool;
+        let kinds: [(GateKind, Eval); 8] = [
+            (GateKind::Buf, |x| x[0]),
+            (GateKind::Not, |x| !x[0]),
+            (GateKind::And, |x| x.iter().all(|&b| b)),
+            (GateKind::Nand, |x| !x.iter().all(|&b| b)),
+            (GateKind::Or, |x| x.iter().any(|&b| b)),
+            (GateKind::Nor, |x| !x.iter().any(|&b| b)),
+            (GateKind::Xor, |x| x[0] ^ x[1]),
+            (GateKind::Xnor, |x| x[0] == x[1]),
+        ];
+        for (kind, eval) in kinds {
+            let arities = match kind {
+                GateKind::Buf | GateKind::Not => 1..=1,
+                GateKind::Xor | GateKind::Xnor => 2..=2,
+                _ => 1..=9,
+            };
+            for n in arities {
+                let rows = cover_rows(&kind, n);
+                for combo in 0..1u32 << n {
+                    let x: Vec<bool> = (0..n).map(|i| combo >> i & 1 == 1).collect();
+                    let on = rows.iter().any(|row| {
+                        let (pattern, value) = row.split_once(' ').expect("pattern and value");
+                        assert_eq!((pattern.len(), value), (n, "1"), "{kind:?}/{n}");
+                        pattern.chars().zip(&x).all(|(c, &b)| match c {
+                            '0' => !b,
+                            '1' => b,
+                            _ => true,
+                        })
+                    });
+                    assert_eq!(on, eval(&x), "{kind:?}/{n} on {x:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn unknown_output_rejected() {
         let src = ".model t\n.inputs a\n.outputs zz\n.end\n";

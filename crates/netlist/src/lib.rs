@@ -30,9 +30,8 @@ pub mod bench_suite;
 mod blif;
 mod generate;
 mod model;
-pub mod sim;
 
-pub use analysis::{levelize, topo_order, transitive_support, NetlistStats};
+pub use analysis::{topo_order, NetlistStats};
 pub use blif::{parse_blif, write_blif, ParseBlifError};
 pub use generate::{generate, GeneratorConfig};
 pub use model::{Driver, Gate, GateId, GateKind, Netlist, NetlistError, SignalId};

@@ -7,6 +7,7 @@
 //! for `--metrics-out` and as a `BENCH_*.json` record.
 
 use crate::event::{Event, Kind, Level, Value};
+use crate::jsonl::push_json_str;
 use crate::recorder::Recorder;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -84,7 +85,7 @@ impl MetricsSnapshot {
                     out.push(',');
                 }
                 out.push_str("\n    ");
-                push_str_json(out, k);
+                push_json_str(out, k);
                 out.push_str(": ");
                 render(out, v);
             }
@@ -102,7 +103,7 @@ impl MetricsSnapshot {
             &mut out,
             "meta",
             &self.meta,
-            |o, v: &String| push_str_json(o, v),
+            |o, v: &String| push_json_str(o, v),
             false,
         );
         section(
@@ -156,23 +157,6 @@ impl MetricsSnapshot {
         out.push('\n');
         out
     }
-}
-
-fn push_str_json(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A [`Recorder`] that aggregates metric events into a
@@ -249,6 +233,19 @@ mod tests {
         assert_eq!(s.counters["fm.moves"], 15);
         assert_eq!(s.gauges["paper.cost_k"], 750.0);
         assert_eq!(s.hists["paper.devices"], vec![1, 2, 1]);
+    }
+
+    #[test]
+    fn meta_with_tab_and_cr_survives_json() {
+        let mut s = MetricsSnapshot::new();
+        s.meta.insert("in\tput".into(), "a\tb\rc\n\"d\"".into());
+        assert!(s.to_json().contains(r"a\tb\rc"), "short escapes");
+        let json = crate::parse_json(&s.to_json()).expect("valid JSON");
+        let value = json.get("meta").and_then(|m| m.get("in\tput"));
+        assert_eq!(
+            value.and_then(crate::trace::Json::as_str),
+            Some("a\tb\rc\n\"d\"")
+        );
     }
 
     #[test]

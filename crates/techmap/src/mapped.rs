@@ -3,7 +3,7 @@
 use crate::cover::{consumer_counts, cover, LutCone};
 use crate::error::MapError;
 use crate::pack::pack_units;
-use netpart_hypergraph::{AdjacencyMatrix, BitVec, CellKind, Hypergraph, HypergraphBuilder, NetId};
+use netpart_hypergraph::{AdjacencyMatrix, CellKind, Hypergraph, HypergraphBuilder, NetId};
 use netpart_netlist::{Driver, GateId, Netlist, SignalId};
 
 /// Mapper parameters.
@@ -60,16 +60,6 @@ impl MapperConfig {
     pub fn with_pack_affinity(mut self, affinity: f64) -> Self {
         self.pack_affinity = affinity.clamp(0.0, 1.0);
         self
-    }
-
-    /// A single-output LUT mapping (no packing): every cell has one output
-    /// and therefore replication potential 0 — useful as an ablation.
-    pub fn single_output() -> Self {
-        MapperConfig {
-            max_outputs: 1,
-            pack: false,
-            ..Self::xc3000()
-        }
     }
 }
 
@@ -193,20 +183,15 @@ impl Mapped {
             inputs.dedup();
             let outputs: Vec<SignalId> =
                 clb.units.iter().map(|u| self.unit_output(nl, u)).collect();
-            let rows: Vec<BitVec> = clb
-                .units
-                .iter()
-                .map(|u| {
-                    let mut row = BitVec::zeros(inputs.len());
-                    for s in self.support_of(nl, u) {
-                        let j = inputs.binary_search(s).expect("support ⊆ inputs");
-                        row.set(j, true);
-                    }
-                    row
-                })
-                .collect();
+            let mut masks = vec![0; inputs.len()];
+            for (o, u) in clb.units.iter().enumerate() {
+                for s in self.support_of(nl, u) {
+                    let j = inputs.binary_search(s).expect("support ⊆ inputs");
+                    masks[j] |= 1 << o;
+                }
+            }
             let dffs: usize = clb.units.iter().map(|u| self.unit_dffs(u)).sum();
-            let adj = AdjacencyMatrix::from_bitvec_rows(inputs.len(), rows);
+            let adj = AdjacencyMatrix::from_input_masks(clb.units.len(), masks);
             let cell = b.add_cell(
                 format!("clb{ci}"),
                 CellKind::Logic {
@@ -381,7 +366,12 @@ mod tests {
     fn packing_reduces_clb_count_and_creates_multi_output_cells() {
         let nl = sample(800, 40, 4);
         let packed = map(&nl, &MapperConfig::xc3000()).unwrap();
-        let single = map(&nl, &MapperConfig::single_output()).unwrap();
+        let single_output = MapperConfig {
+            max_outputs: 1,
+            pack: false,
+            ..MapperConfig::xc3000()
+        };
+        let single = map(&nl, &single_output).unwrap();
         assert!(packed.n_clbs() < single.n_clbs());
         let hg = packed.to_hypergraph(&nl);
         let multi = hg
