@@ -393,9 +393,10 @@ impl CsrGraph {
 
     /// Σ pins over pad cells: with no net crossing, each net costs its
     /// pad pins, so this is the IOB count of the whole circuit on one
-    /// device ([`Placement::part_terminals`] of a one-part placement).
+    /// device ([`Placement::part_terminal_counts`] of a one-part
+    /// placement).
     ///
-    /// [`Placement::part_terminals`]: netpart_hypergraph::Placement::part_terminals
+    /// [`Placement::part_terminal_counts`]: netpart_hypergraph::Placement::part_terminal_counts
     pub(crate) fn pad_pins(&self) -> u64 {
         self.pad_pins
     }

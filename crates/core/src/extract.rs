@@ -29,11 +29,11 @@
 //! Terminal-count note: a crossing net that *also* keeps a real pad on
 //! the side gets a pseudo pad on top of it, so the piece counts that net
 //! at 2 IOBs where the final global evaluation
-//! ([`Placement::part_terminals`]) shares the pad's wire and counts 1.
+//! ([`Placement::part_terminal_counts`]) shares the pad's wire and counts 1.
 //! Pieces only *guide* carving, so this slight conservatism is safe; the
 //! global evaluation is authoritative.
 //!
-//! [`Placement::part_terminals`]: netpart_hypergraph::Placement::part_terminals
+//! [`Placement::part_terminal_counts`]: netpart_hypergraph::Placement::part_terminal_counts
 
 use crate::csr::{CellAttrs, CsrGraph, CsrPin, NetPin};
 use crate::state::{full_mask, CellState, EngineState};

@@ -237,7 +237,8 @@ fn record_side(
 }
 
 /// The IOBs side `side` of a bipartition needs on its own device:
-/// [`Placement::part_terminals`] of that part, read off the final state.
+/// that part's [`Placement::part_terminal_counts`] entry, read off the
+/// final state.
 /// Every pad pin on the side costs one, and a net spanning both sides
 /// costs one more unless a pad pin on the side already carries it.
 /// `marks` is per-net scratch.
@@ -588,9 +589,9 @@ struct StageOutcome {
     feasible: usize,
 }
 
-/// Runs one escalation rung: up to `max_attempts` carves against `lib`,
-/// stopping early at `cfg.candidates` feasible partitions or a tripped
-/// clock.
+/// Runs one escalation rung: up to `cfg.max_attempts` carves against
+/// `lib`, stopping early at `cfg.candidates` feasible partitions or a
+/// tripped clock.
 #[allow(clippy::too_many_arguments)]
 fn run_stage(
     hg: &Hypergraph,
@@ -601,15 +602,13 @@ fn run_stage(
     prefer_large: bool,
     rng: &mut Rng,
     clock: &RunClock,
-    max_attempts: usize,
-    feasible_so_far: usize,
     best: &mut Option<BestCandidate>,
     rung: &'static str,
 ) -> StageOutcome {
     let recorder = clock.recorder();
     let mut attempts = 0usize;
     let mut feasible = 0usize;
-    while attempts < max_attempts && feasible_so_far + feasible < cfg.candidates {
+    while attempts < cfg.max_attempts && feasible < cfg.candidates {
         if clock.tick_attempt().is_some() {
             break;
         }
@@ -755,7 +754,6 @@ pub fn kway_partition_with_clock(
     // every carve step of every attempt and rung reuses.
     let root = Piece::whole(hg);
     let mut ws = CarveWorkspace::default();
-    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut best: Option<BestCandidate> = None;
     let mut degradation = Degradation {
         requested: cfg.candidates,
@@ -764,87 +762,47 @@ pub fn kway_partition_with_clock(
     let mut attempts = 0usize;
     let mut feasible = 0usize;
 
-    // Rung 0: exactly as configured.
-    let s = run_stage(
-        hg,
-        &root,
-        &mut ws,
-        cfg,
-        &cfg.library,
-        false,
-        &mut rng,
-        clock,
-        cfg.max_attempts,
-        0,
-        &mut best,
-        "base",
-    );
-    attempts += s.attempts;
-    feasible += s.feasible;
-
-    // The ladder only climbs while escalation is enabled, nothing
-    // feasible exists and work is still allowed; each rung is recorded
+    // The escalation ladder. The base rung runs exactly as configured;
+    // each later rung climbs only while escalation is enabled, nothing
+    // feasible exists and work is still allowed, and is recorded
     // whether or not it rescues the run, so the report shows everything
-    // that was tried.
-    let escalate_event = |rung: &'static str, attempts_so_far: usize| {
-        if recorder.enabled(Level::Info) {
-            recorder.record(
-                &Event::new("kway", "escalate", Level::Info)
-                    .field("rung", rung)
-                    .field("attempts_so_far", attempts_so_far),
-            );
-        }
-    };
-    if escalate && best.is_none() && clock.stopped().is_none() {
-        escalate_event("reseed", attempts);
-        degradation.relaxations.push(Relaxation::Reseeded {
-            extra_attempts: cfg.max_attempts,
-        });
-        let mut rng2 = Rng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
-        let s = run_stage(
-            hg,
-            &root,
-            &mut ws,
-            cfg,
-            &cfg.library,
-            false,
-            &mut rng2,
-            clock,
-            cfg.max_attempts,
-            0,
-            &mut best,
+    // that was tried. The reseed rung draws from a stream of its own;
+    // the last two share the base stream and the floor-relaxed library.
+    let mut base_rng = Rng::seed_from_u64(cfg.seed);
+    let mut reseed_rng = Rng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut relaxed = None;
+    let rungs = [
+        ("base", None),
+        (
             "reseed",
-        );
-        attempts += s.attempts;
-        feasible += s.feasible;
-    }
-    let relaxed = if escalate && best.is_none() && clock.stopped().is_none() {
-        escalate_event("relaxed_floor", attempts);
-        degradation.relaxations.push(Relaxation::RelaxedFloor);
-        let relaxed = cfg.library.relaxed_floor();
-        let s = run_stage(
-            hg,
-            &root,
-            &mut ws,
-            cfg,
-            &relaxed,
-            false,
-            &mut rng,
-            clock,
-            cfg.max_attempts,
-            0,
-            &mut best,
-            "relaxed_floor",
-        );
-        attempts += s.attempts;
-        feasible += s.feasible;
-        Some(relaxed)
-    } else {
-        None
-    };
-    if escalate && best.is_none() && clock.stopped().is_none() {
-        escalate_event("larger_device", attempts);
-        degradation.relaxations.push(Relaxation::NextLargerDevice);
+            Some(Relaxation::Reseeded {
+                extra_attempts: cfg.max_attempts,
+            }),
+        ),
+        ("relaxed_floor", Some(Relaxation::RelaxedFloor)),
+        ("larger_device", Some(Relaxation::NextLargerDevice)),
+    ];
+    for (rung, relaxation) in rungs {
+        let prefer_large = relaxation == Some(Relaxation::NextLargerDevice);
+        let mut rng = &mut base_rng;
+        if let Some(relaxation) = relaxation {
+            if !escalate || best.is_some() || clock.stopped().is_some() {
+                break;
+            }
+            if recorder.enabled(Level::Info) {
+                recorder.record(
+                    &Event::new("kway", "escalate", Level::Info)
+                        .field("rung", rung)
+                        .field("attempts_so_far", attempts),
+                );
+            }
+            match relaxation {
+                Relaxation::Reseeded { .. } => rng = &mut reseed_rng,
+                Relaxation::RelaxedFloor => relaxed = Some(cfg.library.relaxed_floor()),
+                Relaxation::NextLargerDevice => {}
+            }
+            degradation.relaxations.push(relaxation);
+        }
         let lib = relaxed.as_ref().unwrap_or(&cfg.library);
         let s = run_stage(
             hg,
@@ -852,13 +810,11 @@ pub fn kway_partition_with_clock(
             &mut ws,
             cfg,
             lib,
-            true,
-            &mut rng,
+            prefer_large,
+            rng,
             clock,
-            cfg.max_attempts,
-            0,
             &mut best,
-            "larger_device",
+            rung,
         );
         attempts += s.attempts;
         feasible += s.feasible;
@@ -1018,7 +974,7 @@ mod tests {
             let single = Placement::new_uniform(phg, 1, PartId(0));
             assert_eq!(
                 piece.csr.pad_pins(),
-                single.part_terminals(phg, PartId(0)) as u64,
+                single.part_terminal_counts(phg)[0] as u64,
                 "piece {i}"
             );
         }

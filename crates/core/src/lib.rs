@@ -51,7 +51,6 @@ mod fault;
 mod fm;
 pub mod gain;
 pub mod kway;
-mod parallel;
 mod refine;
 pub mod rent;
 mod state;
@@ -64,6 +63,5 @@ pub use fm::{bipartition, bipartition_from_sides, bipartition_with_clock, Bipart
 pub use kway::{
     kway_partition, kway_partition_with_clock, record_paper_gauges, KWayConfig, KWayResult,
 };
-pub use parallel::{par_refine_sides, ParRefineOutcome};
 pub use refine::{refine_kway, unreplicate_cleanup, RefineStats};
 pub use state::{CellState, EngineState};

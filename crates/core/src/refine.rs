@@ -291,11 +291,12 @@ pub fn unreplicate_cleanup(
         let mut best: Option<(usize, PartId)> = None;
         for &target in &parts {
             placement.unreplicate(cell, target).expect("part in range");
-            let terms: usize = placement.part_terminal_counts(hg).iter().sum();
+            let counts = placement.part_terminal_counts(hg);
+            let terms: usize = counts.iter().sum();
             let areas = placement.part_areas(hg);
             let ok = (0..placement.n_parts()).all(|p| {
                 let d = library.device(devices[p]);
-                let t = placement.part_terminals(hg, PartId(p as u16)) as u64;
+                let t = counts[p] as u64;
                 (areas[p] == 0 && t == 0) || d.fits(areas[p], t)
             });
             if ok && terms <= base_terms && best.is_none_or(|(b, _)| terms < b) {

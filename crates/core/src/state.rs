@@ -279,12 +279,6 @@ impl<'a> EngineState<'a> {
         self.spanning
     }
 
-    /// The distinct nets incident to a cell, ascending (a contiguous
-    /// CSR slice — no allocation).
-    pub(crate) fn incident_nets(&self, c: CellId) -> &[NetId] {
-        self.csr.nets_of(c)
-    }
-
     /// The paper's *criticality* of the net on pin `pin` of an
     /// unreplicated cell `c` of `hg` (the circuit the state was built
     /// for): whether moving that single pin to the other side would
@@ -782,7 +776,8 @@ mod tests {
         ] {
             let old = st.cell_state(m);
             let sum: i64 = st
-                .incident_nets(m)
+                .csr
+                .nets_of(m)
                 .iter()
                 .map(|&n| st.net_contribution(m, old, new, n, st.net_counts(n)))
                 .sum();

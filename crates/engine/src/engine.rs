@@ -2,18 +2,11 @@
 //! request surface for multi-start bipartitioning and k-way carving.
 
 use crate::portfolio::{self, KWayPortfolioResult, PortfolioResult};
-use netpart_core::{
-    par_refine_sides, BipartitionConfig, BipartitionResult, EngineState, KWayConfig,
-    ParRefineOutcome, PartitionError,
-};
+use netpart_core::{BipartitionConfig, KWayConfig, PartitionError};
 use netpart_hypergraph::Hypergraph;
 use netpart_multilevel::MultilevelConfig;
 use netpart_obs::{NoopRecorder, Recorder, Span};
 use std::sync::Arc;
-
-/// Refinement round cap for [`Engine::par_refine`]: each round makes
-/// monotone progress, so this is a safety bound, not a tuning knob.
-const PAR_REFINE_MAX_ROUNDS: usize = 64;
 
 /// A portfolio engine instance: thread count, optional multilevel
 /// V-cycle and telemetry recorder.
@@ -166,46 +159,5 @@ impl Engine {
         let recorder = self.recorder.as_ref();
         let _span = Span::enter(recorder, "engine", "kway");
         portfolio::kway(hg, cfg, tasks, self.jobs, ml, recorder).map(|r| (Arc::new(r), false))
-    }
-
-    /// Polishes a replication-free bipartition in place with the
-    /// deterministic intra-run parallel refiner
-    /// ([`par_refine_sides`](netpart_core::par_refine_sides)),
-    /// fanning proposal evaluation across this engine's worker threads.
-    ///
-    /// Returns `None` — leaving `result` untouched — when the result
-    /// carries replicas or exports no placement: the refiner operates
-    /// on plain side vectors only. On `Some`, `result`'s cut, areas,
-    /// balance flag and placement reflect the refined solution, and
-    /// are byte-identical for every `jobs` value (the refiner's commit
-    /// order is fixed independently of scheduling).
-    pub fn par_refine(
-        &self,
-        hg: &Hypergraph,
-        cfg: &BipartitionConfig,
-        result: &mut BipartitionResult,
-    ) -> Option<ParRefineOutcome> {
-        if result.replicated_cells > 0 {
-            return None;
-        }
-        let placement = result.placement.as_ref()?;
-        let mut sides: Vec<u8> = hg
-            .cell_ids()
-            .map(|c| placement.part_of(c).map(|p| p.0 as u8))
-            .collect::<Option<_>>()?;
-        let out = par_refine_sides(
-            hg,
-            cfg,
-            &mut sides,
-            self.jobs,
-            PAR_REFINE_MAX_ROUNDS,
-            self.recorder.as_ref(),
-        );
-        let refined = EngineState::new_weighted(hg, &sides, cfg.terminal_weight);
-        result.cut = refined.cut();
-        result.areas = refined.areas();
-        result.balanced = cfg.balanced(refined.areas());
-        result.placement = Some(refined.to_placement(hg));
-        Some(out)
     }
 }

@@ -108,11 +108,12 @@ impl Error for PlacementError {}
 ///
 /// An unreplicated cell has a single [`CellCopy`] keeping all outputs. A
 /// replicated cell has several copies whose output masks partition its
-/// output set. Evaluation methods ([`cut_size`], [`part_terminals`],
-/// [`part_area`]) consider only *connected* pins.
+/// output set. Evaluation methods ([`cut_size`],
+/// [`part_terminal_counts`], [`part_area`]) consider only *connected*
+/// pins.
 ///
 /// [`cut_size`]: Self::cut_size
-/// [`part_terminals`]: Self::part_terminals
+/// [`part_terminal_counts`]: Self::part_terminal_counts
 /// [`part_area`]: Self::part_area
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Placement {
@@ -343,23 +344,15 @@ impl Placement {
         v
     }
 
-    /// The paper's `t_Pj`: the number of IOBs partition `part` uses.
+    /// The paper's `t_Pj`, one entry per part: the number of IOBs each
+    /// part uses.
     ///
-    /// Each net incident to the part consumes IOBs as follows: one IOB per
+    /// Each net incident to a part consumes IOBs as follows: one IOB per
     /// terminal (pad) endpoint connected in the part, and — if the net
     /// additionally spans another part — at least one IOB for the
     /// device-to-device crossing (shared with a pad of the same net on the
     /// same part, since it is the same physical wire at the device
     /// boundary).
-    pub fn part_terminals(&self, hg: &Hypergraph, part: PartId) -> usize {
-        let mut total = 0usize;
-        for nid in hg.net_ids() {
-            total += self.net_iobs_in_part(hg, nid, part);
-        }
-        total
-    }
-
-    /// Per-part IOB usage, one entry per part.
     pub fn part_terminal_counts(&self, hg: &Hypergraph) -> Vec<usize> {
         let mut v = vec![0usize; self.n_parts];
         let mut pads = vec![0usize; self.n_parts];
@@ -383,25 +376,6 @@ impl Placement {
             }
         }
         v
-    }
-
-    fn net_iobs_in_part(&self, hg: &Hypergraph, net: NetId, part: PartId) -> usize {
-        let parts = self.net_part_set(hg, net);
-        if !parts.contains(part) {
-            return 0;
-        }
-        let mut pads = 0usize;
-        for ep in hg.net(net).endpoints() {
-            if hg.cell(ep.cell).is_terminal() {
-                for (i, cp) in self.copies[ep.cell.index()].iter().enumerate() {
-                    if cp.part == part && self.pin_connected(hg, ep.cell, i, ep.pin) {
-                        pads += 1;
-                    }
-                }
-            }
-        }
-        let crossing = usize::from(parts.len() >= 2);
-        pads.max(crossing)
     }
 
     /// The number of cells with more than one copy.
@@ -582,15 +556,11 @@ mod tests {
         let (hg, m, _) = fig1().unwrap();
         let mut p = Placement::new_uniform(&hg, 2, PartId(0));
         // All on part 0: 5 pads → 5 IOBs on part 0, none on part 1.
-        assert_eq!(p.part_terminals(&hg, PartId(0)), 5);
-        assert_eq!(p.part_terminals(&hg, PartId(1)), 0);
-        // Move the logic cell to part 1: every net crosses.
+        assert_eq!(p.part_terminal_counts(&hg), vec![5, 0]);
+        // Move the logic cell to part 1: every net crosses. Part 0: the
+        // 5 pads each still consume exactly one IOB (the crossing shares
+        // the pad's wire). Part 1: 5 crossing nets, one IOB each.
         p.place(m, PartId(1));
-        // Part 0: the 5 pads each still consume exactly one IOB (the
-        // crossing shares the pad's wire).
-        assert_eq!(p.part_terminals(&hg, PartId(0)), 5);
-        // Part 1: 5 crossing nets, one IOB each.
-        assert_eq!(p.part_terminals(&hg, PartId(1)), 5);
         assert_eq!(p.part_terminal_counts(&hg), vec![5, 5]);
     }
 

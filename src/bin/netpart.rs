@@ -7,7 +7,6 @@
 //!                     [--threshold T] [--runs N] [--epsilon E] [--seed S]
 //!                     [--budget-ms MS] [--jobs N] [--certify-out C.cert]
 //!                     [--multilevel] [--max-levels N] [--coarsen-ratio R]
-//!                     [--par-refine]
 //! netpart kway        <file.blif> [--replication none|functional] [--threshold T]
 //!                     [--candidates N] [--max-attempts N] [--seed S] [--refine]
 //!                     [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N]
@@ -141,6 +140,11 @@
 //!   certificate (or could not parse it).
 //! * `7` — queue full: `netpart submit` hit the spool's backpressure
 //!   limit; nothing was written, resubmit later.
+//!
+//! A closed stdout (`netpart kway c.blif | head -1`) changes none of
+//! these: the unread report is dropped, and the run still writes its
+//! certificate, trace and metrics files. Any other stdout write error
+//! exits `1`.
 
 use netpart::core::{refine_kway, unreplicate_cleanup};
 use netpart::engine::WorkerStats;
@@ -159,9 +163,35 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Writes report text to stdout. A reader that closed the pipe is not
+/// an error (see "Exit codes" above); any other write error is.
+fn write_stdout(args: std::fmt::Arguments<'_>) -> std::io::Result<()> {
+    match std::io::Write::write_fmt(&mut std::io::stdout(), args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        r => r,
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  netpart stats <file.blif>\n  netpart bipartition <file.blif> [--replication none|traditional|functional] [--threshold T] [--runs N] [--epsilon E] [--seed S] [--budget-ms MS] [--jobs N] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--par-refine] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart kway <file.blif> [--replication none|functional] [--threshold T] [--candidates N] [--max-attempts N] [--seed S] [--refine] [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart verify <file.cert> [--netlist file.blif] [-v|-vv]\n  netpart serve <spool-dir> [--drain] [--jobs N] [--max-queue N] [--max-retries N] [--backoff-base R] [--poll-ms MS] [--budget-ms MS] [--seed S] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart serve-status <spool-dir>\n  netpart trace summarize <trace.jsonl>\n  netpart trace validate <trace.jsonl>\n  netpart trace diff <a.jsonl> <b.jsonl>\n  netpart submit <spool-dir> <file.blif> [--cmd bipartition|kway] [--id ID] [--seed S] [--runs N] [--epsilon E] [--candidates N] [--tasks N] [--replication M] [--threshold T] [--budget-ms MS] [--max-retries N] [--max-queue N]\n  netpart queue <spool-dir>\n  netpart synth <gates> [out.blif] [--dff N] [--seed S] [--rent P]"
+        "usage:\n  netpart stats <file.blif>\n  netpart bipartition <file.blif> [--replication none|traditional|functional] [--threshold T] [--runs N] [--epsilon E] [--seed S] [--budget-ms MS] [--jobs N] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart kway <file.blif> [--replication none|functional] [--threshold T] [--candidates N] [--max-attempts N] [--seed S] [--refine] [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart verify <file.cert> [--netlist file.blif] [-v|-vv]\n  netpart serve <spool-dir> [--drain] [--jobs N] [--max-queue N] [--max-retries N] [--backoff-base R] [--poll-ms MS] [--budget-ms MS] [--seed S] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart serve-status <spool-dir>\n  netpart trace summarize <trace.jsonl>\n  netpart trace validate <trace.jsonl>\n  netpart trace diff <a.jsonl> <b.jsonl>\n  netpart submit <spool-dir> <file.blif> [--cmd bipartition|kway] [--id ID] [--seed S] [--runs N] [--epsilon E] [--candidates N] [--tasks N] [--replication M] [--threshold T] [--budget-ms MS] [--max-retries N] [--max-queue N]\n  netpart queue <spool-dir>\n  netpart synth <gates> [out.blif] [--dff N] [--seed S] [--rent P]"
     );
     std::process::exit(2)
 }
@@ -176,7 +206,6 @@ struct Flags {
     max_attempts: Option<usize>,
     budget_ms: Option<u64>,
     refine: bool,
-    par_refine: bool,
     assign: Option<String>,
     dff: usize,
     jobs: usize,
@@ -217,7 +246,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
         max_attempts: None,
         budget_ms: None,
         refine: false,
-        par_refine: false,
         assign: None,
         dff: 0,
         jobs: 1,
@@ -275,7 +303,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
             "--netlist" => f.netlist = Some(val()?.clone()),
             "--board" => f.board = Some(val()?.clone()),
             "--refine" => f.refine = true,
-            "--par-refine" => f.par_refine = true,
             "--assign" => f.assign = Some(val()?.clone()),
             "--id" => f.id = Some(val()?.clone()),
             "--cmd" => f.cmd = val()?.clone(),
@@ -427,7 +454,7 @@ fn write_certificate(
         cert.with_source(source).to_text().as_bytes(),
         &Injector::none(),
     )?;
-    println!("certificate written to {out}");
+    outln!("certificate written to {out}")?;
     Ok(())
 }
 
@@ -536,7 +563,7 @@ fn route_board(
     })?;
     let routing = route_nets(&board, &demands)?;
     let objective = TopologyObjective::evaluate(&board, &routing);
-    println!("board {}: {objective}", board.name());
+    outln!("board {}: {objective}", board.name())?;
     recorder.record(
         &Event::new("board", "routed", Level::Info)
             .field("nets", objective.routed_nets)
@@ -603,27 +630,30 @@ fn cmd_stats(path: &str) -> Result<(), Box<dyn Error>> {
     let nl = load_netlist(path, &NOOP)?;
     let hg = map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl);
     let s = hg.stats();
-    println!("model {}", nl.name());
-    println!(
+    outln!("model {}", nl.name())?;
+    outln!(
         "gates {} (dff {}), PIs {}, POs {}",
         nl.n_gates(),
         nl.n_dffs(),
         nl.primary_inputs().len(),
         nl.primary_outputs().len()
-    );
-    println!(
+    )?;
+    outln!(
         "mapped: {} CLBs, {} IOBs, {} nets, {} pins",
-        s.clbs, s.iobs, s.nets, s.pins
-    );
+        s.clbs,
+        s.iobs,
+        s.nets,
+        s.pins
+    )?;
     let dist = hg.replication_potential_distribution();
     let total: usize = dist.iter().sum();
-    print!("replication potential ψ distribution:");
+    out!("replication potential ψ distribution:")?;
     for (psi, n) in dist.iter().enumerate() {
         if *n > 0 {
-            print!(" ψ={psi}:{:.1}%", 100.0 * *n as f64 / total as f64);
+            out!(" ψ={psi}:{:.1}%", 100.0 * *n as f64 / total as f64)?;
         }
     }
-    println!();
+    outln!()?;
     Ok(())
 }
 
@@ -647,50 +677,32 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         .with_recorder(Arc::clone(&obs.recorder));
     let (stats, _) = engine.bipartition_many(&hg, &cfg, runs)?;
     note_degradation(&stats.degradation);
-    println!(
+    outln!(
         "{} runs: best cut {}, avg cut {:.1}, avg replicated cells {:.1}",
         stats.results.len(),
         stats.best_cut(),
         stats.avg_cut(),
         stats.avg_replicated()
-    );
+    )?;
     let best = stats.best();
-    println!(
+    outln!(
         "best run: areas {:?}, {} passes, balanced: {}, stop: {}",
-        best.areas, best.passes, best.balanced, best.stop
-    );
-    // Post-portfolio polish: refine the winner in place with the
-    // deterministic parallel refiner, then certify the refined
-    // solution. Skipped (with a note) when the winner replicates.
-    let mut refined = None;
-    if f.par_refine {
-        let mut b = best.clone();
-        match engine.par_refine(&hg, &cfg, &mut b) {
-            Some(out) => {
-                println!(
-                    "par-refine: cut {} -> {} ({} committed over {} rounds)",
-                    out.cut_before, out.cut_after, out.committed, out.rounds
-                );
-                refined = Some(b);
-            }
-            None => println!("par-refine: skipped (winner has replicas)"),
-        }
-    }
+        best.areas,
+        best.passes,
+        best.balanced,
+        best.stop
+    )?;
     note_workers(&stats.workers);
     let mut routed = None;
     if let Some(spec) = &f.board {
-        let placement = match &refined {
-            Some(b) => b.placement.as_ref(),
-            None => best.placement.as_ref(),
-        }
-        .ok_or("nothing to route: the winning run exported no placement")?;
+        let placement = best
+            .placement
+            .as_ref()
+            .ok_or("nothing to route: the winning run exported no placement")?;
         routed = Some(route_board(spec, &hg, placement, obs.recorder.as_ref())?);
     }
     if let Some(out) = &f.certify_out {
-        let cert = match &refined {
-            Some(b) => b.certificate(&hg, cfg.seed.wrapping_add(stats.best_start() as u64)),
-            None => stats.certificate(&hg, &cfg),
-        };
+        let cert = stats.certificate(&hg, &cfg);
         write_certificate(attach_board(cert, routed), out, path)?;
     }
     obs.finish(f, "bipartition", path, &[("runs", runs.to_string())])
@@ -739,21 +751,24 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         let eff = res.effective_library(&lib);
         let n = unreplicate_cleanup(&hg, &mut res.placement, &res.devices, &eff);
         let st = refine_kway(&hg, &mut res.placement, &res.devices, &eff, 4);
-        println!(
+        outln!(
             "refinement: {} moves, {} unreplications, Σt {} → {}",
-            st.moves, n, st.terminals_before, st.terminals_after
-        );
+            st.moves,
+            n,
+            st.terminals_before,
+            st.terminals_after
+        )?;
         res.evaluation = evaluate(&hg, &res.placement, &eff, &res.devices);
     }
-    println!(
+    outln!(
         "k = {}, total cost = {}, avg CLB util {:.0}%, avg IOB util {:.0}%",
         res.devices.len(),
         res.evaluation.total_cost,
         100.0 * res.evaluation.avg_clb_util,
         100.0 * res.evaluation.avg_iob_util
-    );
+    )?;
     for part in &res.evaluation.parts {
-        println!(
+        outln!(
             "  part {}: {:8} {:5} CLBs ({:3.0}%), {:4} IOBs ({:3.0}%)",
             part.part,
             lib.device(part.device).name(),
@@ -761,7 +776,7 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
             100.0 * part.clb_util,
             part.terminals,
             100.0 * part.iob_util
-        );
+        )?;
     }
     let mut routed = None;
     if let Some(spec) = &f.board {
@@ -786,7 +801,7 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
             }
         }
         std::fs::write(out, csv)?;
-        println!("assignment written to {out}");
+        outln!("assignment written to {out}")?;
     }
     if let Some(out) = &f.certify_out {
         let seed = cfg.seed.wrapping_add(pres.winner as u64);
@@ -823,7 +838,7 @@ fn cmd_verify(cert_path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
             .field("clean", report.is_clean())
             .field("cut", report.recomputed().cut),
     );
-    println!("{report}");
+    outln!("{report}")?;
     if !report.is_clean() {
         let rows: Vec<(String, String)> = report
             .violations()
@@ -895,7 +910,7 @@ fn cmd_serve(spool: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     };
     let mut server = Server::open(Path::new(spool), cfg, Some(Arc::clone(&obs.recorder)))?;
     let report = server.run()?;
-    println!(
+    outln!(
         "serve: {} rounds, {} attempts, {} done ({} cache hits), {} failed, {} quarantined{}",
         report.rounds,
         report.executed,
@@ -904,7 +919,7 @@ fn cmd_serve(spool: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         report.failed,
         report.quarantined,
         if report.drained { ", drained" } else { "" }
-    );
+    )?;
     if report.recovered_interrupted > 0 || report.recovered_torn_tail {
         eprintln!(
             "recovery: {} interrupted job(s) re-run{}",
@@ -964,7 +979,7 @@ fn cmd_submit(spool: &str, blif_path: &str, f: &Flags) -> Result<(), Box<dyn Err
     };
     match submit_job(Path::new(spool), &id, &blif, &spec, f.max_queue)? {
         SubmitOutcome::Submitted { job } => {
-            println!("submitted {job} to {spool}");
+            outln!("submitted {job} to {spool}")?;
             Ok(())
         }
         SubmitOutcome::QueueFull { open, max } => Err(Box::new(QueueFull(format!(
@@ -978,16 +993,16 @@ fn cmd_queue(spool: &str) -> Result<(), Box<dyn Error>> {
     let spool = Path::new(spool);
     let replay = Wal::replay_readonly(&spool.join("journal.wal"))?;
     let queue = QueueState::replay(replay.records.iter().map(|(_, r)| r));
-    println!(
+    outln!(
         "{} journal record(s), {} open job(s)",
         replay.records.len(),
         queue.open_count()
-    );
+    )?;
     if replay.torn_tail {
-        println!(
+        outln!(
             "warning: torn journal tail ({} byte(s) pending truncation by the server)",
             replay.truncated_bytes
-        );
+        )?;
     }
     for e in queue.jobs() {
         let state = match &e.state {
@@ -1003,13 +1018,13 @@ fn cmd_queue(spool: &str) -> Result<(), Box<dyn Error>> {
             (_, Some((code, msg))) => format!("  [exit {code}: {msg}]"),
             _ => String::new(),
         };
-        println!(
+        outln!(
             "  {:<24} {:<12} attempts {}{}",
             e.job,
             state,
             e.attempts,
             err.replace('\n', " ")
-        );
+        )?;
     }
     Ok(())
 }
@@ -1045,11 +1060,11 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
         [sub, path] if sub == "validate" => {
             let scan = scan_trace(&read(path)?);
             if scan.is_valid() {
-                println!(
+                outln!(
                     "ok: {} line(s), {} span label(s), no schema violations",
                     scan.summary.lines,
                     scan.summary.spans.len()
-                );
+                )?;
                 Ok(())
             } else {
                 for e in &scan.errors {
@@ -1069,18 +1084,18 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
                 .iter()
                 .map(|(level, n)| format!("{n} {level}"))
                 .collect();
-            println!("{path}: {} line(s) ({})", s.lines, by_level.join(", "));
+            outln!("{path}: {} line(s) ({})", s.lines, by_level.join(", "))?;
             let mut events = Table::new("events", &["Event", "Count"]);
             for (k, n) in &s.events {
                 events.row([k.clone(), n.to_string()]);
             }
-            println!("{events}");
+            outln!("{events}")?;
             if !s.counters.is_empty() {
                 let mut counters = Table::new("counters", &["Counter", "Total"]);
                 for (k, n) in &s.counters {
                     counters.row([k.clone(), n.to_string()]);
                 }
-                println!("{counters}");
+                outln!("{counters}")?;
             }
             if !s.spans.is_empty() {
                 let mut spans = Table::new("spans", &["Span", "Count", "Total (ms)"]);
@@ -1091,7 +1106,7 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
                         format!("{:.1}", agg.total_us as f64 / 1000.0),
                     ]);
                 }
-                println!("{spans}");
+                outln!("{spans}")?;
             }
             if !scan.errors.is_empty() {
                 eprintln!(
@@ -1103,7 +1118,7 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
         [sub, a, b] if sub == "diff" => match diff_stripped(&read(a)?, &read(b)?) {
             None => {
-                println!("identical after timing strip");
+                outln!("identical after timing strip")?;
                 Ok(())
             }
             Some(d) => {
@@ -1134,10 +1149,10 @@ fn cmd_serve_status(spool: &str) -> Result<(), Box<dyn Error>> {
     // not completed a scheduler round. That is a normal state of a
     // fresh service, not an error.
     if !path.exists() {
-        println!(
+        outln!(
             "no metrics snapshots yet in {spool} (the server writes {} after its first round)",
             path.display()
-        );
+        )?;
         return Ok(());
     }
     let text = std::fs::read_to_string(&path)
@@ -1173,7 +1188,7 @@ fn cmd_serve_status(spool: &str) -> Result<(), Box<dyn Error>> {
             }
         }
     }
-    println!("{t}");
+    outln!("{t}")?;
     Ok(())
 }
 
@@ -1190,9 +1205,9 @@ fn cmd_synth(gates: &str, out: Option<&String>, f: &Flags) -> Result<(), Box<dyn
     match out {
         Some(path) => {
             std::fs::write(path, text)?;
-            println!("wrote {path}");
+            outln!("wrote {path}")?;
         }
-        None => print!("{text}"),
+        None => out!("{text}")?,
     }
     Ok(())
 }

@@ -29,7 +29,7 @@
 //! under CRLF endings.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn netpart() -> Command {
     Command::new(env!("CARGO_BIN_EXE_netpart"))
@@ -133,8 +133,13 @@ fn truncated_mid_token_blif_exits_one_with_line_number() {
 
 #[test]
 fn unknown_flag_exits_two() {
-    // `--cache` named an in-process result cache that no longer exists.
-    for (cmd, flag) in [("stats", "--bogus"), ("bipartition", "--cache")] {
+    // `--cache` named an in-process result cache and `--par-refine` a
+    // post-portfolio polish; neither exists any more.
+    for (cmd, flag) in [
+        ("stats", "--bogus"),
+        ("bipartition", "--cache"),
+        ("bipartition", "--par-refine"),
+    ] {
         let out = netpart()
             .args([cmd, data("good_tiny.blif").to_str().unwrap(), flag])
             .output()
@@ -411,6 +416,49 @@ fn certify_then_verify_round_trips_through_the_cli() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("certificate OK"), "no verdict: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stdout_still_certifies_and_exits_zero() {
+    // A reader that goes away (`netpart kway c.blif | head -1`) is not a
+    // failure of the run: the report lines it would have read are
+    // dropped, the certificate is still written, and the exit code is
+    // the run's own. The read end is closed before kway has printed
+    // anything, so every stdout write meets a broken pipe.
+    let dir = std::env::temp_dir().join(format!("netpart-pipe-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cert = dir.join("pipe.cert");
+    let mut child = netpart()
+        .args([
+            "kway",
+            data("verify_small.blif").to_str().unwrap(),
+            "--seed",
+            "9",
+            "--candidates",
+            "2",
+            "--certify-out",
+            cert.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "kway failed: {err}");
+    assert!(!err.contains("panicked"), "kway panicked: {err}");
+    let out = netpart()
+        .args(["verify", cert.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "certificate rejected: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

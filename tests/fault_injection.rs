@@ -7,9 +7,12 @@
 //! panic shows up as a test failure naming the kill point, not as a
 //! generic abort.
 
+use netpart::core::{kway_partition_with_clock, RunClock};
+use netpart::obs::{BufferRecorder, Value};
 use netpart::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn data_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data")
@@ -340,6 +343,62 @@ fn terminal_starved_library_escalates_to_typed_error() {
             "an impossible library cannot yield an undegraded result"
         ),
         Err(e) => panic!("unexpected error kind {e}"),
+    }
+}
+
+/// The same terminal-starved request with escalation on climbs every
+/// rung of the ladder in order, spends the full attempt pool on each,
+/// and only then reports the library infeasible.
+#[test]
+fn terminal_starved_library_climbs_the_full_ladder() {
+    let hg = small_hg(41);
+    let lib = DeviceLibrary::new(vec![Device::new("T1", 256, 1, 1, 0.0, 1.0)]);
+    let cfg = KWayConfig::new(lib)
+        .with_seed(2)
+        .with_candidates(1)
+        .with_max_attempts(2)
+        .with_max_passes(2);
+    let buffer = Arc::new(BufferRecorder::new());
+    let clock = RunClock::new(&cfg.budget, &cfg.fault)
+        .with_recorder(Arc::clone(&buffer) as Arc<dyn Recorder>);
+    let res = no_panic("full ladder", || {
+        kway_partition_with_clock(&hg, &cfg, &clock, true)
+    });
+    let events = buffer.take();
+    // `(rung, value of key)` of every `kway.<name>` event, in order.
+    let rungs = |name: &str, key: &str| -> Vec<(String, u64)> {
+        events
+            .iter()
+            .filter(|e| e.scope == "kway" && e.name == name)
+            .map(|e| {
+                let field = |k: &str| e.fields.iter().find(|(f, _)| *f == k).map(|(_, v)| v);
+                match (field("rung"), field(key)) {
+                    (Some(Value::Str(rung)), Some(Value::U64(n))) => (rung.clone(), *n),
+                    other => panic!("malformed kway.{name} event: {other:?}"),
+                }
+            })
+            .collect()
+    };
+    let expect = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+        pairs.iter().map(|&(r, n)| (r.to_string(), n)).collect()
+    };
+    assert_eq!(
+        rungs("stage", "attempts"),
+        expect(&[
+            ("base", 2),
+            ("reseed", 2),
+            ("relaxed_floor", 2),
+            ("larger_device", 2)
+        ])
+    );
+    assert_eq!(
+        rungs("escalate", "attempts_so_far"),
+        expect(&[("reseed", 2), ("relaxed_floor", 4), ("larger_device", 6)])
+    );
+    match res {
+        Err(PartitionError::InfeasibleLibrary { attempts, .. }) => assert_eq!(attempts, 8),
+        Err(e) => panic!("expected InfeasibleLibrary, got error {e}"),
+        Ok(_) => panic!("expected InfeasibleLibrary, got a partition"),
     }
 }
 
