@@ -34,7 +34,9 @@ pub struct Budget {
     /// Wall-clock limit in milliseconds.
     pub wall_ms: Option<u64>,
     /// Limit on applied FM moves (summed across passes and, in k-way
-    /// runs, across carve bipartitions).
+    /// runs, across carve bipartitions). Only moves a pass makes count:
+    /// a pass that ends early at the dead-net bound skips the moves its
+    /// rollback would have undone, and they are not counted.
     pub max_moves: Option<u64>,
 }
 

@@ -17,7 +17,9 @@
 /// default) injects nothing.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Report a fault once this many FM moves have been applied.
+    /// Report a fault once this many FM moves have been applied. Like
+    /// [`Budget::max_moves`](crate::Budget::max_moves), this counts only
+    /// the moves the passes make.
     pub kill_after_moves: Option<u64>,
     /// Report a fault once this many FM passes have completed.
     pub kill_after_passes: Option<u64>,

@@ -16,7 +16,9 @@ use crate::budget::RunClock;
 use crate::config::{BipartitionConfig, ReplicationMode};
 use crate::csr::CsrGraph;
 use crate::error::StopReason;
-use crate::state::{pins_contribution, quiet_transition, CellState, EngineState, StateBuffers};
+use crate::state::{
+    group_conn, pins_contribution, quiet_transition, CellState, EngineState, StateBuffers,
+};
 use netpart_hypergraph::{CellId, Hypergraph, NetId, Placement};
 use netpart_obs::{Event, Level, Span};
 use netpart_rng::Rng;
@@ -246,6 +248,7 @@ pub(crate) struct PassScratch {
     rank: Vec<u32>,
     moved: Vec<(u64, u32, i64, u8)>,
     lowered: Lowered,
+    dead: DeadNets,
 }
 
 /// Clears `v` and refills it with `n` copies of `x`, in its capacity.
@@ -312,6 +315,68 @@ thread_local! {
     /// Changed nets whose cells the bucket pass did not walk because the
     /// transition was quiet, on this thread since it started.
     static QUIET_SKIPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Bucket passes the dead-net bound ended before the ladder drained,
+    /// on this thread since it started.
+    static BOUND_STOPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`DeadNets`] flag bits of a net: a locked cell connects a sink of it
+/// on side 0, on side 1; its driver is locked; it is counted dead.
+const SINK_LOCKED: [u8; 2] = [1, 2];
+const DRIVER_LOCKED: u8 = 4;
+const COUNTED: u8 = 8;
+
+/// The nets no later move of a pass can uncut. A net is *dead* once its
+/// driver is locked and a locked cell connects a sink of it on a side
+/// the driver does not reach. Locked cells keep their states until the
+/// pass ends, so that side keeps a sink and no driver while the other
+/// keeps the driver, and the net stays cut. The count is a lower bound
+/// on the cut of every later prefix of the pass (DESIGN §9.4).
+#[derive(Default)]
+struct DeadNets {
+    /// One byte of flag bits per net.
+    flags: Vec<u8>,
+    count: i64,
+}
+
+impl DeadNets {
+    /// No locked cell, for `n_nets` nets.
+    fn reset(&mut self, n_nets: usize) {
+        refill(&mut self.flags, n_nets, 0);
+        self.count = 0;
+    }
+
+    /// Records that `c` is locked in its current state, counting the
+    /// nets that makes dead.
+    fn lock(&mut self, engine: &EngineState<'_>, csr: &CsrGraph, c: CellId) {
+        let state = engine.cell_state(c);
+        for (nt, pins) in csr.groups(c) {
+            let f = &mut self.flags[nt.index()];
+            if *f & COUNTED != 0 {
+                continue;
+            }
+            let [s0, s1, d0, d1] = group_conn(state, pins);
+            for (conn, bit) in [
+                (s0, SINK_LOCKED[0]),
+                (s1, SINK_LOCKED[1]),
+                (d0 + d1, DRIVER_LOCKED),
+            ] {
+                if conn > 0 {
+                    *f |= bit;
+                }
+            }
+            if *f & DRIVER_LOCKED == 0 {
+                continue;
+            }
+            // A net has one driver, so its driver counts are final now.
+            // A traditional replica drives both sides and kills nothing.
+            let (_, drv) = engine.net_counts(nt);
+            if (0..2).any(|s| *f & SINK_LOCKED[s] != 0 && drv[s] == 0 && drv[1 - s] > 0) {
+                *f |= COUNTED;
+                self.count += 1;
+            }
+        }
+    }
 }
 
 /// `rank` marker: the net is not a changed net of the current move.
@@ -374,6 +439,11 @@ impl Lowered {
 /// instead of being set aside outright; cells with no legal candidate
 /// go to `deferred` and re-enter when the areas change, with one final
 /// retry should the ladder drain first.
+///
+/// The pass ends before the ladder drains once no later prefix can beat
+/// the best balanced one: when the [`DeadNets`] and a floor under the
+/// pad cost already cost as much as the best prefix's objective. The
+/// moves it skips are ones the rollback would undo (DESIGN §9.4).
 fn run_pass_buckets(
     engine: &mut EngineState<'_>,
     cfg: &BipartitionConfig,
@@ -399,6 +469,7 @@ fn run_pass_buckets(
         rank,
         moved,
         lowered,
+        dead,
     } = scratch;
 
     // Bucket-array gain bound: a move changes each distinct incident
@@ -407,6 +478,14 @@ fn run_pass_buckets(
     let p_max = csr.max_cell_degree() as i64;
     let max_pins = csr.max_group_pins() as u32;
 
+    // The objective at pass start, and a floor under the pad cost of
+    // every later prefix: locked pads at their side's weight, the others
+    // at the lower weight.
+    let obj0 = engine.objective();
+    let weight = engine.terminal_weight();
+    let low = weight[0].min(weight[1]);
+    let mut pad_floor = 0i64;
+
     let build_span = Span::enter(clock.recorder(), "fm", "buckets.build");
     cands.clear();
     range.clear();
@@ -414,6 +493,9 @@ fn run_pass_buckets(
         let s = cands.len() as u32;
         push_candidates(engine, cfg, c, cands);
         range.push((s, cands.len() as u32));
+        if csr.cell(c).pad {
+            pad_floor += low;
+        }
     }
 
     buckets.reset(n, p_max);
@@ -440,6 +522,7 @@ fn run_pass_buckets(
     refill(rank, csr.n_nets(), NO_RANK);
     moved.clear();
     lowered.reset(n, csr.n_nets());
+    dead.reset(csr.n_nets());
 
     loop {
         let Some((cell, gain, tie)) = buckets.pop() else {
@@ -518,6 +601,21 @@ fn run_pass_buckets(
         // pass; the rollback below still restores the best balanced
         // prefix, so interruption only costs unexplored moves.
         if clock.tick_move().is_some() {
+            break;
+        }
+        // Every later prefix costs at least the dead nets plus the pad
+        // floor, so once those reach the best prefix's objective no
+        // later prefix can beat it. Checked only after an applied move,
+        // so a pass that applies none still retries its deferred cells.
+        dead.lock(engine, csr, c);
+        if let CellState::Single { side } = new {
+            if csr.cell(c).pad {
+                pad_floor += weight[side as usize] - low;
+            }
+        }
+        if best.is_some_and(|(b, _)| dead.count + pad_floor >= obj0 - b) {
+            #[cfg(test)]
+            BOUND_STOPS.with(|s| s.set(s.get() + 1));
             break;
         }
         // Incremental gain maintenance: for each incident net whose
@@ -1511,9 +1609,12 @@ mod tests {
                     .with_replication(mode)
                     .with_max_growth(mode.replicates().then_some(8));
                 let skips0 = QUIET_SKIPS.with(|q| q.get());
+                let stops0 = BOUND_STOPS.with(|s| s.get());
                 let buckets = bipartition_with_pass(&hg, &cfg, run_pass_buckets);
                 let skipped = QUIET_SKIPS.with(|q| q.get()) - skips0;
                 assert!(skipped > 0, "seed {seed}, {mode:?}: no quiet net skipped");
+                let stopped = BOUND_STOPS.with(|s| s.get()) - stops0;
+                assert!(stopped > 0, "seed {seed}, {mode:?}: no pass ended early");
                 let heap = bipartition_with_pass(&hg, &cfg, run_pass_heap);
                 assert_eq!(buckets.gain_repairs + heap.gain_repairs, 0);
                 if mode == ReplicationMode::Traditional {
@@ -1544,6 +1645,7 @@ mod tests {
         // Both are growth-capped, with functional replication at T = 0.
         let lib = netpart_fpga::DeviceLibrary::xc3000();
         let mut replicated = 0;
+        let stops0 = BOUND_STOPS.with(|s| s.get());
         for seed in SEEDS {
             let hg = gen::mapped(350, 30, seed);
             let area = hg.total_area();
@@ -1584,6 +1686,97 @@ mod tests {
             }
         }
         assert!(replicated > 0, "no carve run kept a replica");
+        assert!(
+            BOUND_STOPS.with(|s| s.get()) > stops0,
+            "no carve pass ended early"
+        );
+    }
+
+    #[test]
+    fn a_net_dies_only_while_its_driver_reaches_one_side() {
+        // D drives nx, which E reads; both are locked, E on side 1. D
+        // single on side 0, or functionally split with nx's output kept
+        // on side 0, leaves nx cut for the rest of the pass. A split
+        // that drives nx from side 1 uncuts it, and a traditional
+        // replica drives it on both sides: neither may count it dead.
+        let (hg, d) = shared_net_circuit();
+        let e = CellId(3);
+        let split = |replica_mask| CellState::Functional {
+            orig_side: 0,
+            replica_mask,
+        };
+        for (state, want) in [
+            (CellState::Single { side: 0 }, 1),
+            (split(0b10), 1),
+            (split(0b01), 0),
+            (CellState::Traditional { orig_side: 0 }, 0),
+        ] {
+            let mut engine = EngineState::new(&hg, &[0, 0, 0, 1, 1, 1]);
+            engine.set_state(d, state);
+            let csr = engine.csr().clone();
+            let mut dead = DeadNets::default();
+            dead.reset(csr.n_nets());
+            dead.lock(&engine, &csr, e);
+            assert_eq!(dead.count, 0, "{state:?}: D is not locked yet");
+            dead.lock(&engine, &csr, d);
+            assert_eq!(dead.count, want, "{state:?}");
+        }
+    }
+
+    #[test]
+    fn a_pass_the_bound_ends_keeps_the_drained_outcome() {
+        // Both passes run from the same engine state, pass after pass:
+        // the heap reference drains the ladder, the bucket pass may stop
+        // at the dead-net bound. Their improvement, kept prefix and
+        // balance must agree, and so must the states they leave, while
+        // the bucket pass applies fewer moves. Shapes: a device carve
+        // (pads weighted out of the chunk) and traditional replication,
+        // whose replicas drive both sides of their output nets, under a
+        // growth cap: uncapped, a pass can replicate its way below the
+        // best balanced objective, and no pass ends early.
+        let hg = gen::mapped(350, 30, SEEDS[0]);
+        let area = hg.total_area();
+        let carve = BipartitionConfig::bounded([area / 4, 0], [area / 3, area])
+            .with_terminal_weight([1, 0])
+            .with_replication(ReplicationMode::functional(0));
+        let traditional = BipartitionConfig::equal(&hg, 0.1)
+            .with_replication(ReplicationMode::Traditional)
+            .with_max_growth(Some(8));
+        let clock = RunClock::new(&Budget::none(), &FaultPlan::none());
+        for (label, cfg) in [("carve", carve), ("traditional", traditional)] {
+            let cfg = cfg.with_seed(SEEDS[0]);
+            let (mut sides, mut order) = (Vec::new(), Vec::new());
+            initial_sides(&CsrGraph::build(&hg), &cfg, &mut sides, &mut order);
+            let mut engine = EngineState::new_weighted(&hg, &sides, cfg.terminal_weight);
+            let (mut scratch, mut heap_scratch) = (PassScratch::default(), PassScratch::default());
+            let (mut applied, mut drained, mut stopped) = (0, 0, 0);
+            for pass in 1..=cfg.max_passes {
+                let mut reference = engine.clone();
+                let stops0 = BOUND_STOPS.with(|s| s.get());
+                let out = run_pass_buckets(&mut engine, &cfg, &mut scratch, &clock);
+                stopped += BOUND_STOPS.with(|s| s.get()) - stops0;
+                let heap = run_pass_heap(&mut reference, &cfg, &mut heap_scratch, &clock);
+                assert_eq!(
+                    (out.improvement, out.kept, out.any_balanced),
+                    (heap.improvement, heap.kept, heap.any_balanced),
+                    "{label}, pass {pass}"
+                );
+                assert!(out.applied <= heap.applied, "{label}, pass {pass}");
+                assert_eq!(engine.cut(), reference.cut(), "{label}, pass {pass}");
+                assert!(
+                    hg.cell_ids()
+                        .all(|c| engine.cell_state(c) == reference.cell_state(c)),
+                    "{label}, pass {pass}: the kept prefixes differ"
+                );
+                applied += out.applied;
+                drained += heap.applied;
+                if out.improvement <= 0 {
+                    break;
+                }
+            }
+            assert!(stopped > 0, "{label}: no pass ended early");
+            assert!(applied < drained, "{label}: {applied} vs {drained} moves");
+        }
     }
 
     #[test]

@@ -249,6 +249,17 @@ impl<'a> EngineState<'a> {
         self.areas
     }
 
+    /// The objective the gains decrease: the cut plus the weighted pad
+    /// cost.
+    pub(crate) fn objective(&self) -> i64 {
+        self.cut as i64 + self.pad_cost
+    }
+
+    /// The extra objective cost of a pad on each side.
+    pub(crate) fn terminal_weight(&self) -> [i64; 2] {
+        self.terminal_weight
+    }
+
     /// Number of replicated cells.
     pub fn replicated_cells(&self) -> usize {
         self.state.iter().filter(|s| s.is_replicated()).count()

@@ -162,30 +162,14 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+use stdout::{outln, write_stdout};
 
-/// Writes report text to stdout. A reader that closed the pipe is not
-/// an error (see "Exit codes" above); any other write error is.
-fn write_stdout(args: std::fmt::Arguments<'_>) -> std::io::Result<()> {
-    match std::io::Write::write_fmt(&mut std::io::stdout(), args) {
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
-        r => r,
-    }
-}
+mod stdout;
 
 /// `print!` through [`write_stdout`].
 macro_rules! out {
     ($($arg:tt)*) => {
         write_stdout(format_args!($($arg)*))
-    };
-}
-
-/// `println!` through [`write_stdout`].
-macro_rules! outln {
-    () => {
-        write_stdout(format_args!("\n"))
-    };
-    ($($arg:tt)*) => {
-        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
     };
 }
 

@@ -25,6 +25,9 @@ use netpart::experiments::{
 };
 use netpart::report::Table;
 use std::path::PathBuf;
+use stdout::outln;
+
+mod stdout;
 
 struct Options {
     exhibit: String,
@@ -88,15 +91,24 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Prints `table` and writes it to `out/file`. A closed stdout drops
+/// the printout and keeps the CSV; any other stdout error exits 1.
 fn emit(table: &Table, out: &PathBuf, file: &str) {
-    println!("{table}");
-    if std::fs::create_dir_all(out).is_ok() {
-        let path = out.join(file);
-        if let Err(e) = std::fs::write(&path, table.to_csv()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("(csv: {})\n", path.display());
+    let shown = (|| {
+        outln!("{table}")?;
+        if std::fs::create_dir_all(out).is_ok() {
+            let path = out.join(file);
+            if let Err(e) = std::fs::write(&path, table.to_csv()) {
+                eprintln!("warning: could not write {}: {e}", path.display());
+            } else {
+                outln!("(csv: {})\n", path.display())?;
+            }
         }
+        Ok::<_, std::io::Error>(())
+    })();
+    if let Err(e) = shown {
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
     }
 }
 

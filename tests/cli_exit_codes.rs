@@ -463,6 +463,29 @@ fn closed_stdout_still_certifies_and_exits_zero() {
 }
 
 #[test]
+fn closed_stdout_still_writes_the_tables_csv_and_exits_zero() {
+    // The experiment binary follows the same rule as the CLI
+    // (`tables figure3 … | head -1`): the unread table is dropped, the
+    // CSV is still written, and a closed pipe is no failure.
+    let dir = std::env::temp_dir().join(format!("netpart-tables-pipe-{}", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(["figure3", "--scale", "16", "--only", "c3540", "--out"])
+        .arg(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "tables failed: {err}");
+    assert!(!err.contains("panicked"), "tables panicked: {err}");
+    let csv = std::fs::read_to_string(dir.join("figure3.csv")).expect("figure3.csv written");
+    assert!(csv.contains("c3540"), "no c3540 row: {csv}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn refined_relaxed_floor_kway_certificate_verifies() {
     // One carve attempt cannot meet the XC3000 utilization floors on
     // this circuit, so the winner comes from the relaxed-floor rung.
