@@ -647,6 +647,38 @@ mod tests {
         }
     }
 
+    /// The techmapper dedups a CLB's inputs and gives each output its
+    /// own signal, so a mapped cell has at most two pins on one net: an
+    /// input and an output (a CLB feeding itself). The boundary pass's
+    /// walk rule is exact under that bound (DESIGN §14.3).
+    #[test]
+    fn mapped_circuits_have_at_most_two_pins_per_net() {
+        use netpart_netlist::{generate, GeneratorConfig};
+        use netpart_techmap::{map, MapperConfig};
+        let rent = |gates: usize, seed: u64| {
+            let nl = generate(
+                &GeneratorConfig::new(gates)
+                    .with_dff(gates / 20)
+                    .with_rent(0.65)
+                    .with_seed(seed),
+            );
+            map(&nl, &MapperConfig::xc3000())
+                .unwrap()
+                .to_hypergraph(&nl)
+        };
+        let circuits = [
+            netpart_verify::gen::mapped(800, 50, 3),
+            netpart_verify::gen::mapped(1200, 80, 7),
+            netpart_verify::gen::mapped(3000, 150, 11),
+            rent(4000, 42),
+            rent(4000, 7),
+        ];
+        for (i, hg) in circuits.iter().enumerate() {
+            let pins = CsrGraph::build(hg).max_group_pins();
+            assert!(pins <= 2, "circuit {i}: a cell has {pins} pins on one net");
+        }
+    }
+
     #[test]
     fn positions_index_each_cell_on_its_nets() {
         let (hg, _, _) = shared_pin_graph();

@@ -22,6 +22,7 @@ use crate::state::{
 use netpart_hypergraph::{CellId, Hypergraph, NetId, Placement};
 use netpart_obs::{Event, Level, Span};
 use netpart_rng::Rng;
+use std::collections::BinaryHeap;
 
 /// The outcome of one bipartitioning run.
 #[derive(Clone, Debug)]
@@ -228,20 +229,23 @@ type PassFn =
 
 /// The vectors an FM pass works in, kept from pass to pass (and, in a
 /// [`FmWorkspace`], from one bipartition to the next), so a pass
-/// allocates nothing once they have grown to the circuit.
+/// allocates nothing once they have grown to the circuit. The boundary
+/// pass ([`crate::boundary`]) shares the lock, log, deferral, snapshot
+/// and touch vectors with the bucket pass, and keeps its heap and gains
+/// in the last three.
 #[derive(Default)]
 pub(crate) struct PassScratch {
     cands: Vec<Candidate>,
     /// Each cell's candidate range in `cands`.
     range: Vec<(u32, u32)>,
     buckets: GainBuckets,
-    locked: Vec<bool>,
+    pub(crate) locked: Vec<bool>,
     /// Applied moves with the state each replaced, for the rollback.
-    log: Vec<(CellId, CellState)>,
-    deferred: Vec<CellId>,
+    pub(crate) log: Vec<(CellId, CellState)>,
+    pub(crate) deferred: Vec<CellId>,
     /// The moved cell's net counts before the move.
-    before: Vec<([u32; 2], [u32; 2])>,
-    in_touched: Vec<bool>,
+    pub(crate) before: Vec<([u32; 2], [u32; 2])>,
+    pub(crate) in_touched: Vec<bool>,
     touched: Vec<u32>,
     /// Moves with a quiet net: each changed net's index in the moved
     /// cell's net list, and the repositions with their first-seen rank.
@@ -249,10 +253,16 @@ pub(crate) struct PassScratch {
     moved: Vec<(u64, u32, i64, u8)>,
     lowered: Lowered,
     dead: DeadNets,
+    /// The boundary pass's lazy max-heap on `(gain, cell)`, the gain of
+    /// each cell it admitted, and the cells a move touched with their
+    /// gains before it (`None`: not admitted yet).
+    pub(crate) heap: BinaryHeap<(i64, u32)>,
+    pub(crate) gain: Vec<Option<i64>>,
+    pub(crate) changed: Vec<(CellId, Option<i64>)>,
 }
 
 /// Clears `v` and refills it with `n` copies of `x`, in its capacity.
-fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
     v.clear();
     v.resize(n, x);
 }
@@ -470,6 +480,7 @@ fn run_pass_buckets(
         moved,
         lowered,
         dead,
+        ..
     } = scratch;
 
     // Bucket-array gain bound: a move changes each distinct incident
@@ -793,11 +804,9 @@ pub fn bipartition_with_clock(
 
 /// [`bipartition_with_clock`] from an explicit initial assignment
 /// instead of the seeded random one — `sides[i]` is cell `i`'s starting
-/// side (0 or 1). This is the multilevel refinement entry point: each
-/// uncoarsening rung projects the coarse solution down and hands it
-/// here, so the V-cycle reuses the flat pass loop (gain buckets,
-/// replication phases, rollback, budgets) without duplicating any of
-/// it.
+/// side (0 or 1). A replicating V-cycle hands its finest level here, so
+/// the replication phases start from the projected solution; coarser
+/// levels go through [`refine_sides`](crate::refine_sides).
 ///
 /// # Panics
 ///
@@ -958,7 +967,6 @@ fn phase_loop(
 #[cfg(test)]
 mod lazy_heap {
     use super::*;
-    use std::collections::BinaryHeap;
 
     #[derive(PartialEq, Eq)]
     struct HeapEntry {

@@ -13,7 +13,9 @@
 //!   threshold replication potential `T` (eq. 6);
 //! * [`kway`] — the recursive, device-aware k-way partitioner of the
 //!   paper's second experiment: minimize total device cost (eq. 1) and
-//!   average IOB utilization (eq. 2) over a heterogeneous library.
+//!   average IOB utilization (eq. 2) over a heterogeneous library;
+//! * [`refine_sides`] — boundary-seeded FM over the same engine state
+//!   and gain rule, the multilevel V-cycle's refiner.
 //!
 //! # Examples
 //!
@@ -41,6 +43,7 @@
 
 #[cfg(test)]
 mod baseline;
+mod boundary;
 mod buckets;
 mod budget;
 mod config;
@@ -55,6 +58,7 @@ mod refine;
 pub mod rent;
 mod state;
 
+pub use boundary::refine_sides;
 pub use budget::{Budget, CancelToken, RunClock};
 pub use config::{BipartitionConfig, ReplicationMode};
 pub use error::{Degradation, PartitionError, Relaxation, StopReason};

@@ -21,10 +21,11 @@
 //! 3. **Uncoarsen** ([`ml_bipartition_with_clock`] /
 //!    [`ml_kway_partition_with_clock`]): the placement projects up one
 //!    rung at a time through each [`CoarseLevel`]'s maps and
-//!    **boundary-limited FM** ([`refine_sides`]) polishes it — the same
-//!    gain-ordered, rollback-protected move semantics as the flat
-//!    engine, but seeded from the cut boundary only, so refinement
-//!    costs time proportional to the cut instead of the circuit.
+//!    **boundary-seeded FM** ([`netpart_core::refine_sides`]) polishes
+//!    it — the core's own engine state, gain rule and rollback to the
+//!    best balanced prefix, but seeded from the cut boundary only, so
+//!    refinement costs time proportional to the cut instead of the
+//!    circuit.
 //!    Replicating configurations hand the finest level to the flat
 //!    engine, where the paper's replication phases live. Every level
 //!    emits `ml.coarsen` / `ml.level` / `ml.refine` observability
@@ -41,13 +42,11 @@
 mod coarsen;
 mod config;
 mod level;
-mod refine;
 mod vcycle;
 
 pub use coarsen::{coarsen_once, psi_guards};
 pub use config::MultilevelConfig;
 pub use level::{cut_of_sides, CoarseLevel};
-pub use refine::refine_sides;
 pub use vcycle::{
     build_chain, ml_bipartition, ml_bipartition_with_clock, ml_kway_partition,
     ml_kway_partition_with_clock,

@@ -11,12 +11,11 @@
 
 use crate::coarsen::coarsen_once;
 use crate::level::{cut_of_sides, CoarseLevel};
-use crate::refine::refine_sides;
 use crate::MultilevelConfig;
 use netpart_core::{
     bipartition_from_sides, bipartition_with_clock, kway_partition_with_clock, refine_kway,
-    BipartitionConfig, BipartitionResult, KWayConfig, KWayResult, PartitionError, ReplicationMode,
-    RunClock, StopReason,
+    refine_sides, BipartitionConfig, BipartitionResult, KWayConfig, KWayResult, PartitionError,
+    ReplicationMode, RunClock, StopReason,
 };
 use netpart_fpga::evaluate;
 use netpart_hypergraph::{Hypergraph, PartId, Placement};
@@ -195,10 +194,8 @@ pub fn ml_bipartition_with_clock(
     let mut total_passes = initial.passes;
 
     // Uncoarsen: project each level's sides down one rung and refine
-    // with boundary-limited FM. The projection is already near-optimal
-    // for the finer graph, so a refiner whose pass cost scales with the
-    // cut (not the graph) does the flat engine's job at a fraction of
-    // the wall-clock — this is where the multilevel speedup comes from.
+    // them with the boundary pass, whose cost follows the cut rather
+    // than the graph, since a projection is already nearly right.
     for i in (1..chain.len()).rev() {
         let fine_hg = &chain[i - 1].hg;
         let mut fine_sides = chain[i].project_sides(&sides);
@@ -226,9 +223,9 @@ pub fn ml_bipartition_with_clock(
     }
 
     // Finest level. Replication-free configurations stay on the
-    // boundary refiner end to end — no whole-graph engine setup at the
-    // finest level at all. Replicating configurations hand over to the
-    // flat engine here, where the paper's replication phases live.
+    // boundary pass end to end, with no gain-bucket ladder over the
+    // whole graph. Replicating configurations hand over to the flat
+    // engine here, where the paper's replication phases live.
     let mut fine_sides = chain[0].project_sides(&sides);
     let projected_cut = recorder
         .enabled(Level::Debug)

@@ -188,6 +188,77 @@ fn ml_bipartition_certificate_verifies_and_beats_projection() {
     assert!(report.is_clean(), "verifier rejected: {report:?}");
 }
 
+/// The V-cycle's exact output: the `ml.level` refined cuts, coarsest
+/// rung first, and an FNV-1a digest of the certificate text, without
+/// and with replication at level 0. Every coarse-level move is the
+/// boundary refiner's, so a refiner change that moves a single cell
+/// differently shows here. On the first circuit the refiner keeps
+/// every projection; on the second it improves each coarse rung.
+#[test]
+fn vcycle_output_is_pinned() {
+    use netpart_core::RunClock;
+    use netpart_multilevel::ml_bipartition_with_clock;
+    use netpart_obs::{BufferRecorder, Value};
+    use netpart_rng::Fnv1a;
+    use std::sync::Arc;
+
+    let cases: [(u64, ReplicationMode, &[u64], u64); 4] = [
+        (
+            7,
+            ReplicationMode::None,
+            &[10, 10, 10, 10],
+            0xb131_2b6e_81ff_0183,
+        ),
+        (
+            7,
+            ReplicationMode::functional(2),
+            &[10, 10, 10, 7],
+            0xcc5b_8038_d835_bba0,
+        ),
+        (
+            3,
+            ReplicationMode::None,
+            &[10, 9, 8, 8],
+            0x2a8b_5f45_25b8_a59c,
+        ),
+        (
+            3,
+            ReplicationMode::functional(2),
+            &[10, 9, 8, 5],
+            0x3278_2088_4f99_aafb,
+        ),
+    ];
+    for (seed, mode, want_cuts, want_digest) in cases {
+        let hg = gen::mapped(1200, 80, seed);
+        let cfg = BipartitionConfig::equal(&hg, 0.1)
+            .with_seed(7)
+            .with_replication(mode);
+        let buffer = Arc::new(BufferRecorder::new());
+        let clock = RunClock::new(&cfg.budget, &cfg.fault).with_recorder(buffer.clone());
+        let res = ml_bipartition_with_clock(&hg, &cfg, &small_ml(), &clock);
+        let cuts: Vec<u64> = buffer
+            .take()
+            .iter()
+            .filter(|e| e.scope == "ml" && e.name == "level")
+            .filter_map(
+                |e| match e.fields.iter().find(|(k, _)| *k == "refined_cut") {
+                    Some((_, Value::U64(cut))) => Some(*cut),
+                    _ => None,
+                },
+            )
+            .collect();
+        assert_eq!(cuts, want_cuts, "refined cuts, circuit {seed}, {mode:?}");
+        let mut h = Fnv1a::new();
+        let cert = res.certificate(&hg, cfg.seed).expect("exports");
+        h.write(cert.to_text().as_bytes());
+        assert_eq!(
+            h.finish(),
+            want_digest,
+            "certificate digest, circuit {seed}, {mode:?}"
+        );
+    }
+}
+
 #[test]
 fn ml_quality_is_comparable_to_flat() {
     // Not a strict ≤ (different search trajectories), but the V-cycle
@@ -232,8 +303,7 @@ fn ml_kway_certificate_verifies() {
 /// engine's jobs-invariance contract survive multilevel unchanged).
 #[test]
 fn boundary_refinement_improves_and_is_deterministic() {
-    use netpart_core::RunClock;
-    use netpart_multilevel::refine_sides;
+    use netpart_core::{refine_sides, RunClock};
 
     let hg = gen::mapped(800, 50, 3);
     let cfg = BipartitionConfig::equal(&hg, 0.1);
@@ -274,8 +344,7 @@ fn boundary_refinement_improves_and_is_deterministic() {
 /// `max_passes = 0` is a no-op: the sides come back untouched.
 #[test]
 fn boundary_refinement_zero_passes_is_identity() {
-    use netpart_core::RunClock;
-    use netpart_multilevel::refine_sides;
+    use netpart_core::{refine_sides, RunClock};
 
     let hg = gen::mapped(300, 20, 1);
     let cfg = BipartitionConfig::equal(&hg, 0.2);

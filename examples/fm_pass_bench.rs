@@ -25,10 +25,18 @@
 //! run without replication then times the 100k-gate Rent-rule synthetic
 //! (`rent100k_*` fields) — the circuit the CSR hot path is sized for.
 //!
+//! The V-cycle leg times the `refine_sides` calls of the V-cycle's
+//! coarse rungs on the `rent-repl` workload's request (20k gates, T = 2,
+//! default multilevel configuration): `ml_refine_pass_ms_rent20k` is
+//! their wall time over their passes, and `ml_refine_cut_rent20k`, the
+//! cut they hand level 0, is exact.
+//!
 //! Every bipartition must finish with `gain_repairs == 0` (the
 //! incremental updates are exact) and the k-way leg with a feasible
 //! result; the example asserts both.
 
+use netpart::core::{bipartition_from_sides, refine_sides, RunClock};
+use netpart::multilevel::cut_of_sides;
 use netpart::prelude::*;
 use netpart::report::{f2, Table};
 use std::time::Instant;
@@ -42,12 +50,20 @@ const SIZES: &[usize] = &[800, 1500, 3000];
 const RENT_GATES: usize = 100_000;
 const RENT_P: f64 = 0.65;
 
-fn circuit(gates: usize) -> Result<Hypergraph, Box<dyn std::error::Error>> {
-    let nl = generate(
-        &GeneratorConfig::new(gates)
-            .with_dff(gates / 10)
-            .with_seed(42),
-    );
+/// Gate count of the V-cycle leg's circuit, `rent-repl`'s.
+const REPL_GATES: usize = 20_000;
+
+/// A mapped circuit from generator seed 42.
+fn circuit(
+    gates: usize,
+    dffs: usize,
+    rent: Option<f64>,
+) -> Result<Hypergraph, Box<dyn std::error::Error>> {
+    let mut gen = GeneratorConfig::new(gates).with_dff(dffs).with_seed(42);
+    if let Some(p) = rent {
+        gen = gen.with_rent(p);
+    }
+    let nl = generate(&gen);
     Ok(map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl))
 }
 
@@ -86,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.set_meta("reps", reps.to_string());
 
     for &gates in SIZES {
-        let hg = circuit(gates)?;
+        let hg = circuit(gates, gates / 10, None)?;
         let clbs = hg.stats().clbs;
         let cfg = BipartitionConfig::equal(&hg, 0.1)
             .with_seed(1)
@@ -174,13 +190,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // single rep (the pass count is high enough that best-of-reps adds
     // nothing but wall time), replication off to match the flat series
     // in `BENCH_multilevel.json`.
-    let nl = generate(
-        &GeneratorConfig::new(RENT_GATES)
-            .with_dff(RENT_GATES / 20)
-            .with_rent(RENT_P)
-            .with_seed(42),
-    );
-    let hg = map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl);
+    let hg = circuit(RENT_GATES, RENT_GATES / 20, Some(RENT_P))?;
     let cfg = BipartitionConfig::equal(&hg, 0.1)
         .with_seed(1)
         .with_replication(ReplicationMode::None);
@@ -205,6 +215,52 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.set_gauge("rent100k_pass_ms", pass_ms);
     snap.set_gauge("rent100k_cut", r.cut as f64);
     snap.set_gauge("rent100k_passes", r.passes as f64);
+
+    // V-cycle leg: the coarse rungs of `ml_bipartition` on `rent-repl`,
+    // best of `reps`. Each rung projects the sides one level down and
+    // refines them with replication off.
+    let hg = circuit(REPL_GATES, REPL_GATES / 20, Some(RENT_P))?;
+    let cfg = BipartitionConfig::equal(&hg, 0.1)
+        .with_seed(1)
+        .with_replication(ReplicationMode::functional(2));
+    let ml = MultilevelConfig::new();
+    let chain = build_chain(&hg, &ml, cfg.replication, cfg.seed);
+    let coarse_cfg = cfg.clone().with_replication(ReplicationMode::None);
+    let coarsest = &chain.last().ok_or("rent20k does not coarsen")?.hg;
+    let pl = bipartition(coarsest, &coarse_cfg)
+        .placement
+        .ok_or("no placement")?;
+    let start: Vec<u8> = coarsest
+        .cell_ids()
+        .map(|c| pl.copies(c)[0].part.0 as u8)
+        .collect();
+    let clock = RunClock::new(&cfg.budget, &cfg.fault);
+    let (mut best_ms, mut passes, mut sides) = (f64::INFINITY, 0, Vec::new());
+    for _ in 0..reps {
+        let mut ms = 0.0;
+        (passes, sides) = (0, start.clone());
+        for i in (1..chain.len()).rev() {
+            sides = chain[i].project_sides(&sides);
+            let t0 = Instant::now();
+            passes += refine_sides(&chain[i - 1].hg, &coarse_cfg, &mut sides, 2, &clock).0;
+            ms += t0.elapsed().as_secs_f64() * 1e3;
+        }
+        best_ms = best_ms.min(ms);
+    }
+    // They are the V-cycle's calls: level 0 ends as `ml_bipartition` does.
+    let level0 = bipartition_from_sides(&hg, &cfg, &chain[0].project_sides(&sides), &clock);
+    let full = ml_bipartition(&hg, &cfg, &ml);
+    assert_eq!(level0.placement, full.placement, "not the V-cycle's calls");
+    let cut = cut_of_sides(&chain[0].hg, &sides);
+    let pass_ms = best_ms / passes as f64;
+    println!(
+        "\nV-cycle refiner, {REPL_GATES} gates, T = 2: cut {cut} in {passes} passes, \
+         {} ms total, {} ms/pass",
+        f2(best_ms),
+        f2(pass_ms),
+    );
+    snap.set_gauge("ml_refine_pass_ms_rent20k", pass_ms);
+    snap.set_gauge("ml_refine_cut_rent20k", cut as f64);
 
     std::fs::write("BENCH_fm.json", snap.to_json())?;
     println!("archived to BENCH_fm.json");

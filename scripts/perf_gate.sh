@@ -19,11 +19,13 @@
 #
 # The keys are per-pass averages, not whole-run wall times, so a
 # change in pass count from algorithmic work does not masquerade as a
-# throughput change. The k-way leg's pass count and device cost are
-# exact series besides: a fresh run must repeat them to the digit, or
-# the change altered the search (re-seed deliberately if it meant to). The 15% tolerance absorbs shared-runner noise;
-# real regressions from structure changes (the CSR arenas bought 2-7x)
-# clear it by an order of magnitude.
+# throughput change. The k-way leg's pass count and device cost, and
+# the cut the V-cycle leg's boundary refiner hands level 0, are exact
+# series besides: a fresh run must repeat them to the digit, or the
+# change altered the search (re-seed deliberately if it meant to). The
+# 15% tolerance absorbs shared-runner noise; real regressions from
+# structure changes (the CSR arenas bought 2-7x) clear it by an order
+# of magnitude.
 #
 # Portability: bash + POSIX awk only, like scripts/strip_timing.sh —
 # no jq (not in the hermetic toolchain image), no GNU-only sed flags.
@@ -35,7 +37,7 @@ REPS="${1:-2}"
 BASELINE=BENCH_fm.json
 TOLERANCE=1.15
 # Gauges that must repeat exactly.
-EXACT_KEYS=(kway_passes_s38584 kway_cost_s38584)
+EXACT_KEYS=(kway_passes_s38584 kway_cost_s38584 ml_refine_cut_rent20k)
 
 if [[ ! -s "$BASELINE" ]]; then
   echo "error: no archived baseline at $BASELINE (run the bench once to seed it)" >&2

@@ -487,18 +487,28 @@ fn load(path: &str, rec: &dyn Recorder) -> Result<Hypergraph, Box<dyn Error>> {
 
 /// The multilevel configuration requested on the command line, if any.
 /// `--max-levels` and `--coarsen-ratio` imply `--multilevel`.
-fn ml_of(f: &Flags) -> Option<MultilevelConfig> {
+fn ml_of(f: &Flags) -> Result<Option<MultilevelConfig>, PartitionError> {
     if !f.multilevel && f.max_levels.is_none() && f.coarsen_ratio.is_none() {
-        return None;
+        return Ok(None);
     }
     let mut ml = MultilevelConfig::new();
     if let Some(n) = f.max_levels {
         ml = ml.with_max_levels(n);
     }
     if let Some(r) = f.coarsen_ratio {
-        ml = ml.with_coarsen_ratio(r);
+        ml = ml.with_coarsen_ratio(not_nan("--coarsen-ratio", r)?);
     }
-    Some(ml)
+    Ok(Some(ml))
+}
+
+/// Rejects a NaN flag value as invalid input: the builder setters clamp
+/// into range, and `f64::clamp` passes NaN through.
+fn not_nan(flag: &str, x: f64) -> Result<f64, PartitionError> {
+    if x.is_nan() {
+        let what = format!("{flag} must be a number, got {x}");
+        return Err(PartitionError::invalid_input(what));
+    }
+    Ok(x)
 }
 
 /// Resolves a `--board` argument: one of the builtin topologies by
@@ -649,6 +659,7 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         ))
         .into());
     }
+    let ml = ml_of(f)?;
     let obs = Obs::from_flags(f)?;
     let hg = load(path, obs.recorder.as_ref())?;
     let cfg = BipartitionConfig::equal(&hg, f.epsilon)
@@ -657,7 +668,7 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         .with_budget(budget_of(f));
     let runs = f.runs.max(1);
     let engine = Engine::new(f.jobs)
-        .with_multilevel(ml_of(f))
+        .with_multilevel(ml)
         .with_recorder(Arc::clone(&obs.recorder));
     let (stats, _) = engine.bipartition_many(&hg, &cfg, runs)?;
     note_degradation(&stats.degradation);
@@ -693,6 +704,7 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
+    let ml = ml_of(f)?;
     let obs = Obs::from_flags(f)?;
     let hg = load(path, obs.recorder.as_ref())?;
     let lib = DeviceLibrary::xc3000();
@@ -716,7 +728,7 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     // The task count is fixed independently of --jobs, which is what
     // makes the reduction jobs-invariant.
     let engine = Engine::new(f.jobs)
-        .with_multilevel(ml_of(f))
+        .with_multilevel(ml)
         .with_recorder(Arc::clone(&obs.recorder));
     let (pres, _) = engine.kway(&hg, &cfg, f.tasks)?;
     eprintln!(
@@ -1182,7 +1194,7 @@ fn cmd_synth(gates: &str, out: Option<&String>, f: &Flags) -> Result<(), Box<dyn
         .with_dff(f.dff)
         .with_seed(f.seed);
     if let Some(p) = f.rent {
-        cfg = cfg.with_rent(p);
+        cfg = cfg.with_rent(not_nan("--rent", p)?);
     }
     let nl = generate(&cfg);
     let text = write_blif(&nl);

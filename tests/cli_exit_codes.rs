@@ -163,6 +163,15 @@ fn invalid_request_values_exit_two() {
         vec!["bipartition", blif, "--replication", "foo"],
         vec!["kway", blif, "--replication", "traditional"],
         vec!["submit", spool, blif, "--cmd", "foo"],
+        vec![
+            "bipartition",
+            blif,
+            "--multilevel",
+            "--coarsen-ratio",
+            "NaN",
+        ],
+        vec!["kway", blif, "--coarsen-ratio", "NaN"],
+        vec!["synth", "2000", "--rent", "NaN"],
     ] {
         let out = netpart().args(&args).output().expect("binary runs");
         let err = String::from_utf8_lossy(&out.stderr);
