@@ -166,8 +166,9 @@ impl fmt::Display for StopReason {
     }
 }
 
-/// One constraint relaxation the k-way escalation ladder performed to
-/// reach a solution.
+/// One constraint relaxation a k-way solution was reached under: a rung
+/// of the escalation ladder, or a request the multilevel k-way driver
+/// could not honour.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Relaxation {
     /// The attempt pool was re-seeded and extended past
@@ -182,6 +183,10 @@ pub enum Relaxation {
     /// Device selection switched from cheapest-fitting to
     /// largest-fitting, trading device cost for terminal headroom.
     NextLargerDevice,
+    /// The multilevel k-way driver coarsened the circuit, so the carve
+    /// and every refinement rung were move-only: the requested
+    /// replication was not performed and no cell has a replica.
+    CoarsenedWithoutReplication,
 }
 
 impl fmt::Display for Relaxation {
@@ -197,6 +202,12 @@ impl fmt::Display for Relaxation {
                 write!(
                     f,
                     "escalated to larger devices (cost traded for feasibility)"
+                )
+            }
+            Relaxation::CoarsenedWithoutReplication => {
+                write!(
+                    f,
+                    "partitioned without replication because the circuit was coarsened"
                 )
             }
         }
@@ -217,7 +228,9 @@ pub struct Degradation {
     pub budget_exhausted: bool,
     /// Whether an injected fault cut the run short.
     pub fault_injected: bool,
-    /// Constraint relaxations performed, in escalation order.
+    /// Constraint relaxations performed, in escalation order; the
+    /// multilevel k-way driver appends
+    /// [`Relaxation::CoarsenedWithoutReplication`] last.
     pub relaxations: Vec<Relaxation>,
 }
 
@@ -299,11 +312,13 @@ mod tests {
             ..Degradation::default()
         };
         d.relaxations.push(Relaxation::RelaxedFloor);
+        d.relaxations.push(Relaxation::CoarsenedWithoutReplication);
         assert!(d.is_degraded());
         let s = d.to_string();
         assert!(s.contains("3/20"));
         assert!(s.contains("budget exhausted"));
         assert!(s.contains("utilization floor"));
+        assert!(s.ends_with(", partitioned without replication because the circuit was coarsened"));
     }
 
     #[test]

@@ -799,7 +799,7 @@ pub fn kway_partition_with_clock(
             match relaxation {
                 Relaxation::Reseeded { .. } => rng = &mut reseed_rng,
                 Relaxation::RelaxedFloor => relaxed = Some(cfg.library.relaxed_floor()),
-                Relaxation::NextLargerDevice => {}
+                Relaxation::NextLargerDevice | Relaxation::CoarsenedWithoutReplication => {}
             }
             degradation.relaxations.push(relaxation);
         }

@@ -1,12 +1,14 @@
 //! ψ-guarded heavy-edge matching and hypergraph contraction.
 //!
-//! One [`coarsen_once`] call produces one [`CoarseLevel`]: a seeded
-//! heavy-edge matching pairs up logic cells that share low-degree nets
-//! (the classic `1/(deg−1)` edge-weight heuristic), then the matched
-//! pairs are contracted into a smaller hypergraph. Two policies make
-//! the matching replication-aware, following RePart's observation that
-//! coarsening must not destroy the replication candidates the refiner
-//! will want later:
+//! One coarsening level is two steps. [`match_pairs`] pairs up logic
+//! cells that share low-degree nets by seeded heavy-edge matching (the
+//! classic `1/(deg−1)` edge-weight heuristic), and [`contract`] turns
+//! the matched pairs into a smaller hypergraph. Contraction makes one
+//! cluster per pair plus one per unmatched cell, so the chain judges a
+//! matching by its pair count and contracts only a level it keeps. Two
+//! policies make the matching replication-aware, following RePart's
+//! observation that coarsening must not destroy the replication
+//! candidates the refiner will want later:
 //!
 //! * the **ψ-guard** exempts cells whose replication potential `ψ`
 //!   (eq. 4) reaches the configured replication threshold `T` — those
@@ -50,7 +52,7 @@ const MAX_CLUSTER_AREA: f64 = 0.03;
 /// guarding *every* cell would forbid coarsening outright.
 /// `Traditional` has no threshold, so any positive ψ guards.
 /// `None` never guards.
-pub fn psi_guards(mode: ReplicationMode, psi: usize) -> bool {
+fn psi_guards(mode: ReplicationMode, psi: usize) -> bool {
     match mode {
         ReplicationMode::None => false,
         ReplicationMode::Traditional => psi > 0,
@@ -58,41 +60,39 @@ pub fn psi_guards(mode: ReplicationMode, psi: usize) -> bool {
     }
 }
 
-/// Runs one ψ-guarded heavy-edge matching + contraction step over `hg`.
+/// A [`match_pairs`] entry for a cell left unmatched.
+const UNMATCHED: u32 = u32::MAX;
+
+/// Runs one ψ-guarded heavy-edge matching over `hg`.
 ///
-/// Returns `None` when no pair can be matched (every logic cell is
-/// guarded, isolated, or over the weight cap) — the caller stops
-/// coarsening there. The matching visit order is seeded by `seed`, so
-/// the level is a pure function of `(hg, mode, seed)`.
-pub fn coarsen_once(hg: &Hypergraph, mode: ReplicationMode, seed: u64) -> Option<CoarseLevel> {
+/// Returns `(mate, matched, guarded)`: `mate[i]` is the cell paired
+/// with cell `i`, or [`UNMATCHED`]; `matched` counts the pairs and
+/// `guarded` the logic cells the ψ-guard exempted. Contracting the
+/// matching makes exactly `n_cells − matched` clusters. The visit order
+/// is seeded by `seed`, so the matching is a pure function of
+/// `(hg, mode, seed)`.
+pub(crate) fn match_pairs(
+    hg: &Hypergraph,
+    mode: ReplicationMode,
+    seed: u64,
+) -> (Vec<u32>, usize, usize) {
     let n = hg.n_cells();
-    if n == 0 {
-        return None;
-    }
     let cap = ((hg.total_area() as f64) * MAX_CLUSTER_AREA)
         .ceil()
         .max(2.0) as u64;
 
-    // --- ψ-guard and matching -------------------------------------------
-    let mut guarded_flag = vec![false; n];
+    // Terminals never merge, and neither do the cells the ψ-guard exempts.
+    let mut blocked = vec![false; n];
     let mut guarded = 0usize;
     for (i, cell) in hg.cells().iter().enumerate() {
-        if !cell.is_terminal() && psi_guards(mode, cell.replication_potential()) {
-            guarded_flag[i] = true;
-            guarded += 1;
-        }
+        let guard = !cell.is_terminal() && psi_guards(mode, cell.replication_potential());
+        guarded += usize::from(guard);
+        blocked[i] = guard || cell.is_terminal();
     }
-
-    let mut order: Vec<u32> = (0..n as u32)
-        .filter(|&i| {
-            let c = &hg.cells()[i as usize];
-            !c.is_terminal() && !guarded_flag[i as usize]
-        })
-        .collect();
+    let mut order: Vec<u32> = (0..n as u32).filter(|&i| !blocked[i as usize]).collect();
     let mut rng = Rng::seed_from_u64(seed ^ 0x6d6c_636f_6172_7365); // "mlcoarse"
     rng.shuffle(&mut order);
 
-    const UNMATCHED: u32 = u32::MAX;
     let mut mate: Vec<u32> = vec![UNMATCHED; n];
     let mut matched = 0usize;
     // Stamped scratch scoring: O(pins) per cell, no clearing.
@@ -118,8 +118,7 @@ pub fn coarsen_once(hg: &Hypergraph, mode: ReplicationMode, seed: u64) -> Option
                 let vi = v as usize;
                 if v == u
                     || mate[vi] != UNMATCHED
-                    || guarded_flag[vi]
-                    || hg.cells()[vi].is_terminal()
+                    || blocked[vi]
                     || ua + u64::from(hg.cells()[vi].area()) > cap
                     || uo + hg.cells()[vi].m_outputs() > MAX_CLUSTER_OUTPUTS
                 {
@@ -148,23 +147,34 @@ pub fn coarsen_once(hg: &Hypergraph, mode: ReplicationMode, seed: u64) -> Option
             matched += 1;
         }
     }
-    if matched == 0 {
-        return None;
-    }
+    (mate, matched, guarded)
+}
 
+/// Contracts `hg` along a [`match_pairs`] matching into the next
+/// coarser level: each matched pair becomes one cluster, each other
+/// cell a cluster of its own.
+pub(crate) fn contract(
+    hg: &Hypergraph,
+    mate: Vec<u32>,
+    matched: usize,
+    guarded: usize,
+) -> CoarseLevel {
+    let n = hg.n_cells();
     // --- cluster numbering (fine-id order: deterministic) ---------------
-    let mut cell_map: Vec<u32> = vec![UNMATCHED; n];
+    // `mate` becomes the cell map in place: a cell whose mate precedes
+    // it joins the mate's cluster, numbered already; every other cell
+    // opens the next cluster.
+    let mut cell_map = mate;
     let mut members: Vec<Vec<u32>> = Vec::with_capacity(n - matched);
-    for i in 0..n as u32 {
-        let m = mate[i as usize];
-        let rep = if m != UNMATCHED { i.min(m) } else { i };
-        if rep == i {
-            cell_map[i as usize] = members.len() as u32;
-            members.push(vec![i]);
+    for i in 0..n {
+        let m = cell_map[i];
+        if m < i as u32 {
+            let cc = cell_map[m as usize];
+            cell_map[i] = cc;
+            members[cc as usize].push(i as u32);
         } else {
-            let cc = cell_map[rep as usize];
-            cell_map[i as usize] = cc;
-            members[cc as usize].push(i);
+            cell_map[i] = members.len() as u32;
+            members.push(vec![i as u32]);
         }
     }
     let n_coarse = members.len();
@@ -271,11 +281,11 @@ pub fn coarsen_once(hg: &Hypergraph, mode: ReplicationMode, seed: u64) -> Option
         .expect("contraction preserves hypergraph validity");
     debug_assert_eq!(coarse.total_area(), hg.total_area());
 
-    Some(CoarseLevel {
+    CoarseLevel {
         hg: coarse,
         cell_map,
         net_map,
         matched,
         guarded,
-    })
+    }
 }

@@ -12,9 +12,11 @@ pub struct MultilevelConfig {
     /// entirely (the run is then *identical* to the flat path, which
     /// the differential suite pins down).
     pub max_levels: usize,
-    /// Stop coarsening once a level shrinks the cell count by less than
-    /// this factor (`coarse_cells / fine_cells > coarsen_ratio` ⇒ the
-    /// level is discarded and the chain ends).
+    /// Stop coarsening once a level would shrink the cell count by less
+    /// than this factor. A matching of `matched` pairs on `n` cells
+    /// contracts to `n − matched` cells, so a matching with
+    /// `(n − matched) / n > coarsen_ratio` is rejected before anything
+    /// is contracted, and the chain ends.
     pub coarsen_ratio: f64,
     /// Never coarsen a graph below this many cells; the coarsest level
     /// is where the flat partitioner runs, and it needs enough nodes

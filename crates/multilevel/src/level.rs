@@ -14,7 +14,7 @@ use netpart_hypergraph::{Hypergraph, PartId, Placement};
 /// the finer graph it was derived from.
 ///
 /// Invariants (enforced by construction in
-/// [`coarsen_once`](crate::coarsen_once), re-checked by the
+/// [`build_chain`](crate::build_chain)'s contraction, re-checked by the
 /// property suite `tests/props_multilevel.rs`):
 ///
 /// * total cell area is conserved: `Σ fine area = Σ coarse area`;

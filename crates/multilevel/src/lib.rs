@@ -6,30 +6,33 @@
 //! V-cycle (the shape every modern partitioner uses — mt-KaHyPar,
 //! RePart):
 //!
-//! 1. **Coarsen** ([`coarsen_once`] / [`build_chain`]): seeded
-//!    heavy-edge matching contracts pairs of logic cells that share
-//!    low-degree nets, level by level, until the graph is small or
-//!    stops shrinking. A **ψ-guard** ([`psi_guards`]) keeps replication
-//!    candidates (`ψ ≥ T`, eq. 4) un-merged so the paper's signature
-//!    move survives coarsening, and a weight cap keeps the balance
-//!    window reachable. Contraction is *exact*: a fine net survives
-//!    iff it spans ≥ 2 clusters and parallel nets are never merged, so
-//!    cut and area accounting are identical across levels.
+//! 1. **Coarsen** ([`build_chain`]): seeded heavy-edge matching pairs
+//!    up logic cells that share low-degree nets, level by level, until
+//!    the graph is small or stops shrinking. Each matching is judged by
+//!    its pair count before anything is contracted, so only a level the
+//!    chain keeps is built. A **ψ-guard** keeps replication candidates
+//!    (`ψ ≥ T`, eq. 4) un-merged so the paper's signature move survives
+//!    coarsening, and a weight cap keeps the balance window reachable.
+//!    Contraction is *exact*: a fine net survives iff it spans ≥ 2
+//!    clusters and parallel nets are never merged, so cut and area
+//!    accounting are identical across levels.
 //! 2. **Initial partition**: the existing flat engine runs on the
 //!    coarsest graph — the flat path stays the innermost level,
 //!    untouched.
 //! 3. **Uncoarsen** ([`ml_bipartition_with_clock`] /
 //!    [`ml_kway_partition_with_clock`]): the placement projects up one
-//!    rung at a time through each [`CoarseLevel`]'s maps and
-//!    **boundary-seeded FM** ([`netpart_core::refine_sides`]) polishes
-//!    it — the core's own engine state, gain rule and rollback to the
-//!    best balanced prefix, but seeded from the cut boundary only, so
-//!    refinement costs time proportional to the cut instead of the
-//!    circuit.
-//!    Replicating configurations hand the finest level to the flat
-//!    engine, where the paper's replication phases live. Every level
-//!    emits `ml.coarsen` / `ml.level` / `ml.refine` observability
-//!    events along the way.
+//!    rung at a time through each [`CoarseLevel`]'s maps, dropping
+//!    each level once projected, and **boundary-seeded FM**
+//!    ([`netpart_core::refine_sides`]) polishes it — the core's own
+//!    engine state, gain rule and rollback to the best balanced prefix,
+//!    but seeded from the cut boundary only, so refinement costs time
+//!    proportional to the cut instead of the circuit.
+//!    Replicating bipartitions hand the finest level to the flat
+//!    engine, where the paper's replication phases live; the k-way
+//!    V-cycle stays move-only and reports the replication it did not
+//!    perform as a [`Relaxation`](netpart_core::Relaxation). Every
+//!    level emits `ml.coarsen` / `ml.level` / `ml.refine`
+//!    observability events along the way.
 //!
 //! An empty chain (coarsening disabled, graph too small, nothing to
 //! match) degenerates to the flat path *verbatim* — same moves, same
@@ -44,7 +47,6 @@ mod config;
 mod level;
 mod vcycle;
 
-pub use coarsen::{coarsen_once, psi_guards};
 pub use config::MultilevelConfig;
 pub use level::{cut_of_sides, CoarseLevel};
 pub use vcycle::{

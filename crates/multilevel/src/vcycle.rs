@@ -9,13 +9,13 @@
 //! suite hold by construction (those circuits never coarsen under the
 //! default `min_cells`).
 
-use crate::coarsen::coarsen_once;
+use crate::coarsen::{contract, match_pairs};
 use crate::level::{cut_of_sides, CoarseLevel};
 use crate::MultilevelConfig;
 use netpart_core::{
     bipartition_from_sides, bipartition_with_clock, kway_partition_with_clock, refine_kway,
     refine_sides, BipartitionConfig, BipartitionResult, KWayConfig, KWayResult, PartitionError,
-    ReplicationMode, RunClock, StopReason,
+    Relaxation, ReplicationMode, RunClock, StopReason,
 };
 use netpart_fpga::evaluate;
 use netpart_hypergraph::{Hypergraph, PartId, Placement};
@@ -30,6 +30,9 @@ const REFINE_PASSES: usize = 2;
 /// `chain[i]` contracts `chain[i-1].hg`, and the coarsest graph is
 /// `chain.last().hg`. Returns an empty chain when coarsening is
 /// disabled or makes no progress — callers treat that as "run flat".
+/// A level is contracted only once its matching is kept (see
+/// [`MultilevelConfig::coarsen_ratio`]), so no level is built and
+/// thrown away.
 ///
 /// The chain is a pure function of its arguments; `seed` feeds the
 /// per-level matching orders, so different portfolio starts explore
@@ -58,58 +61,52 @@ fn build_chain_traced(
     let mut level_mode = mode;
     for lvl in 0..ml.max_levels {
         let cur: &Hypergraph = chain.last().map_or(hg, |l| &l.hg);
-        if cur.n_cells() < ml.min_cells {
+        let n = cur.n_cells();
+        if n < ml.min_cells {
             break;
         }
         let t0 = Instant::now();
         let span = Span::enter_with(recorder, "ml", "coarsen", "level", (lvl + 1) as u64);
-        let mut coarsened = coarsen_once(cur, level_mode, seed.wrapping_add(lvl as u64));
-        let shrink_of = |l: &CoarseLevel| l.hg.n_cells() as f64 / cur.n_cells() as f64;
+        let level_seed = seed.wrapping_add(lvl as u64);
+        // Contraction makes one cluster per matched pair plus one per
+        // unmatched cell, so a matching is judged before anything is
+        // contracted: it is rejected when it pairs nothing or leaves
+        // more than `coarsen_ratio` of the cells.
+        let rejected =
+            |matched: usize| matched == 0 || (n - matched) as f64 / n as f64 > ml.coarsen_ratio;
+        let (mut mate, mut matched, mut guarded) = match_pairs(cur, level_mode, level_seed);
         // ψ-guard stall: on replication-dense circuits the guard can
         // exempt so many cells that matching finds no pair (or too few
         // to shrink the graph), which used to end the chain at full
         // size — every "coarse" level was the input graph. Detect it,
-        // warn, and retry this and all later levels with the guard off.
-        let stalled = level_mode.replicates()
-            && coarsened
-                .as_ref()
-                .is_none_or(|l| shrink_of(l) > ml.coarsen_ratio);
-        if stalled {
-            let retry = coarsen_once(cur, ReplicationMode::None, seed.wrapping_add(lvl as u64));
-            if retry
-                .as_ref()
-                .is_some_and(|l| shrink_of(l) <= ml.coarsen_ratio)
-            {
+        // warn, and re-match this and all later levels with the guard off.
+        if level_mode.replicates() && rejected(matched) {
+            let retry = match_pairs(cur, ReplicationMode::None, level_seed);
+            if !rejected(retry.1) {
                 // Warning-class headline event: the guard was dropped,
                 // trading some replication opportunity for progress.
                 if recorder.enabled(Level::Info) {
                     recorder.record(
                         &Event::new("ml", "coarsen_stalled", Level::Info)
                             .field("level", (lvl + 1) as u64)
-                            .field("cells", cur.n_cells() as u64)
-                            .field(
-                                "matched_guarded",
-                                coarsened.as_ref().map_or(0, |l| l.matched) as u64,
-                            ),
+                            .field("cells", n as u64)
+                            .field("matched_guarded", matched as u64),
                     );
                 }
                 level_mode = ReplicationMode::None;
-                coarsened = retry;
+                (mate, matched, guarded) = retry;
             }
         }
-        drop(span);
-        let Some(level) = coarsened else {
-            break;
-        };
-        let shrink = level.hg.n_cells() as f64 / cur.n_cells() as f64;
-        if shrink > ml.coarsen_ratio {
+        if rejected(matched) {
             break;
         }
+        let level = contract(cur, mate, matched, guarded);
+        drop(span);
         if recorder.enabled(Level::Debug) {
             recorder.record(
                 &Event::new("ml", "coarsen", Level::Debug)
                     .field("level", (lvl + 1) as u64)
-                    .field("fine_cells", cur.n_cells() as u64)
+                    .field("fine_cells", n as u64)
                     .field("coarse_cells", level.hg.n_cells() as u64)
                     .field("fine_nets", cur.n_nets() as u64)
                     .field("coarse_nets", level.hg.n_nets() as u64)
@@ -175,38 +172,44 @@ pub fn ml_bipartition_with_clock(
 ) -> BipartitionResult {
     let recorder = clock.recorder();
     let chain_span = Span::enter(recorder, "ml", "chain");
-    let chain = build_chain_traced(hg, ml, cfg.replication, cfg.seed, recorder);
+    let mut chain = build_chain_traced(hg, ml, cfg.replication, cfg.seed, recorder);
     drop(chain_span);
-    if chain.is_empty() {
+    let levels = chain.len();
+    let Some(coarsest) = chain.last() else {
         return bipartition_with_clock(hg, cfg, clock);
-    }
+    };
 
     // Initial partition at the coarsest level. Replication is forced
     // off below the finest level: a coarse "cell" is a cluster, and
     // splitting a cluster's outputs across devices has no meaning on
     // the original circuit.
     let coarse_cfg = cfg.clone().with_replication(ReplicationMode::None);
-    let coarsest = &chain[chain.len() - 1].hg;
-    let initial_span = Span::enter(recorder, "ml", "initial");
-    let initial = bipartition_with_clock(coarsest, &coarse_cfg, clock);
-    drop(initial_span);
-    let mut sides = sides_of(&initial, coarsest);
-    let mut total_passes = initial.passes;
+    let (mut sides, mut total_passes) = {
+        let _span = Span::enter(recorder, "ml", "initial");
+        let initial = bipartition_with_clock(&coarsest.hg, &coarse_cfg, clock);
+        (sides_of(&initial, &coarsest.hg), initial.passes)
+    };
 
-    // Uncoarsen: project each level's sides down one rung and refine
-    // them with the boundary pass, whose cost follows the cut rather
-    // than the graph, since a projection is already nearly right.
-    for i in (1..chain.len()).rev() {
-        let fine_hg = &chain[i - 1].hg;
-        let mut fine_sides = chain[i].project_sides(&sides);
+    // Uncoarsen: project the sides down one rung through each level,
+    // dropping the level once projected, and refine them with the
+    // boundary pass, whose cost follows the cut rather than the graph,
+    // since a projection is already nearly right. The last projection
+    // lands on `hg`, which the finest level below refines.
+    while let Some(level) = chain.pop() {
+        sides = level.project_sides(&sides);
+        drop(level);
+        let Some(fine) = chain.last() else {
+            break;
+        };
+        let (i, fine_hg) = (chain.len(), &fine.hg);
         // The `ml.level` cuts cost a pass over the nets: only for a
         // recorder that keeps the event.
         let projected_cut = recorder
             .enabled(Level::Debug)
-            .then(|| cut_of_sides(fine_hg, &fine_sides));
+            .then(|| cut_of_sides(fine_hg, &sides));
         let t0 = Instant::now();
         let span = Span::enter_with(recorder, "ml", "level", "level", i as u64);
-        let (p, _) = refine_sides(fine_hg, &coarse_cfg, &mut fine_sides, REFINE_PASSES, clock);
+        let (p, _) = refine_sides(fine_hg, &coarse_cfg, &mut sides, REFINE_PASSES, clock);
         drop(span);
         if let Some(projected_cut) = projected_cut {
             recorder.record(
@@ -214,11 +217,10 @@ pub fn ml_bipartition_with_clock(
                     .field("level", i as u64)
                     .field("cells", fine_hg.n_cells() as u64)
                     .field("projected_cut", projected_cut as u64)
-                    .field("refined_cut", cut_of_sides(fine_hg, &fine_sides) as u64)
+                    .field("refined_cut", cut_of_sides(fine_hg, &sides) as u64)
                     .timing("wall_ms", t0.elapsed().as_millis() as u64),
             );
         }
-        sides = fine_sides;
         total_passes += p;
     }
 
@@ -226,17 +228,16 @@ pub fn ml_bipartition_with_clock(
     // boundary pass end to end, with no gain-bucket ladder over the
     // whole graph. Replicating configurations hand over to the flat
     // engine here, where the paper's replication phases live.
-    let mut fine_sides = chain[0].project_sides(&sides);
     let projected_cut = recorder
         .enabled(Level::Debug)
-        .then(|| cut_of_sides(hg, &fine_sides));
+        .then(|| cut_of_sides(hg, &sides));
     let t0 = Instant::now();
     let span = Span::enter_with(recorder, "ml", "level", "level", 0u64);
     let mut result = if cfg.replication == ReplicationMode::None {
-        let (p, stop) = refine_sides(hg, cfg, &mut fine_sides, cfg.max_passes, clock);
-        result_from_sides(hg, cfg, &fine_sides, p, stop)
+        let (p, stop) = refine_sides(hg, cfg, &mut sides, cfg.max_passes, clock);
+        result_from_sides(hg, cfg, &sides, p, stop)
     } else {
-        bipartition_from_sides(hg, cfg, &fine_sides, clock)
+        bipartition_from_sides(hg, cfg, &sides, clock)
     };
     drop(span);
     if let Some(projected_cut) = projected_cut {
@@ -250,7 +251,7 @@ pub fn ml_bipartition_with_clock(
         );
         recorder.record(
             &Event::new("ml", "refine", Level::Debug)
-                .field("levels", chain.len() as u64)
+                .field("levels", levels as u64)
                 .field("cut", result.cut as u64)
                 .field("passes", (total_passes + result.passes) as u64)
                 .field("replicated", result.replicated_cells as u64),
@@ -277,10 +278,13 @@ pub fn ml_bipartition(
 /// placement up rung by rung with the direct k-way refiner.
 ///
 /// Replication is forced off for the coarse carve (clusters cannot be
-/// split); the device assignment found at the coarsest level stays
-/// valid at every finer level because contraction preserves cut and
-/// area accounting exactly, and [`refine_kway`] only accepts
-/// feasibility-preserving moves.
+/// split) and [`refine_kway`] only moves cells, so once the circuit
+/// coarsens the result has no replicas; under a replicating `cfg` the
+/// degradation report then carries
+/// [`Relaxation::CoarsenedWithoutReplication`]. The device assignment
+/// found at the coarsest level stays valid at every finer level because
+/// contraction preserves cut and area accounting exactly, and
+/// [`refine_kway`] only accepts feasibility-preserving moves.
 ///
 /// `escalate` is the flat driver's escalation switch, applied to the
 /// coarsest-level carve.
@@ -297,34 +301,51 @@ pub fn ml_kway_partition_with_clock(
 ) -> Result<KWayResult, PartitionError> {
     let recorder = clock.recorder();
     let chain_span = Span::enter(recorder, "ml", "chain");
-    let chain = build_chain_traced(hg, ml, cfg.replication, cfg.seed, recorder);
+    let mut chain = build_chain_traced(hg, ml, cfg.replication, cfg.seed, recorder);
     drop(chain_span);
-    if chain.is_empty() {
+    let levels = chain.len();
+    let Some(coarsest) = chain.last() else {
         return kway_partition_with_clock(hg, cfg, clock, escalate);
-    }
+    };
 
     let mut coarse_cfg = cfg.clone();
     coarse_cfg.replication = ReplicationMode::None;
-    let coarsest = &chain[chain.len() - 1].hg;
     let initial_span = Span::enter(recorder, "ml", "initial");
-    let carved = kway_partition_with_clock(coarsest, &coarse_cfg, clock, escalate);
+    let carved = kway_partition_with_clock(&coarsest.hg, &coarse_cfg, clock, escalate);
     drop(initial_span);
     let mut result = carved?;
+    if cfg.replication.replicates() {
+        // The carve and every rung below are move-only: say that the
+        // requested replication was not performed.
+        result
+            .degradation
+            .relaxations
+            .push(Relaxation::CoarsenedWithoutReplication);
+    }
     let lib = result.effective_library(&cfg.library);
 
-    let mut placement = result.placement.clone();
-    for i in (0..chain.len()).rev() {
-        let fine_hg = if i == 0 { hg } else { &chain[i - 1].hg };
-        let projected = chain[i].project_placement(fine_hg, &placement);
+    // Uncoarsen: project the placement down one rung through each
+    // level, dropping the level once projected, and refine it. A
+    // tripped wall clock stops only the refinement: the remaining
+    // projections are exact, so the result stays valid, just less
+    // polished.
+    let mut tripped = false;
+    while let Some(level) = chain.pop() {
+        let i = chain.len();
+        let fine_hg = chain.last().map_or(hg, |l| &l.hg);
+        result.placement = level.project_placement(fine_hg, &result.placement);
+        drop(level);
+        if tripped {
+            continue;
+        }
         let projected_cut = recorder
             .enabled(Level::Debug)
-            .then(|| projected.cut_size(fine_hg));
+            .then(|| result.placement.cut_size(fine_hg));
         let t0 = Instant::now();
         let span = Span::enter_with(recorder, "ml", "level", "level", i as u64);
-        placement = projected;
         refine_kway(
             fine_hg,
-            &mut placement,
+            &mut result.placement,
             &result.devices,
             &lib,
             REFINE_PASSES,
@@ -336,27 +357,17 @@ pub fn ml_kway_partition_with_clock(
                     .field("level", i as u64)
                     .field("cells", fine_hg.n_cells() as u64)
                     .field("projected_cut", projected_cut as u64)
-                    .field("refined_cut", placement.cut_size(fine_hg) as u64)
+                    .field("refined_cut", result.placement.cut_size(fine_hg) as u64)
                     .timing("wall_ms", t0.elapsed().as_millis() as u64),
             );
         }
-        if clock.check_wall().is_some() {
-            // Budget tripped mid-uncoarsening: finish the remaining
-            // projections without refinement (they are exact, so the
-            // result stays valid — just less polished).
-            for j in (0..i).rev() {
-                let fh = if j == 0 { hg } else { &chain[j - 1].hg };
-                placement = chain[j].project_placement(fh, &placement);
-            }
-            break;
-        }
+        tripped = clock.check_wall().is_some();
     }
-    result.placement = placement;
     result.evaluation = evaluate(hg, &result.placement, &lib, &result.devices);
     if recorder.enabled(Level::Debug) {
         recorder.record(
             &Event::new("ml", "refine", Level::Debug)
-                .field("levels", chain.len() as u64)
+                .field("levels", levels as u64)
                 .field("cut", result.placement.cut_size(hg) as u64)
                 .field("cost", result.evaluation.total_cost)
                 .field("parts", result.placement.n_parts() as u64),

@@ -109,8 +109,8 @@ fn psi_guarded_cells_survive_coarsening_unmerged() {
 #[test]
 fn psi_guard_stall_falls_back_to_unguarded_coarsening() {
     use netpart_core::RunClock;
-    use netpart_multilevel::{coarsen_once, ml_bipartition_with_clock};
-    use netpart_obs::BufferRecorder;
+    use netpart_multilevel::ml_bipartition_with_clock;
+    use netpart_obs::{BufferRecorder, Value};
     use std::sync::Arc;
 
     // Threshold 1 guards nearly every multi-output logic cell of an
@@ -122,16 +122,13 @@ fn psi_guard_stall_falls_back_to_unguarded_coarsening() {
     let hg = gen::mapped(700, 50, 3);
     let ml = small_ml();
     let mode = ReplicationMode::functional(1);
-    // Precondition: one guarded coarsening step alone stalls (no pair
-    // matched, or too few to shrink the graph).
-    let stalled = coarsen_once(&hg, mode, 3)
-        .is_none_or(|l| l.hg.n_cells() as f64 / hg.n_cells() as f64 > ml.coarsen_ratio);
-    assert!(stalled, "test circuit no longer stalls under the guard");
-    // The fallback makes the chain real again.
+    // The fallback makes the chain real.
     let chain = build_chain(&hg, &ml, mode, 3);
     assert!(!chain.is_empty(), "stall fallback must produce a chain");
     assert!(chain[0].hg.n_cells() < hg.n_cells());
-    // And the stall is reported, not silent.
+    // And the stall is reported, not silent. The first level's guarded
+    // matching pairs 13 of the 464 cells, too few to get under the ratio
+    // floor, and the event carries that count.
     let cfg = BipartitionConfig::equal(&hg, 0.1)
         .with_seed(3)
         .with_replication(mode);
@@ -140,12 +137,66 @@ fn psi_guard_stall_falls_back_to_unguarded_coarsening() {
     let res = ml_bipartition_with_clock(&hg, &cfg, &ml, &clock);
     assert!(res.balanced);
     let events = buffer.take();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.scope == "ml" && e.name == "coarsen_stalled"),
-        "no ml.coarsen_stalled event among {} events",
+    let stalls: Vec<_> = events
+        .iter()
+        .filter(|e| e.scope == "ml" && e.name == "coarsen_stalled")
+        .map(|e| e.fields.clone())
+        .collect();
+    assert_eq!(
+        stalls,
+        [vec![
+            ("level", Value::U64(1)),
+            ("cells", Value::U64(464)),
+            ("matched_guarded", Value::U64(13)),
+        ]],
+        "ml.coarsen_stalled events among {} events",
         events.len()
+    );
+}
+
+/// Each level's `(cells, nets, FNV-1a of cell_map)`. Both chains end on
+/// the ratio floor: the next matching pairs too few cells (17 of 220,
+/// and 14 of 151), so it is rejected without being contracted. The
+/// second circuit is the ψ-stall circuit above, whose first level is
+/// matched again with the guard off.
+#[test]
+fn coarsening_chain_is_pinned() {
+    use netpart_rng::Fnv1a;
+
+    let ml = small_ml();
+    let chain_of = |hg: &Hypergraph, mode: ReplicationMode, seed: u64| {
+        let chain = build_chain(hg, &ml, mode, seed);
+        // Neither the level cap nor the cell floor ended the chain.
+        assert!(chain.len() < ml.max_levels);
+        assert!(chain[chain.len() - 1].hg.n_cells() >= ml.min_cells);
+        chain
+            .iter()
+            .map(|l| {
+                let mut h = Fnv1a::new();
+                for &c in &l.cell_map {
+                    h.write(&c.to_le_bytes());
+                }
+                (l.hg.n_cells(), l.hg.n_nets(), h.finish())
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        chain_of(&gen::mapped(1200, 80, 7), ReplicationMode::None, 7),
+        [
+            (499, 967, 0xfd89_08db_7203_c084),
+            (348, 733, 0x6375_f78a_8ecf_e329),
+            (265, 528, 0x1dd0_9a89_98ae_073a),
+            (220, 365, 0x4b89_1e7c_f564_caab),
+        ]
+    );
+    assert_eq!(
+        chain_of(&gen::mapped(700, 50, 3), ReplicationMode::functional(1), 3),
+        [
+            (305, 526, 0x5caf_bd2c_3323_2748),
+            (221, 392, 0x2833_3ad7_d6b4_d850),
+            (172, 273, 0xe369_2110_e992_3545),
+            (151, 227, 0x4cdb_c06f_dbe0_fe57),
+        ]
     );
 }
 
@@ -294,6 +345,105 @@ fn ml_kway_certificate_verifies() {
         res.evaluation.total_cost,
         flat.evaluation.total_cost
     );
+}
+
+/// Once the circuit coarsens, the k-way V-cycle is move-only, so a
+/// replicating request comes back unreplicated and says so; a
+/// replication-free request, and a flat run, report nothing.
+#[test]
+fn ml_kway_reports_the_replication_it_drops() {
+    use netpart_core::Relaxation;
+
+    let hg = gen::mapped(800, 50, 21);
+    let functional = KWayConfig::new(DeviceLibrary::xc3000())
+        .with_candidates(2)
+        .with_seed(21)
+        .with_replication(ReplicationMode::functional(0));
+    let dropped = |res: &netpart_core::KWayResult| {
+        res.degradation
+            .relaxations
+            .contains(&Relaxation::CoarsenedWithoutReplication)
+    };
+    assert!(!build_chain(&hg, &small_ml(), functional.replication, 21).is_empty());
+
+    let res = ml_kway_partition(&hg, &functional, &small_ml()).expect("ml k-way solves");
+    assert!(dropped(&res), "relaxations: {:?}", res.degradation);
+    assert!(hg.cell_ids().all(|c| !res.placement.is_replicated(c)));
+
+    let none = functional.clone().with_replication(ReplicationMode::None);
+    let res = ml_kway_partition(&hg, &none, &small_ml()).expect("ml k-way solves");
+    assert!(!dropped(&res), "relaxations: {:?}", res.degradation);
+
+    let res = ml_kway_partition(&hg, &functional, &MultilevelConfig::disabled())
+        .expect("flat k-way solves");
+    assert!(!dropped(&res), "relaxations: {:?}", res.degradation);
+}
+
+/// Cancels its token when the coarsest-level carve's `ml/initial` span
+/// ends, so the clock trips between the carve and the refinement; keeps
+/// the rung of every `ml.level` event.
+#[derive(Debug)]
+struct TripAfterCarve {
+    token: netpart_core::CancelToken,
+    rungs: std::sync::Mutex<Vec<netpart_obs::Value>>,
+}
+
+impl netpart_obs::Recorder for TripAfterCarve {
+    fn enabled(&self, _: netpart_obs::Level) -> bool {
+        true
+    }
+
+    fn record(&self, e: &netpart_obs::Event) {
+        let field = |key| e.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+        if e.scope != "ml" {
+            return;
+        }
+        if e.name == "span.exit"
+            && field("span") == Some(&netpart_obs::Value::Str("initial".into()))
+        {
+            self.token.cancel();
+        }
+        if let (true, Some(rung)) = (e.name == "level", field("level")) {
+            self.rungs
+                .lock()
+                .expect("no panic while held")
+                .push(rung.clone());
+        }
+    }
+}
+
+/// A tripped clock stops the k-way refinement, not the projection: the
+/// result is a placement of the input circuit that verifies, and only
+/// the first rung, refined before the clock is read, emits `ml.level`.
+#[test]
+fn ml_kway_projects_every_level_after_the_clock_trips() {
+    use netpart_core::{Budget, CancelToken, FaultPlan, RunClock};
+    use netpart_multilevel::ml_kway_partition_with_clock;
+    use netpart_obs::Value;
+    use std::sync::Arc;
+
+    let hg = gen::mapped(800, 50, 21);
+    let cfg = KWayConfig::new(DeviceLibrary::xc3000())
+        .with_candidates(2)
+        .with_seed(21);
+    let levels = build_chain(&hg, &small_ml(), cfg.replication, 21).len() as u64;
+    assert!(levels >= 2, "test circuit should coarsen repeatedly");
+    let token = CancelToken::new();
+    let recorder = Arc::new(TripAfterCarve {
+        token: token.clone(),
+        rungs: Default::default(),
+    });
+    let clock = RunClock::with_shared(&Budget::none(), &FaultPlan::none(), None, Some(token))
+        .with_recorder(recorder.clone());
+    let res = ml_kway_partition_with_clock(&hg, &cfg, &small_ml(), &clock, true)
+        .expect("the carve finishes before the clock trips");
+    assert_eq!(
+        *recorder.rungs.lock().expect("no panic while held"),
+        [Value::U64(levels - 1)]
+    );
+    let cert = res.certificate(&hg, &cfg.library, cfg.seed);
+    let report = netpart_verify::verify(&hg, &cert);
+    assert!(report.is_clean(), "verifier rejected: {report:?}");
 }
 
 /// The boundary refiner is the workhorse of uncoarsening: it must
