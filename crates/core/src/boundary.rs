@@ -19,10 +19,26 @@ use crate::fm::{refill, PassScratch};
 use crate::state::{pins_contribution, CellState, EngineState, StateBuffers};
 use netpart_hypergraph::{CellId, Hypergraph};
 
+/// What [`refine_sides`] did and what it left: the counts its engine
+/// holds after the rollback, so a caller needs no recount.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Refinement {
+    /// Passes run.
+    pub passes: usize,
+    /// Why the pass loop ended.
+    pub stop: StopReason,
+    /// Nets with endpoints on both sides of the refined sides. The pass
+    /// only flips single copies, so this is the engine's cut.
+    pub cut: usize,
+    /// Total cell area on each side of the refined sides.
+    pub areas: [u64; 2],
+}
+
 /// Refines a bipartition side vector in place with boundary-seeded FM
 /// passes, stopping after `max_passes`, at convergence, or when `clock`
-/// trips its wall deadline. Returns the number of passes run and why
-/// the loop ended. Only cells `0..hg.n_cells()` of `sides` are used.
+/// trips its wall deadline. Returns the passes run, why the loop ended,
+/// and the refined sides' cut and areas. Only cells `0..hg.n_cells()`
+/// of `sides` are used.
 ///
 /// Every pass improves the objective (the cut plus the weighted pad
 /// cost) over a balanced prefix or rolls back completely, so a balanced
@@ -39,7 +55,7 @@ pub fn refine_sides(
     sides: &mut [u8],
     max_passes: usize,
     clock: &RunClock,
-) -> (usize, StopReason) {
+) -> Refinement {
     let n = hg.n_cells();
     assert!(sides.len() >= n, "side per cell");
     let csr = CsrGraph::build(hg);
@@ -63,7 +79,12 @@ pub fn refine_sides(
     for c in csr.cell_ids() {
         sides[c.index()] = side(engine.cell_state(c));
     }
-    (passes, stop)
+    Refinement {
+        passes,
+        stop,
+        cut: engine.cut(),
+        areas: engine.areas(),
+    }
 }
 
 /// The side of a single copy: the pass only flips cells.
@@ -244,6 +265,7 @@ fn check_gains(engine: &EngineState<'_>, csr: &CsrGraph, locked: &[bool], gain: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netpart_hypergraph::{PartId, Placement};
     use netpart_rng::Rng;
     use netpart_verify::gen;
 
@@ -279,9 +301,16 @@ mod tests {
             let clock = RunClock::new(&cfg.budget, &cfg.fault);
             let sides0 = balanced_sides(&hg, &cfg, seed * 100);
             let mut sides = sides0.clone();
-            let (passes, _) = refine_sides(&hg, &cfg, &mut sides, 16, &clock);
-            assert!(passes >= 2, "circuit {seed}: {passes} passes");
+            let r = refine_sides(&hg, &cfg, &mut sides, 16, &clock);
+            assert!(r.passes >= 2, "circuit {seed}: {} passes", r.passes);
             assert_ne!(sides, sides0, "circuit {seed}: no move kept");
+            // The returned cut and areas are the refined sides'.
+            let mut pl = Placement::new_uniform(&hg, 2, PartId(0));
+            for c in hg.cell_ids() {
+                pl.place(c, PartId(u16::from(sides[c.index()])));
+            }
+            assert_eq!(r.cut, pl.cut_size(&hg), "circuit {seed}");
+            assert_eq!(r.areas.to_vec(), pl.part_areas(&hg), "circuit {seed}");
         }
     }
 

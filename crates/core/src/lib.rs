@@ -58,7 +58,7 @@ mod refine;
 pub mod rent;
 mod state;
 
-pub use boundary::refine_sides;
+pub use boundary::{refine_sides, Refinement};
 pub use budget::{Budget, CancelToken, RunClock};
 pub use config::{BipartitionConfig, ReplicationMode};
 pub use error::{Degradation, PartitionError, Relaxation, StopReason};

@@ -126,8 +126,6 @@ pub struct EngineState<'a> {
     state: Vec<CellState>,
     /// Packed per-net endpoint counts (sinks and drivers per side).
     counts: Vec<NetCounts>,
-    /// Number of nets currently occupied on both sides.
-    spanning: usize,
     areas: [u64; 2],
     cut: usize,
     /// Extra objective cost per terminal cell residing on each side
@@ -196,7 +194,6 @@ impl<'a> EngineState<'a> {
             csr,
             state,
             counts,
-            spanning: 0,
             areas: [0; 2],
             cut: 0,
             terminal_weight,
@@ -216,7 +213,6 @@ impl<'a> EngineState<'a> {
             }
         }
         st.cut = st.counts.iter().filter(|c| c.is_cut()).count();
-        st.spanning = st.counts.iter().filter(|c| c.spans()).count();
         st
     }
 
@@ -285,9 +281,10 @@ impl<'a> EngineState<'a> {
     /// Number of nets with connected endpoints on both sides. A
     /// superset of the cut (a traditionally replicated driver occupies
     /// both sides without cutting its output nets); reported as the
-    /// `spanning` field of `fm.pass` trace events.
+    /// `spanning` field of `fm.pass` trace events. Counted on demand,
+    /// in O(nets): no move maintains it.
     pub fn spanning_nets(&self) -> usize {
-        self.spanning
+        self.counts.iter().filter(|c| c.spans()).count()
     }
 
     /// The paper's *criticality* of the net on pin `pin` of an
@@ -410,18 +407,14 @@ impl<'a> EngineState<'a> {
             let Self {
                 ref csr,
                 ref mut counts,
-                ref mut spanning,
                 ref mut cut,
                 ..
             } = *self;
             for (net, pins) in csr.groups(c) {
                 let nc = &mut counts[net.index()];
                 let before = nc.is_cut();
-                let spanned = nc.spans();
                 *nc = nc.shifted(group_conn(old, pins), group_conn(new, pins));
                 let after = nc.is_cut();
-                *spanning =
-                    (*spanning as i64 + i64::from(nc.spans()) - i64::from(spanned)) as usize;
                 gain += i64::from(before) - i64::from(after);
                 *cut = (*cut as i64 + i64::from(after) - i64::from(before)) as usize;
             }
@@ -501,7 +494,6 @@ impl<'a> EngineState<'a> {
             f
         };
         fresh.counts == self.counts
-            && fresh.spanning == self.spanning
             && fresh.cut == self.cut
             && fresh.areas == self.areas
             && fresh.pad_cost == self.pad_cost

@@ -17,10 +17,15 @@
 //! * a **weight cap** bounds every cluster's area to a fraction of the
 //!   total, keeping the balance window reachable at every level.
 //!
-//! Contraction keeps a fine net iff it spans at least two distinct
-//! coarse cells, and never merges parallel nets — so the coarse cut of
-//! any projected placement equals the fine cut *exactly*, which is the
-//! invariant the property suite and the differential harnesses lean on.
+//! Contraction keeps a fine net iff a sink lies in another cluster than
+//! its driver (it spans at least two distinct coarse cells), and never
+//! merges parallel nets — so the coarse cut of any projected placement
+//! equals the fine cut *exactly*, which is the invariant the property
+//! suite and the differential harnesses lean on, and what lets the
+//! V-cycle carry a refined cut down to the next rung instead of
+//! recounting it. It adds the kept nets in fine order, then builds each
+//! coarse cell in one pass, and keeps only the cell map: no coarse
+//! names and no net map.
 
 use crate::level::CoarseLevel;
 use netpart_core::ReplicationMode;
@@ -153,86 +158,89 @@ pub(crate) fn match_pairs(
 /// Contracts `hg` along a [`match_pairs`] matching into the next
 /// coarser level: each matched pair becomes one cluster, each other
 /// cell a cluster of its own.
+///
+/// The kept nets are added first, in fine order. Then each cluster is
+/// built in one pass: its pins are gathered into one reused buffer, the
+/// cell is added and its pins are connected. Coarse cells and nets
+/// carry empty names; no output names a coarse object.
 pub(crate) fn contract(
     hg: &Hypergraph,
     mate: Vec<u32>,
     matched: usize,
     guarded: usize,
 ) -> CoarseLevel {
+    const DROPPED: u32 = u32::MAX;
     let n = hg.n_cells();
     // --- cluster numbering (fine-id order: deterministic) ---------------
     // `mate` becomes the cell map in place: a cell whose mate precedes
     // it joins the mate's cluster, numbered already; every other cell
-    // opens the next cluster.
+    // opens the next cluster. `members[cc]` holds the cluster's first
+    // cell and its mate, or `UNMATCHED`.
     let mut cell_map = mate;
-    let mut members: Vec<Vec<u32>> = Vec::with_capacity(n - matched);
+    let mut members: Vec<[u32; 2]> = Vec::with_capacity(n - matched);
     for i in 0..n {
         let m = cell_map[i];
         if m < i as u32 {
             let cc = cell_map[m as usize];
             cell_map[i] = cc;
-            members[cc as usize].push(i as u32);
+            members[cc as usize][1] = i as u32;
         } else {
             cell_map[i] = members.len() as u32;
-            members.push(vec![i as u32]);
+            members.push([i as u32, UNMATCHED]);
         }
     }
-    let n_coarse = members.len();
 
     // --- net survival ----------------------------------------------------
-    // A fine net survives iff it touches ≥ 2 distinct coarse cells; kept
-    // nets map 1:1 (parallel nets are NOT merged — the unweighted cut
-    // accounting must stay exact across levels).
-    let mut net_map: Vec<Option<u32>> = vec![None; hg.n_nets()];
-    let mut driver_cc: Vec<u32> = vec![0; hg.n_nets()];
+    // A fine net survives iff a sink lies in another cluster than its
+    // driver, i.e. it touches ≥ 2 distinct coarse cells. Kept nets map
+    // 1:1 in fine order (parallel nets are NOT merged — the unweighted
+    // cut accounting must stay exact across levels).
+    let mut net_map: Vec<u32> = Vec::with_capacity(hg.n_nets());
     let mut kept = 0u32;
-    let mut span_scratch: Vec<u32> = Vec::new();
-    for (ni, net) in hg.nets().iter().enumerate() {
-        driver_cc[ni] = cell_map[net.driver().cell.index()];
-        span_scratch.clear();
-        span_scratch.extend(net.endpoints().map(|e| cell_map[e.cell.index()]));
-        span_scratch.sort_unstable();
-        span_scratch.dedup();
-        if span_scratch.len() >= 2 {
-            net_map[ni] = Some(kept);
-            kept += 1;
-        }
+    for net in hg.nets() {
+        let driver_cc = cell_map[net.driver().cell.index()];
+        let survives = net
+            .sinks()
+            .iter()
+            .any(|e| cell_map[e.cell.index()] != driver_cc);
+        net_map.push(if survives { kept } else { DROPPED });
+        kept += u32::from(survives);
+    }
+    let mut b = HypergraphBuilder::with_capacity(members.len(), kept as usize);
+    for _ in 0..kept {
+        b.add_net(String::new());
     }
 
-    // --- coarse pin lists -------------------------------------------------
+    // --- one pass per cluster ---------------------------------------------
     // Each coarse cell touches each kept net at most once: as the driver
     // (output pin) when it contains the fine driver, else as one sink.
-    // Pins are enumerated in fine order (members ascending, inputs then
+    // Pins are gathered in fine order (members ascending, inputs then
     // outputs), so an untouched singleton reproduces its fine pin lists
     // exactly and can reuse its adjacency matrix (preserving ψ).
-    let mut conns: Vec<Vec<(u32, bool)>> = vec![Vec::new(); n_coarse];
     let mut net_stamp: Vec<u32> = vec![UNMATCHED; kept as usize];
-    for (cc, mems) in members.iter().enumerate() {
+    let mut pins: Vec<(NetId, bool)> = Vec::new();
+    for (cc, pair) in members.iter().enumerate() {
+        let cc = cc as u32;
+        let mems = if pair[1] == UNMATCHED {
+            &pair[..1]
+        } else {
+            &pair[..]
+        };
+        pins.clear();
         for &f in mems {
             let cell = &hg.cells()[f as usize];
-            let pins = cell
-                .input_nets()
-                .iter()
-                .chain(cell.output_nets().iter())
-                .copied();
-            for nid in pins {
-                let Some(cn) = net_map[nid.index()] else {
-                    continue;
-                };
-                if net_stamp[cn as usize] == cc as u32 {
+            for &nid in cell.input_nets().iter().chain(cell.output_nets()) {
+                let cn = net_map[nid.index()];
+                if cn == DROPPED || net_stamp[cn as usize] == cc {
                     continue;
                 }
-                net_stamp[cn as usize] = cc as u32;
-                conns[cc].push((cn, driver_cc[nid.index()] == cc as u32));
+                net_stamp[cn as usize] = cc;
+                let is_out = cell_map[hg.net(nid).driver().cell.index()] == cc;
+                pins.push((NetId(cn), is_out));
             }
         }
-    }
-
-    // --- build ------------------------------------------------------------
-    let mut b = HypergraphBuilder::with_capacity(n_coarse, kept as usize);
-    for (cc, mems) in members.iter().enumerate() {
-        let n_in = conns[cc].iter().filter(|&&(_, out)| !out).count();
-        let m_out = conns[cc].len() - n_in;
+        let m_out = pins.iter().filter(|&&(_, out)| out).count();
+        let n_in = pins.len() - m_out;
         let rep = &hg.cells()[mems[0] as usize];
         let (kind, adjacency) = if mems.len() == 1 && rep.is_terminal() {
             (rep.kind(), AdjacencyMatrix::pad())
@@ -251,27 +259,15 @@ pub(crate) fn contract(
             };
             (CellKind::Logic { area, dff }, adj)
         };
-        b.add_cell(rep.name(), kind, n_in, m_out, adjacency);
-    }
-    for (ni, net) in hg.nets().iter().enumerate() {
-        if net_map[ni].is_some() {
-            b.add_net(net.name());
-        }
-    }
-    let mut next_in: Vec<usize> = vec![0; n_coarse];
-    let mut next_out: Vec<usize> = vec![0; n_coarse];
-    for (cc, list) in conns.iter().enumerate() {
-        for &(cn, is_out) in list {
-            let cell = netpart_hypergraph::CellId(cc as u32);
-            let net = NetId(cn);
+        let cell = b.add_cell(String::new(), kind, n_in, m_out, adjacency);
+        let (mut j, mut o) = (0, 0);
+        for &(net, is_out) in &pins {
             let r = if is_out {
-                let o = next_out[cc];
-                next_out[cc] += 1;
-                b.connect_output(net, cell, o)
+                o += 1;
+                b.connect_output(net, cell, o - 1)
             } else {
-                let j = next_in[cc];
-                next_in[cc] += 1;
-                b.connect_input(net, cell, j)
+                j += 1;
+                b.connect_input(net, cell, j - 1)
             };
             r.expect("contraction produces consistent pins");
         }
@@ -284,7 +280,6 @@ pub(crate) fn contract(
     CoarseLevel {
         hg: coarse,
         cell_map,
-        net_map,
         matched,
         guarded,
     }

@@ -10,12 +10,12 @@
 //! default `min_cells`).
 
 use crate::coarsen::{contract, match_pairs};
-use crate::level::{cut_of_sides, CoarseLevel};
+use crate::level::CoarseLevel;
 use crate::MultilevelConfig;
 use netpart_core::{
     bipartition_from_sides, bipartition_with_clock, kway_partition_with_clock, refine_kway,
     refine_sides, BipartitionConfig, BipartitionResult, KWayConfig, KWayResult, PartitionError,
-    Relaxation, ReplicationMode, RunClock, StopReason,
+    Refinement, Relaxation, ReplicationMode, RunClock,
 };
 use netpart_fpga::evaluate;
 use netpart_hypergraph::{Hypergraph, PartId, Placement};
@@ -132,30 +132,26 @@ fn sides_of(result: &BipartitionResult, hg: &Hypergraph) -> Vec<u8> {
 }
 
 /// Packages a refined side vector as a [`BipartitionResult`] without
-/// another trip through the flat engine: the boundary refiner already
-/// maintains exact cut and area accounting, so the result is a direct
-/// transcription (re-derived from the placement, not trusted blindly).
+/// another trip through the flat engine: the cut, the areas and the
+/// passes are the boundary refiner's, and only the placement is built
+/// here.
 fn result_from_sides(
     hg: &Hypergraph,
     cfg: &BipartitionConfig,
     sides: &[u8],
-    passes: usize,
-    stop: StopReason,
+    refined: Refinement,
 ) -> BipartitionResult {
     let mut pl = Placement::new_uniform(hg, 2, PartId(0));
     for c in hg.cell_ids() {
         pl.place(c, PartId(u16::from(sides[c.index()])));
     }
-    let cut = pl.cut_size(hg);
-    let pa = pl.part_areas(hg);
-    let areas = [pa[0], pa[1]];
     BipartitionResult {
-        cut,
-        areas,
+        cut: refined.cut,
+        areas: refined.areas,
         replicated_cells: 0,
-        passes,
-        balanced: cfg.balanced(areas),
-        stop,
+        passes: refined.passes,
+        balanced: cfg.balanced(refined.areas),
+        stop: refined.stop,
         placement: Some(pl),
         gain_repairs: 0,
     }
@@ -184,17 +180,23 @@ pub fn ml_bipartition_with_clock(
     // splitting a cluster's outputs across devices has no meaning on
     // the original circuit.
     let coarse_cfg = cfg.clone().with_replication(ReplicationMode::None);
-    let (mut sides, mut total_passes) = {
+    let (mut sides, mut cut, mut total_passes) = {
         let _span = Span::enter(recorder, "ml", "initial");
         let initial = bipartition_with_clock(&coarsest.hg, &coarse_cfg, clock);
-        (sides_of(&initial, &coarsest.hg), initial.passes)
+        (
+            sides_of(&initial, &coarsest.hg),
+            initial.cut,
+            initial.passes,
+        )
     };
 
     // Uncoarsen: project the sides down one rung through each level,
     // dropping the level once projected, and refine them with the
     // boundary pass, whose cost follows the cut rather than the graph,
-    // since a projection is already nearly right. The last projection
-    // lands on `hg`, which the finest level below refines.
+    // since a projection is already nearly right. Contraction is exact,
+    // so a projection keeps the cut the coarser rung ended with and
+    // `cut` is carried, never recounted. The last projection lands on
+    // `hg`, which the finest level below refines.
     while let Some(level) = chain.pop() {
         sides = level.project_sides(&sides);
         drop(level);
@@ -202,50 +204,43 @@ pub fn ml_bipartition_with_clock(
             break;
         };
         let (i, fine_hg) = (chain.len(), &fine.hg);
-        // The `ml.level` cuts cost a pass over the nets: only for a
-        // recorder that keeps the event.
-        let projected_cut = recorder
-            .enabled(Level::Debug)
-            .then(|| cut_of_sides(fine_hg, &sides));
         let t0 = Instant::now();
         let span = Span::enter_with(recorder, "ml", "level", "level", i as u64);
-        let (p, _) = refine_sides(fine_hg, &coarse_cfg, &mut sides, REFINE_PASSES, clock);
+        let refined = refine_sides(fine_hg, &coarse_cfg, &mut sides, REFINE_PASSES, clock);
         drop(span);
-        if let Some(projected_cut) = projected_cut {
+        if recorder.enabled(Level::Debug) {
             recorder.record(
                 &Event::new("ml", "level", Level::Debug)
                     .field("level", i as u64)
                     .field("cells", fine_hg.n_cells() as u64)
-                    .field("projected_cut", projected_cut as u64)
-                    .field("refined_cut", cut_of_sides(fine_hg, &sides) as u64)
+                    .field("projected_cut", cut as u64)
+                    .field("refined_cut", refined.cut as u64)
                     .timing("wall_ms", t0.elapsed().as_millis() as u64),
             );
         }
-        total_passes += p;
+        cut = refined.cut;
+        total_passes += refined.passes;
     }
 
     // Finest level. Replication-free configurations stay on the
     // boundary pass end to end, with no gain-bucket ladder over the
     // whole graph. Replicating configurations hand over to the flat
     // engine here, where the paper's replication phases live.
-    let projected_cut = recorder
-        .enabled(Level::Debug)
-        .then(|| cut_of_sides(hg, &sides));
     let t0 = Instant::now();
     let span = Span::enter_with(recorder, "ml", "level", "level", 0u64);
     let mut result = if cfg.replication == ReplicationMode::None {
-        let (p, stop) = refine_sides(hg, cfg, &mut sides, cfg.max_passes, clock);
-        result_from_sides(hg, cfg, &sides, p, stop)
+        let refined = refine_sides(hg, cfg, &mut sides, cfg.max_passes, clock);
+        result_from_sides(hg, cfg, &sides, refined)
     } else {
         bipartition_from_sides(hg, cfg, &sides, clock)
     };
     drop(span);
-    if let Some(projected_cut) = projected_cut {
+    if recorder.enabled(Level::Debug) {
         recorder.record(
             &Event::new("ml", "level", Level::Debug)
                 .field("level", 0u64)
                 .field("cells", hg.n_cells() as u64)
-                .field("projected_cut", projected_cut as u64)
+                .field("projected_cut", cut as u64)
                 .field("refined_cut", result.cut as u64)
                 .timing("wall_ms", t0.elapsed().as_millis() as u64),
         );

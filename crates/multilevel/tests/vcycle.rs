@@ -4,10 +4,8 @@
 
 use netpart_core::{bipartition, BipartitionConfig, KWayConfig, ReplicationMode};
 use netpart_fpga::DeviceLibrary;
-use netpart_hypergraph::Hypergraph;
-use netpart_multilevel::{
-    build_chain, cut_of_sides, ml_bipartition, ml_kway_partition, MultilevelConfig,
-};
+use netpart_hypergraph::{Hypergraph, PartId, Placement};
+use netpart_multilevel::{build_chain, ml_bipartition, ml_kway_partition, MultilevelConfig};
 use netpart_rng::Rng;
 use netpart_verify::gen;
 
@@ -22,6 +20,15 @@ fn small_ml() -> MultilevelConfig {
 fn random_sides(n: usize, seed: u64) -> Vec<u8> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..n).map(|_| u8::from(rng.gen_bool(0.5))).collect()
+}
+
+/// The cut of a side assignment, as [`Placement::cut_size`] counts it.
+fn cut_of(hg: &Hypergraph, sides: &[u8]) -> usize {
+    let mut pl = Placement::new_uniform(hg, 2, PartId(0));
+    for c in hg.cell_ids() {
+        pl.place(c, PartId(u16::from(sides[c.index()])));
+    }
+    pl.cut_size(hg)
 }
 
 #[test]
@@ -43,8 +50,8 @@ fn contraction_conserves_area_and_cut_exactly() {
             let coarse_sides = random_sides(level.hg.n_cells(), 1000 + s);
             let fine_sides = level.project_sides(&coarse_sides);
             assert_eq!(
-                cut_of_sides(&level.hg, &coarse_sides),
-                cut_of_sides(fine, &fine_sides),
+                cut_of(&level.hg, &coarse_sides),
+                cut_of(fine, &fine_sides),
                 "cut accounting diverged at level {li}, sample {s}"
             );
         }
@@ -57,21 +64,31 @@ fn contracted_nets_always_span_two_cells() {
     let hg = gen::mapped(600, 40, 9);
     let chain = build_chain(&hg, &small_ml(), ReplicationMode::None, 9);
     assert!(!chain.is_empty());
+    let mut fine: &Hypergraph = &hg;
     for level in &chain {
-        for net in level.hg.nets() {
-            let mut cells: Vec<u32> = net.endpoints().map(|e| e.cell.0).collect();
+        for n in level.hg.net_ids() {
+            let mut cells: Vec<u32> = level.hg.net(n).endpoints().map(|e| e.cell.0).collect();
             cells.sort_unstable();
             cells.dedup();
-            assert!(
-                cells.len() >= 2,
-                "coarse net {} does not span two cells",
-                net.name()
-            );
+            assert!(cells.len() >= 2, "coarse net {n} does not span two cells");
         }
-        // Every kept fine net maps to a real coarse net; dropped ones
-        // (single-endpoint or contracted-internal) map to None.
-        let kept = level.net_map.iter().flatten().count();
+        // Every fine net that spans two clusters becomes a coarse net;
+        // the others (single-endpoint or contracted-internal) do not.
+        let kept = fine
+            .nets()
+            .iter()
+            .filter(|net| {
+                let mut clusters: Vec<u32> = net
+                    .endpoints()
+                    .map(|e| level.cell_map[e.cell.index()])
+                    .collect();
+                clusters.sort_unstable();
+                clusters.dedup();
+                clusters.len() >= 2
+            })
+            .count();
         assert_eq!(kept, level.hg.n_nets());
+        fine = &level.hg;
     }
 }
 
@@ -310,6 +327,57 @@ fn vcycle_output_is_pinned() {
     }
 }
 
+/// The V-cycle carries its cut instead of recounting it: each
+/// `ml.level` rung's `projected_cut` is the previous rung's
+/// `refined_cut`, the first is the coarsest-level FM's `fm.done` cut,
+/// and level 0's `refined_cut` is the result's cut, which is its
+/// placement's. Contraction is exact, so a recount of each projection
+/// gives the same numbers.
+#[test]
+fn vcycle_carries_each_rungs_cut_to_the_next() {
+    use netpart_core::RunClock;
+    use netpart_multilevel::ml_bipartition_with_clock;
+    use netpart_obs::{BufferRecorder, Event, Value};
+    use std::sync::Arc;
+
+    let field = |e: &Event, key: &str| match e.fields.iter().find(|(k, _)| *k == key) {
+        Some((_, Value::U64(v))) => *v,
+        other => panic!("{}.{} has no {key}: {other:?}", e.scope, e.name),
+    };
+    let hg = gen::mapped(1200, 80, 3);
+    let levels = build_chain(&hg, &small_ml(), ReplicationMode::None, 7).len();
+    assert!(levels >= 2, "test circuit should coarsen repeatedly");
+    for mode in [ReplicationMode::None, ReplicationMode::functional(2)] {
+        let cfg = BipartitionConfig::equal(&hg, 0.1)
+            .with_seed(7)
+            .with_replication(mode);
+        let buffer = Arc::new(BufferRecorder::new());
+        let clock = RunClock::new(&cfg.budget, &cfg.fault).with_recorder(buffer.clone());
+        let res = ml_bipartition_with_clock(&hg, &cfg, &small_ml(), &clock);
+        let events = buffer.take();
+        let coarsest = events
+            .iter()
+            .find(|e| e.scope == "fm" && e.name == "done")
+            .expect("the coarsest level runs the flat engine");
+        let rungs: Vec<&Event> = events
+            .iter()
+            .filter(|e| e.scope == "ml" && e.name == "level")
+            .collect();
+        let order: Vec<u64> = rungs.iter().map(|e| field(e, "level")).collect();
+        let want: Vec<u64> = (0..levels as u64).rev().collect();
+        assert_eq!(order, want, "{mode:?}: one rung per level");
+        let mut carried = field(coarsest, "cut");
+        for e in &rungs {
+            let rung = field(e, "level");
+            assert_eq!(field(e, "projected_cut"), carried, "{mode:?}, rung {rung}");
+            carried = field(e, "refined_cut");
+        }
+        assert_eq!(carried, res.cut as u64, "{mode:?}: level 0 is the result");
+        let pl = res.placement.as_ref().expect("exports a placement");
+        assert_eq!(pl.cut_size(&hg), res.cut, "{mode:?}");
+    }
+}
+
 #[test]
 fn ml_quality_is_comparable_to_flat() {
     // Not a strict ≤ (different search trajectories), but the V-cycle
@@ -471,12 +539,13 @@ fn boundary_refinement_improves_and_is_deterministic() {
                 cfg.balanced(areas)
             })
             .expect("some random assignment is balanced");
-        let before = cut_of_sides(&hg, &sides0);
+        let before = cut_of(&hg, &sides0);
 
         let mut a = sides0.clone();
-        let (passes, _) = refine_sides(&hg, &cfg, &mut a, 16, &clock);
-        assert!(passes >= 1);
-        let after = cut_of_sides(&hg, &a);
+        let refined = refine_sides(&hg, &cfg, &mut a, 16, &clock);
+        assert!(refined.passes >= 1);
+        let after = cut_of(&hg, &a);
+        assert_eq!(refined.cut, after, "returned cut at seed {seed}");
         assert!(after < before, "no improvement at seed {seed}");
         let mut areas = [0u64; 2];
         for (ci, cell) in hg.cells().iter().enumerate() {
@@ -501,7 +570,8 @@ fn boundary_refinement_zero_passes_is_identity() {
     let clock = RunClock::new(&cfg.budget, &cfg.fault);
     let sides0 = random_sides(hg.n_cells(), 4);
     let mut s = sides0.clone();
-    let (passes, _) = refine_sides(&hg, &cfg, &mut s, 0, &clock);
-    assert_eq!(passes, 0);
+    let refined = refine_sides(&hg, &cfg, &mut s, 0, &clock);
+    assert_eq!(refined.passes, 0);
+    assert_eq!(refined.cut, cut_of(&hg, &sides0));
     assert_eq!(s, sides0);
 }

@@ -7,13 +7,14 @@ use netpart_netlist::{GateKind, Netlist, SignalId};
 ///
 /// AND/OR decompose into trees of themselves; NAND/NOR decompose into an
 /// AND/OR reduction tree with an inverting final stage. Gates already
-/// within the limit (and all DFFs) are copied unchanged.
+/// within the limit (and all DFFs) are copied unchanged, and so is a
+/// wide [`GateKind::Lut`] cover or XOR/XNOR: it has no structural
+/// decomposition, and [`map`](crate::map) rejects it with
+/// [`MapError::FaninTooLarge`](crate::MapError::FaninTooLarge).
 ///
 /// # Panics
 ///
-/// Panics if a wide [`GateKind::Lut`] or a wide XOR/XNOR is encountered:
-/// generic covers cannot be decomposed structurally. (`k < 2` is also
-/// rejected.)
+/// Panics if `k < 2`.
 ///
 /// # Examples
 ///
@@ -49,18 +50,19 @@ pub fn decompose_wide_gates(nl: &Netlist, k: usize) -> Netlist {
     }
 
     let mut fresh = 0usize;
-    for (gi, g) in nl.gates().iter().enumerate() {
-        if g.kind.is_dff() || g.inputs.len() <= k {
+    for g in nl.gates() {
+        let stages = match g.kind {
+            _ if g.kind.is_dff() || g.inputs.len() <= k => None,
+            GateKind::And => Some((GateKind::And, GateKind::And)),
+            GateKind::Or => Some((GateKind::Or, GateKind::Or)),
+            GateKind::Nand => Some((GateKind::And, GateKind::Nand)),
+            GateKind::Nor => Some((GateKind::Or, GateKind::Nor)),
+            _ => None,
+        };
+        let Some((reduce, finish)) = stages else {
             out.add_gate(g.name.clone(), g.kind.clone(), g.inputs.clone(), g.output)
                 .expect("copy of valid gate");
             continue;
-        }
-        let (reduce, finish) = match g.kind {
-            GateKind::And => (GateKind::And, GateKind::And),
-            GateKind::Or => (GateKind::Or, GateKind::Or),
-            GateKind::Nand => (GateKind::And, GateKind::Nand),
-            GateKind::Nor => (GateKind::Or, GateKind::Nor),
-            ref other => panic!("cannot decompose wide {other} gate {gi}"),
         };
         // Balanced reduction: fold groups of k signals until ≤ k remain,
         // then apply the (possibly inverting) final stage.
@@ -154,9 +156,10 @@ mod tests {
         assert_eq!(out.n_dffs(), 1);
     }
 
+    /// A wide cover has no structural decomposition: it is copied
+    /// unchanged, and mapping rejects its fan-in with a typed error.
     #[test]
-    #[should_panic(expected = "cannot decompose")]
-    fn wide_xor_panics() {
+    fn wide_lut_is_copied_for_map_to_reject() {
         // XOR arity is capped at 2 by the model, so fabricate a wide LUT.
         let mut nl = Netlist::new("t");
         let ins: Vec<_> = (0..6)
@@ -173,6 +176,15 @@ mod tests {
         )
         .unwrap();
         nl.add_primary_output(y).unwrap();
-        decompose_wide_gates(&nl, 4);
+        let out = decompose_wide_gates(&nl, 4);
+        assert_eq!(out.gates(), nl.gates());
+        assert!(matches!(
+            crate::map(&out, &crate::MapperConfig::xc3000()),
+            Err(crate::MapError::FaninTooLarge {
+                fanin: 6,
+                limit: 5,
+                ..
+            })
+        ));
     }
 }

@@ -29,14 +29,13 @@
 //! coarse rungs on the `rent-repl` workload's request (20k gates, T = 2,
 //! default multilevel configuration): `ml_refine_pass_ms_rent20k` is
 //! their wall time over their passes, and `ml_refine_cut_rent20k`, the
-//! cut they hand level 0, is exact.
+//! cut the last of them returns and hands level 0, is exact.
 //!
 //! Every bipartition must finish with `gain_repairs == 0` (the
 //! incremental updates are exact) and the k-way leg with a feasible
 //! result; the example asserts both.
 
 use netpart::core::{bipartition_from_sides, refine_sides, RunClock};
-use netpart::multilevel::cut_of_sides;
 use netpart::prelude::*;
 use netpart::report::{f2, Table};
 use std::time::Instant;
@@ -235,15 +234,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|c| pl.copies(c)[0].part.0 as u8)
         .collect();
     let clock = RunClock::new(&cfg.budget, &cfg.fault);
-    let (mut best_ms, mut passes, mut sides) = (f64::INFINITY, 0, Vec::new());
+    let (mut best_ms, mut passes, mut cut, mut sides) = (f64::INFINITY, 0, 0, Vec::new());
     for _ in 0..reps {
         let mut ms = 0.0;
         (passes, sides) = (0, start.clone());
         for i in (1..chain.len()).rev() {
             sides = chain[i].project_sides(&sides);
             let t0 = Instant::now();
-            passes += refine_sides(&chain[i - 1].hg, &coarse_cfg, &mut sides, 2, &clock).0;
+            let refined = refine_sides(&chain[i - 1].hg, &coarse_cfg, &mut sides, 2, &clock);
             ms += t0.elapsed().as_secs_f64() * 1e3;
+            (passes, cut) = (passes + refined.passes, refined.cut);
         }
         best_ms = best_ms.min(ms);
     }
@@ -251,7 +251,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let level0 = bipartition_from_sides(&hg, &cfg, &chain[0].project_sides(&sides), &clock);
     let full = ml_bipartition(&hg, &cfg, &ml);
     assert_eq!(level0.placement, full.placement, "not the V-cycle's calls");
-    let cut = cut_of_sides(&chain[0].hg, &sides);
     let pass_ms = best_ms / passes as f64;
     println!(
         "\nV-cycle refiner, {REPL_GATES} gates, T = 2: cut {cut} in {passes} passes, \

@@ -11,6 +11,7 @@
 //! endings (line numbers must not drift), a structurally valid but
 //! empty `.model` (parses, then partitions as invalid input, exit 2)
 //! and a file truncated mid-token (line-numbered parse error, exit 1).
+//! A `.names` cover wider than a LUT maps to a fan-in error (exit 1).
 //! Invalid option values — an out-of-range `--epsilon`, an unknown
 //! replication mode or `--cmd`, traditional replication for k-way —
 //! exit 2 as well, and `submit` refuses a spec the server would
@@ -67,6 +68,44 @@ fn parse_failure_exits_one_with_line_number() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("line "), "stderr lacks a line number: {err}");
+}
+
+/// A `.names` cover wider than a 5-input LUT has no structural
+/// decomposition. Ingest copies it and mapping rejects its fan-in: the
+/// CLI exits 1 naming the fan-in, and the server quarantines the job
+/// with the same error. Nothing panics.
+#[test]
+fn wide_cover_is_a_mapping_error_not_a_panic() {
+    let blif = data("wide_cover.blif");
+    let blif = blif.to_str().unwrap();
+    for cmd in ["stats", "bipartition"] {
+        let out = netpart().args([cmd, blif]).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(
+            err.contains("fan-in 6"),
+            "{cmd}: stderr lacks the fan-in: {err}"
+        );
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+    }
+    let spool = std::env::temp_dir().join(format!("netpart-wide-{}", std::process::id()));
+    let spool = spool.to_str().unwrap();
+    let run = |args: &[&str]| {
+        let out = netpart().args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    run(&["submit", spool, blif, "--id", "w1"]);
+    run(&["serve", spool, "--drain"]);
+    let queue = run(&["queue", spool]);
+    let row = queue.lines().find(|l| l.contains("w1")).unwrap_or_default();
+    assert!(
+        row.contains("quarantined") && row.contains("fan-in 6"),
+        "queue: {queue}"
+    );
+    let _ = std::fs::remove_dir_all(spool);
 }
 
 #[test]

@@ -7,8 +7,7 @@
 //! case `i` draws its parameters from `Rng::seed_from_u64(i)`, so a
 //! failure report names the case that reproduces it.
 
-use netpart::hypergraph::NetId;
-use netpart::multilevel::cut_of_sides;
+use netpart::hypergraph::{NetId, PartId, Placement};
 use netpart::prelude::*;
 use netpart::verify::gen;
 use netpart_rng::Rng;
@@ -23,10 +22,21 @@ fn engaged_ml() -> MultilevelConfig {
         .with_max_levels(8)
 }
 
+/// The cut of a side assignment, as [`Placement::cut_size`] counts it.
+fn cut_of(hg: &Hypergraph, sides: &[u8]) -> usize {
+    let mut pl = Placement::new_uniform(hg, 2, PartId(0));
+    for c in hg.cell_ids() {
+        pl.place(c, PartId(u16::from(sides[c.index()])));
+    }
+    pl.cut_size(hg)
+}
+
 /// Every level of every chain conserves total cell weight, never keeps
 /// a net spanning fewer than two clusters, and maps each coarse net's
 /// endpoint set to exactly the projected fine endpoint set (no pin
-/// appears from nowhere, none is lost).
+/// appears from nowhere, none is lost). A level keeps no net map: the
+/// survival rule is re-derived from `cell_map` (a fine net survives iff
+/// its endpoints land in ≥ 2 clusters, and survivors keep fine order).
 #[test]
 fn coarsening_invariants() {
     for case in 0..CASES {
@@ -40,40 +50,42 @@ fn coarsening_invariants() {
         for level in &chain {
             assert_eq!(level.hg.total_area(), fine.total_area(), "case {case}");
             assert!(level.hg.n_cells() < fine.n_cells(), "case {case}");
-            // Survival: kept nets span ≥ 2 clusters; the map covers
-            // exactly the kept set.
-            let kept = level.net_map.iter().flatten().count();
-            assert_eq!(kept, level.hg.n_nets(), "case {case}");
             for net in level.hg.nets() {
                 let mut cells: Vec<u32> = net.endpoints().map(|e| e.cell.0).collect();
                 cells.sort_unstable();
                 cells.dedup();
                 assert!(cells.len() >= 2, "case {case}: single-cluster net survived");
             }
-            // Pin projection totality: a coarse net's endpoint set is
-            // exactly the image of its fine net's endpoints.
-            for (f, mapped) in level.net_map.iter().enumerate() {
-                let Some(cn) = mapped else { continue };
+            // Pin projection totality: the k-th surviving fine net's
+            // endpoint image is exactly coarse net k's endpoint set,
+            // and every coarse net is some fine net's image.
+            let mut kept = 0u32;
+            for f in fine.net_ids() {
                 let mut projected: Vec<u32> = fine
-                    .net(NetId(f as u32))
+                    .net(f)
                     .endpoints()
                     .map(|e| level.cell_map[e.cell.0 as usize])
                     .collect();
                 projected.sort_unstable();
                 projected.dedup();
-                let mut coarse: Vec<u32> = level
-                    .hg
-                    .net(NetId(*cn))
-                    .endpoints()
-                    .map(|e| e.cell.0)
-                    .collect();
+                if projected.len() < 2 {
+                    continue;
+                }
+                let cn = NetId(kept);
+                kept += 1;
+                assert!(
+                    cn.index() < level.hg.n_nets(),
+                    "case {case}: fine net {f} lost"
+                );
+                let mut coarse: Vec<u32> = level.hg.net(cn).endpoints().map(|e| e.cell.0).collect();
                 coarse.sort_unstable();
                 coarse.dedup();
                 assert_eq!(
                     projected, coarse,
-                    "case {case}: pin image mismatch on fine net {f}"
+                    "case {case}: pin image mismatch, fine net {f} → coarse net {cn}"
                 );
             }
+            assert_eq!(kept as usize, level.hg.n_nets(), "case {case}");
             fine = &level.hg;
         }
     }
@@ -96,8 +108,8 @@ fn projection_preserves_cut_accounting() {
                 .collect();
             let fine_sides = level.project_sides(&coarse_sides);
             assert_eq!(
-                cut_of_sides(&level.hg, &coarse_sides),
-                cut_of_sides(fine, &fine_sides),
+                cut_of(&level.hg, &coarse_sides),
+                cut_of(fine, &fine_sides),
                 "case {case}"
             );
             fine = &level.hg;
