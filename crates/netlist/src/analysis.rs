@@ -9,8 +9,8 @@ use crate::model::{Driver, GateId, Netlist, NetlistError};
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::CombinationalCycle`] if the combinational part
-/// of the network is cyclic.
+/// Returns [`NetlistError::CombinationalCycle`], naming a signal on the
+/// cycle, if the combinational part of the network is cyclic.
 pub fn topo_order(nl: &Netlist) -> Result<Vec<GateId>, NetlistError> {
     let n = nl.n_gates();
     let mut indegree = vec![0usize; n];
@@ -19,7 +19,7 @@ pub fn topo_order(nl: &Netlist) -> Result<Vec<GateId>, NetlistError> {
         if nl.gate(g).kind.is_dff() {
             continue; // DFF consumes its input after the clock edge
         }
-        for &s in &nl.gate(g).inputs {
+        for &s in nl.gate(g).inputs {
             if let Driver::Gate(_) = nl.driver(s) {
                 indegree[g.index()] += 1;
             }
@@ -29,7 +29,7 @@ pub fn topo_order(nl: &Netlist) -> Result<Vec<GateId>, NetlistError> {
     let mut order = Vec::with_capacity(n);
     while let Some(g) = queue.pop() {
         order.push(g);
-        for &reader in &fanouts[nl.gate(g).output.index()] {
+        for &reader in fanouts.readers(nl.gate(g).output) {
             if nl.gate(reader).kind.is_dff() {
                 continue;
             }
@@ -40,9 +40,32 @@ pub fn topo_order(nl: &Netlist) -> Result<Vec<GateId>, NetlistError> {
         }
     }
     if order.len() != n {
-        return Err(NetlistError::CombinationalCycle);
+        return Err(NetlistError::CombinationalCycle(cycle_signal(
+            nl, &indegree,
+        )));
     }
     Ok(order)
+}
+
+/// The name of a signal on a combinational cycle, given the in-degrees
+/// [`topo_order`] left. A gate it never ordered reads a signal driven by
+/// another such gate, so walking back through them must repeat a gate,
+/// and the first gate repeated lies on a cycle.
+fn cycle_signal(nl: &Netlist, indegree: &[usize]) -> String {
+    let mut seen = vec![false; nl.n_gates()];
+    let mut at = GateId(indegree.iter().position(|&d| d > 0).unwrap_or(0) as u32);
+    while !seen[at.index()] {
+        seen[at.index()] = true;
+        let unordered = nl.gate(at).inputs.iter().find_map(|&s| match nl.driver(s) {
+            Driver::Gate(d) if indegree[d.index()] > 0 => Some(d),
+            _ => None,
+        });
+        match unordered {
+            Some(d) => at = d,
+            None => break,
+        }
+    }
+    nl.signal_name(nl.gate(at).output).to_string()
 }
 
 /// Computes the combinational depth of every gate (primary inputs and DFF
@@ -61,7 +84,7 @@ fn levelize(nl: &Netlist) -> Result<Vec<u32>, NetlistError> {
             continue;
         }
         let mut lvl = 0;
-        for &s in &nl.gate(g).inputs {
+        for &s in nl.gate(g).inputs {
             if let Driver::Gate(d) = nl.driver(s) {
                 if !nl.gate(d).kind.is_dff() {
                     lvl = lvl.max(level[d.index()] + 1);
@@ -102,7 +125,7 @@ impl NetlistStats {
     /// Panics if the netlist has a combinational cycle (validate first).
     pub fn of(nl: &Netlist) -> Self {
         let levels = levelize(nl).expect("netlist must be acyclic");
-        let comb: Vec<_> = nl.gates().iter().filter(|g| !g.kind.is_dff()).collect();
+        let comb: Vec<_> = nl.gates().filter(|g| !g.kind.is_dff()).collect();
         let fanin_sum: usize = comb.iter().map(|g| g.inputs.len()).sum();
         NetlistStats {
             gates: nl.n_gates(),
@@ -134,10 +157,10 @@ mod tests {
         let w0 = nl.add_signal("w0").unwrap();
         let w1 = nl.add_signal("w1").unwrap();
         let w2 = nl.add_signal("w2").unwrap();
-        nl.add_gate("g0", GateKind::And, vec![a, q], w0).unwrap();
-        nl.add_gate("g1", GateKind::Not, vec![w0], w1).unwrap();
-        nl.add_gate("g2", GateKind::Not, vec![w1], w2).unwrap();
-        nl.add_gate("ff", GateKind::Dff, vec![w2], q).unwrap();
+        nl.add_gate(GateKind::And, &[a, q], w0).unwrap();
+        nl.add_gate(GateKind::Not, &[w0], w1).unwrap();
+        nl.add_gate(GateKind::Not, &[w1], w2).unwrap();
+        nl.add_gate(GateKind::Dff, &[w2], q).unwrap();
         nl.add_primary_output(w2).unwrap();
         nl.validate().unwrap();
         nl

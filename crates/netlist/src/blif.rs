@@ -56,6 +56,18 @@ impl Error for ParseBlifError {
     }
 }
 
+impl ParseBlifError {
+    /// The 1-based source line the error is reported at: the first
+    /// physical line of the offending directive.
+    pub fn line(&self) -> usize {
+        match self {
+            ParseBlifError::Malformed { line, .. }
+            | ParseBlifError::Netlist { line, .. }
+            | ParseBlifError::UnknownOutput { line, .. } => *line,
+        }
+    }
+}
+
 /// Parses a BLIF-subset description into a [`Netlist`].
 ///
 /// Supported directives: `.model`, `.inputs`, `.outputs`, `.names`
@@ -63,10 +75,16 @@ impl Error for ParseBlifError {
 /// [`GateKind::Dff`]; type/control/init fields are accepted and ignored)
 /// and `.end`. `#` comments and `\` continuations are handled.
 ///
+/// Signals are numbered in order of first mention (a `.names` line's
+/// inputs, then its output), except that `.outputs` names are resolved
+/// at the end. The reader fills the netlist's arenas straight from the
+/// text: only a continued line is copied, into one reused buffer.
+///
 /// # Errors
 ///
 /// Returns an error on malformed directives or structural violations
-/// (multiple drivers, undefined outputs, combinational cycles).
+/// (multiple drivers, repeated inputs, undefined outputs). Every error
+/// names a line of `src` ([`ParseBlifError::line`]).
 ///
 /// # Examples
 ///
@@ -85,180 +103,182 @@ impl Error for ParseBlifError {
 /// # Ok::<(), netpart_netlist::ParseBlifError>(())
 /// ```
 pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
-    let mut nl = Netlist::new("top");
-    let mut outputs: Vec<(usize, String)> = Vec::new();
-    let mut pending: Option<(usize, Vec<String>, Vec<String>)> = None; // (.names line, tokens, cover)
-
-    // Join continuation lines, remembering the first physical line number.
-    let mut logical: Vec<(usize, String)> = Vec::new();
-    let mut acc = String::new();
-    let mut acc_line = 0usize;
+    let mut reader = Reader::new();
+    // A logical line is numbered by its first physical line; continued
+    // lines are joined, a space apart, in `joined`.
+    let mut joined = String::new();
+    let mut joined_line = 0;
     for (i, raw) in src.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim_end();
-        if acc.is_empty() {
-            acc_line = i + 1;
-        }
-        if let Some(stripped) = line.strip_suffix('\\') {
-            acc.push_str(stripped);
-            acc.push(' ');
+        let line = raw.find('#').map_or(raw, |at| &raw[..at]).trim_end();
+        if let Some(head) = line.strip_suffix('\\') {
+            if joined.is_empty() {
+                joined_line = i + 1;
+            }
+            joined.push_str(head);
+            joined.push(' ');
             continue;
         }
-        acc.push_str(line);
-        if !acc.trim().is_empty() {
-            logical.push((acc_line, std::mem::take(&mut acc)));
+        let (number, text) = if joined.is_empty() {
+            (i + 1, line)
         } else {
-            acc.clear();
+            joined.push_str(line);
+            (joined_line, joined.as_str())
+        };
+        let text = text.trim();
+        if !text.is_empty() && reader.line(number, text)? == Step::End {
+            break;
+        }
+        joined.clear();
+    }
+    reader.finish()
+}
+
+/// Whether the reader goes on after a line.
+#[derive(PartialEq)]
+enum Step {
+    Next,
+    End,
+}
+
+/// The netlist being read, and what a directive leaves for a later line.
+struct Reader {
+    nl: Netlist,
+    /// The open `.names`: its line and output. Its inputs are `pins` and
+    /// its cover rows so far `rows`; the gate is added at the next
+    /// directive, so its errors name the `.names` line.
+    names: Option<(usize, SignalId)>,
+    pins: Vec<SignalId>,
+    rows: String,
+    /// The `.outputs` names, back to back, each with its directive's line
+    /// and its end in `output_text`: they are resolved once every signal
+    /// is known.
+    output_text: String,
+    outputs: Vec<(usize, usize)>,
+}
+
+impl Reader {
+    fn new() -> Self {
+        Reader {
+            nl: Netlist::new("top"),
+            names: None,
+            pins: Vec::new(),
+            rows: String::new(),
+            output_text: String::new(),
+            outputs: Vec::new(),
         }
     }
 
-    let flush_names = |nl: &mut Netlist,
-                       pend: &mut Option<(usize, Vec<String>, Vec<String>)>|
-     -> Result<(), ParseBlifError> {
-        if let Some((line, tokens, cover)) = pend.take() {
-            let (ins, out) = tokens.split_at(tokens.len() - 1);
-            let inputs: Vec<SignalId> = ins
-                .iter()
-                .map(|n| intern(nl, n))
-                .collect::<Result<_, _>>()
-                .map_err(|source| ParseBlifError::Netlist { line, source })?;
-            let out_sig =
-                intern(nl, &out[0]).map_err(|source| ParseBlifError::Netlist { line, source })?;
-            nl.add_gate(
-                format!("names_{}", out[0]),
-                GateKind::Lut { cover },
-                inputs,
-                out_sig,
-            )
-            .map_err(|source| ParseBlifError::Netlist { line, source })?;
-        }
-        Ok(())
-    };
-
-    for (line, text) in logical {
-        let text = text.trim();
+    /// Reads one non-empty logical line, trimmed.
+    fn line(&mut self, line: usize, text: &str) -> Result<Step, ParseBlifError> {
         if text.starts_with('.') {
-            flush_names(&mut nl, &mut pending)?;
+            self.close_names()?;
         }
+        let malformed = |what: &str| ParseBlifError::Malformed {
+            line,
+            what: what.to_string(),
+        };
+        let netlist = |source| ParseBlifError::Netlist { line, source };
         let mut tok = text.split_whitespace();
         let head = tok.next().unwrap_or("");
         match head {
             ".model" => {
-                let name = tok.next().unwrap_or("top");
-                let mut renamed = Netlist::new(name);
-                std::mem::swap(&mut renamed, &mut nl);
-                // Keep any content accumulated before `.model` (none in
-                // well-formed files).
-                if renamed.n_signals() > 0 {
-                    return Err(ParseBlifError::Malformed {
-                        line,
-                        what: ".model after content".into(),
-                    });
+                if self.nl.n_signals() > 0 {
+                    return Err(malformed(".model after content"));
                 }
+                self.nl.set_name(tok.next().unwrap_or("top"));
             }
             ".inputs" => {
                 for name in tok {
-                    nl.add_primary_input(name)
-                        .map_err(|source| ParseBlifError::Netlist { line, source })?;
+                    self.nl.add_primary_input(name).map_err(netlist)?;
                 }
             }
             ".outputs" => {
                 for name in tok {
-                    outputs.push((line, name.to_string()));
+                    self.output_text.push_str(name);
+                    self.outputs.push((line, self.output_text.len()));
                 }
             }
             ".names" => {
-                let tokens: Vec<String> = tok.map(str::to_string).collect();
-                if tokens.is_empty() {
-                    return Err(ParseBlifError::Malformed {
-                        line,
-                        what: ".names needs at least an output".into(),
-                    });
-                }
-                pending = Some((line, tokens, Vec::new()));
+                self.pins.clear();
+                self.pins.extend(tok.map(|name| self.nl.intern(name)));
+                let Some(output) = self.pins.pop() else {
+                    return Err(malformed(".names needs at least an output"));
+                };
+                self.names = Some((line, output));
+                self.rows.clear();
             }
             ".latch" => {
-                let d = tok.next();
-                let q = tok.next();
-                let (Some(d), Some(q)) = (d, q) else {
-                    return Err(ParseBlifError::Malformed {
-                        line,
-                        what: ".latch needs input and output".into(),
-                    });
+                let (Some(d), Some(q)) = (tok.next(), tok.next()) else {
+                    return Err(malformed(".latch needs input and output"));
                 };
-                let d_sig = intern(&mut nl, d)
-                    .map_err(|source| ParseBlifError::Netlist { line, source })?;
-                let q_sig = intern(&mut nl, q)
-                    .map_err(|source| ParseBlifError::Netlist { line, source })?;
-                nl.add_gate(format!("latch_{q}"), GateKind::Dff, vec![d_sig], q_sig)
-                    .map_err(|source| ParseBlifError::Netlist { line, source })?;
+                let d = self.nl.intern(d);
+                let q = self.nl.intern(q);
+                self.nl.add_gate(GateKind::Dff, &[d], q).map_err(netlist)?;
             }
-            ".end" => break,
+            ".end" => return Ok(Step::End),
             _ if head.starts_with('.') => {
-                return Err(ParseBlifError::Malformed {
-                    line,
-                    what: format!("unsupported directive {head}"),
-                });
+                return Err(malformed(&format!("unsupported directive {head}")));
             }
-            _ => {
-                // A cover row of the pending `.names`.
-                match &mut pending {
-                    Some((_, _, cover)) => cover.push(text.to_string()),
-                    None => {
-                        return Err(ParseBlifError::Malformed {
-                            line,
-                            what: "cover row outside .names".into(),
-                        })
-                    }
-                }
+            _ if self.names.is_some() => {
+                self.rows.push_str(text);
+                self.rows.push('\n');
             }
+            _ => return Err(malformed("cover row outside .names")),
         }
+        Ok(Step::Next)
     }
-    flush_names(&mut nl, &mut pending)?;
 
-    for (line, name) in outputs {
-        let sig = nl
-            .signal_by_name(&name)
-            .ok_or_else(|| ParseBlifError::UnknownOutput {
-                line,
-                name: name.clone(),
-            })?;
-        nl.add_primary_output(sig)
-            .map_err(|source| ParseBlifError::Netlist { line, source })?;
+    /// Adds the open `.names` gate, if any.
+    fn close_names(&mut self) -> Result<(), ParseBlifError> {
+        if let Some((line, output)) = self.names.take() {
+            self.nl
+                .add_lut(&self.pins, output, &self.rows)
+                .map_err(|source| ParseBlifError::Netlist { line, source })?;
+        }
+        Ok(())
     }
-    Ok(nl)
-}
 
-fn intern(nl: &mut Netlist, name: &str) -> Result<SignalId, NetlistError> {
-    match nl.signal_by_name(name) {
-        Some(s) => Ok(s),
-        None => nl.add_signal(name),
+    fn finish(mut self) -> Result<Netlist, ParseBlifError> {
+        self.close_names()?;
+        let mut start = 0;
+        for &(line, end) in &self.outputs {
+            let name = &self.output_text[start..end];
+            start = end;
+            let sig =
+                self.nl
+                    .signal_by_name(name)
+                    .ok_or_else(|| ParseBlifError::UnknownOutput {
+                        line,
+                        name: name.to_string(),
+                    })?;
+            self.nl
+                .add_primary_output(sig)
+                .map_err(|source| ParseBlifError::Netlist { line, source })?;
+        }
+        Ok(self.nl)
     }
 }
 
 /// Serialises a [`Netlist`] as BLIF text that [`parse_blif`] round-trips.
 ///
 /// Primitive gates are emitted as `.names` with the canonical sum-of-
-/// products cover for their function; DFFs become `.latch` lines.
+/// products cover for their function; LUTs with their own cover rows;
+/// DFFs become `.latch` lines.
 pub fn write_blif(nl: &Netlist) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ".model {}", nl.name());
     if !nl.primary_inputs().is_empty() {
-        let names: Vec<&str> = nl
-            .primary_inputs()
-            .iter()
-            .map(|&s| nl.signal_name(s))
-            .collect();
-        let _ = writeln!(out, ".inputs {}", names.join(" "));
+        push_names(&mut out, nl, ".inputs", nl.primary_inputs().iter().copied());
     }
     if !nl.primary_outputs().is_empty() {
-        let names: Vec<&str> = nl
-            .primary_outputs()
-            .iter()
-            .map(|&s| nl.signal_name(s))
-            .collect();
-        let _ = writeln!(out, ".outputs {}", names.join(" "));
+        push_names(
+            &mut out,
+            nl,
+            ".outputs",
+            nl.primary_outputs().iter().copied(),
+        );
     }
-    for g in nl.gates() {
+    for (id, g) in nl.gate_ids().zip(nl.gates()) {
         if g.kind.is_dff() {
             let _ = writeln!(
                 out,
@@ -268,49 +288,64 @@ pub fn write_blif(nl: &Netlist) -> String {
             );
             continue;
         }
-        let mut names: Vec<&str> = g.inputs.iter().map(|&s| nl.signal_name(s)).collect();
-        names.push(nl.signal_name(g.output));
-        let _ = writeln!(out, ".names {}", names.join(" "));
-        for row in cover_rows(&g.kind, g.inputs.len()) {
-            let _ = writeln!(out, "{row}");
+        let pins = g.inputs.iter().copied().chain([g.output]);
+        push_names(&mut out, nl, ".names", pins);
+        match g.kind {
+            GateKind::Lut => out.push_str(nl.cover(id)),
+            kind => push_cover_rows(&mut out, kind, g.inputs.len()),
         }
     }
     out.push_str(".end\n");
     out
 }
 
-/// The canonical sum-of-products cover rows for a primitive gate.
-fn cover_rows(kind: &GateKind, n: usize) -> Vec<String> {
+/// Appends the line `head`, then the names of `signals`, a space apart.
+fn push_names(
+    out: &mut String,
+    nl: &Netlist,
+    head: &str,
+    signals: impl IntoIterator<Item = SignalId>,
+) {
+    out.push_str(head);
+    for s in signals {
+        out.push(' ');
+        out.push_str(nl.signal_name(s));
+    }
+    out.push('\n');
+}
+
+/// Appends the canonical sum-of-products cover rows of a primitive gate
+/// with `n` inputs, each ended by `\n`. A LUT keeps its own rows, and a
+/// DFF is written as `.latch`: neither has any here.
+fn push_cover_rows(out: &mut String, kind: GateKind, n: usize) {
     match kind {
-        GateKind::Buf => vec!["1 1".into()],
-        GateKind::Not => vec!["0 1".into()],
-        GateKind::And => vec![format!("{} 1", "1".repeat(n))],
-        GateKind::Nor => vec![format!("{} 1", "0".repeat(n))],
-        GateKind::Or => (0..n)
-            .map(|i| {
-                let mut row = vec!['-'; n];
-                row[i] = '1';
-                format!("{} 1", row.iter().collect::<String>())
-            })
-            .collect(),
-        GateKind::Nand => (0..n)
-            .map(|i| {
-                let mut row = vec!['-'; n];
-                row[i] = '0';
-                format!("{} 1", row.iter().collect::<String>())
-            })
-            .collect(),
-        GateKind::Xor => vec!["01 1".into(), "10 1".into()],
-        GateKind::Xnor => vec!["00 1".into(), "11 1".into()],
-        GateKind::Lut { cover } => cover.clone(),
-        GateKind::Dff => unreachable!("DFFs are written as .latch"),
+        GateKind::Buf => out.push_str("1 1\n"),
+        GateKind::Not => out.push_str("0 1\n"),
+        GateKind::Xor => out.push_str("01 1\n10 1\n"),
+        GateKind::Xnor => out.push_str("00 1\n11 1\n"),
+        // One row: every input 1 (AND) or every input 0 (NOR).
+        GateKind::And | GateKind::Nor => {
+            let bit = if kind == GateKind::And { '1' } else { '0' };
+            out.extend(std::iter::repeat_n(bit, n));
+            out.push_str(" 1\n");
+        }
+        // One row per input, the rest don't-care: input i is 1 (OR) or
+        // 0 (NAND).
+        GateKind::Or | GateKind::Nand => {
+            let bit = if kind == GateKind::Or { '1' } else { '0' };
+            for i in 0..n {
+                out.extend((0..n).map(|j| if j == i { bit } else { '-' }));
+                out.push_str(" 1\n");
+            }
+        }
+        GateKind::Lut | GateKind::Dff => {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::GateKind;
+    use crate::model::GateId;
 
     #[test]
     fn parse_simple_model() {
@@ -345,9 +380,9 @@ c
         let w = nl.add_signal("w").unwrap();
         let x = nl.add_signal("x").unwrap();
         let q = nl.add_signal("q").unwrap();
-        nl.add_gate("g0", GateKind::Nand, vec![a, b], w).unwrap();
-        nl.add_gate("g1", GateKind::Xor, vec![w, b], x).unwrap();
-        nl.add_gate("ff", GateKind::Dff, vec![x], q).unwrap();
+        nl.add_gate(GateKind::Nand, &[a, b], w).unwrap();
+        nl.add_gate(GateKind::Xor, &[w, b], x).unwrap();
+        nl.add_gate(GateKind::Dff, &[x], q).unwrap();
         nl.add_primary_output(q).unwrap();
         let text = write_blif(&nl);
         let back = parse_blif(&text).unwrap();
@@ -382,10 +417,11 @@ c
                 _ => 1..=9,
             };
             for n in arities {
-                let rows = cover_rows(&kind, n);
+                let mut rows = String::new();
+                push_cover_rows(&mut rows, kind, n);
                 for combo in 0..1u32 << n {
                     let x: Vec<bool> = (0..n).map(|i| combo >> i & 1 == 1).collect();
-                    let on = rows.iter().any(|row| {
+                    let on = rows.lines().any(|row| {
                         let (pattern, value) = row.split_once(' ').expect("pattern and value");
                         assert_eq!((pattern.len(), value), (n, "1"), "{kind:?}/{n}");
                         pattern.chars().zip(&x).all(|(c, &b)| match c {
@@ -487,6 +523,74 @@ c
         let src = ".model t\n.outputs k\n.names k\n1\n.end\n";
         let nl = parse_blif(src).unwrap();
         assert_eq!(nl.n_gates(), 1);
-        assert!(matches!(nl.gates()[0].kind, GateKind::Lut { .. }));
+        assert_eq!(nl.gate(GateId(0)).kind, GateKind::Lut);
+        assert_eq!(nl.cover(GateId(0)), "1\n");
+    }
+
+    /// A continued line is one directive, numbered by its first physical
+    /// line; a comment ends a line before its `\\`; and cover rows are
+    /// kept trimmed, in order, with their gate.
+    #[test]
+    fn continuations_join_and_keep_their_first_line() {
+        let src = "\
+.model t
+.inputs a \\
+  b # trailing comment
+.outputs y \\ # a comment
+z
+.names a \\
+b y
+ 1- 1\t
+-1 1
+.names b a \\
+  y
+11 1
+.end
+";
+        let err = parse_blif(src).unwrap_err();
+        assert_eq!(err.line(), 10);
+        assert_eq!(err.to_string(), r#"line 10: signal "y" already driven"#);
+        let ok = src.replace("b a \\\n  y", "b a \\\n  z");
+        let nl = parse_blif(&ok).unwrap();
+        let [a, b, y, z] = ["a", "b", "y", "z"].map(|n| nl.signal_by_name(n).unwrap());
+        assert_eq!(
+            (a, b, y, z),
+            (SignalId(0), SignalId(1), SignalId(2), SignalId(3))
+        );
+        assert_eq!(nl.primary_outputs(), &[y, z]);
+        assert_eq!(nl.gate(GateId(0)).inputs, &[a, b]);
+        assert_eq!(nl.cover(GateId(0)), "1- 1\n-1 1\n");
+        assert_eq!(nl.gate(GateId(1)).inputs, &[b, a]);
+        assert_eq!(nl.cover(GateId(1)), "11 1\n");
+    }
+
+    /// Structural errors name the BLIF signals, at the `.names` line.
+    #[test]
+    fn structural_errors_name_signals() {
+        let src = ".model t\n.inputs a\n.outputs y\n.names a a y\n11 1\n.end\n";
+        let err = parse_blif(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"line 4: the gate driving "y" lists input "a" twice"#
+        );
+        assert_eq!(err.line(), 4);
+        let src = ".model t\n.inputs a\n.names a a\n1 1\n";
+        assert_eq!(
+            parse_blif(src).unwrap_err(),
+            ParseBlifError::Netlist {
+                line: 3,
+                source: NetlistError::SignalAlreadyDriven("a".into())
+            }
+        );
+    }
+
+    /// A trailing continuation with nothing after it is dropped, and a
+    /// line after `.end` is never read.
+    #[test]
+    fn text_after_the_last_directive_is_ignored() {
+        let src = ".model t\n.inputs a\n.outputs a\n.end\n.gate x\n";
+        assert_eq!(parse_blif(src).unwrap().primary_outputs().len(), 1);
+        let src = ".model t\n.inputs a\n.outputs a\n.names \\";
+        assert_eq!(parse_blif(src).unwrap().n_gates(), 0);
     }
 }

@@ -199,6 +199,7 @@ pub fn generate(cfg: &GeneratorConfig) -> Netlist {
         pool[idx]
     };
 
+    let mut inputs = Vec::new();
     for g in 0..cfg.n_gates {
         let k_max = cfg.max_fanin.min(pool.len());
         // Weight fan-in toward 2–3 inputs, like mapped MCNC logic.
@@ -209,7 +210,7 @@ pub fn generate(cfg: &GeneratorConfig) -> Netlist {
         }
         .min(k_max)
         .max(if pool.len() >= 2 { 2 } else { 1 });
-        let mut inputs = Vec::with_capacity(k);
+        inputs.clear();
         let mut guard = 0;
         while inputs.len() < k && guard < 64 {
             let s = pick(&mut rng, &pool, &mut uses);
@@ -227,13 +228,13 @@ pub fn generate(cfg: &GeneratorConfig) -> Netlist {
             _ => GateKind::Or,
         };
         let out = nl.add_signal(format!("w{g}")).expect("fresh name");
-        nl.add_gate(format!("g{g}"), kind, inputs, out)
+        nl.add_gate(kind, &inputs, out)
             .expect("construction is structurally valid");
         push(&mut pool, &mut uses, out);
     }
 
     // Wire the flip-flop D inputs from late (deep) signals.
-    for (i, &q) in states.iter().enumerate() {
+    for &q in &states {
         let d = pick(&mut rng, &pool, &mut uses);
         // Avoid the degenerate q = DFF(q) self-loop where possible.
         let d = if d == q && pool.len() > 1 {
@@ -241,7 +242,7 @@ pub fn generate(cfg: &GeneratorConfig) -> Netlist {
         } else {
             d
         };
-        nl.add_gate(format!("ff{i}"), GateKind::Dff, vec![d], q)
+        nl.add_gate(GateKind::Dff, &[d], q)
             .expect("state signal is undriven until now");
     }
 
@@ -310,7 +311,7 @@ mod tests {
             let mut sum = 0.0f64;
             let mut count = 0.0f64;
             for g in nl.gate_ids() {
-                for &s in &nl.gate(g).inputs {
+                for &s in nl.gate(g).inputs {
                     if let crate::model::Driver::Gate(d) = nl.driver(s) {
                         sum += (g.index() as f64 - d.index() as f64).abs();
                         count += 1.0;
@@ -339,8 +340,7 @@ mod tests {
         let po: std::collections::HashSet<_> = nl.primary_outputs().iter().collect();
         let dangling = nl
             .gates()
-            .iter()
-            .filter(|g| idx[g.output.index()].is_empty() && !po.contains(&g.output))
+            .filter(|g| idx.readers(g.output).is_empty() && !po.contains(&g.output))
             .count();
         assert!(
             dangling < nl.n_gates() / 5,
@@ -361,7 +361,7 @@ mod tests {
     /// window plus outputs read outside it (or exported as POs).
     fn region_terminals(
         nl: &Netlist,
-        fanout: &[Vec<crate::model::GateId>],
+        fanout: &crate::model::Fanout,
         po: &std::collections::HashSet<SignalId>,
         lo: usize,
         hi: usize,
@@ -370,7 +370,7 @@ mod tests {
         let mut crossing = std::collections::HashSet::new();
         for gi in lo..hi {
             let g = nl.gate(crate::model::GateId(gi as u32));
-            for &s in &g.inputs {
+            for &s in g.inputs {
                 let external = match nl.driver(s) {
                     crate::model::Driver::Gate(d) => !inside(d),
                     _ => true,
@@ -380,7 +380,7 @@ mod tests {
                 }
             }
             let s = g.output;
-            if po.contains(&s) || fanout[s.index()].iter().any(|&r| !inside(r)) {
+            if po.contains(&s) || fanout.readers(s).iter().any(|&r| !inside(r)) {
                 crossing.insert(s);
             }
         }

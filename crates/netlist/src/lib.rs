@@ -34,4 +34,4 @@ mod model;
 pub use analysis::{topo_order, NetlistStats};
 pub use blif::{parse_blif, write_blif, ParseBlifError};
 pub use generate::{generate, GeneratorConfig};
-pub use model::{Driver, Gate, GateId, GateKind, Netlist, NetlistError, SignalId};
+pub use model::{Driver, Fanout, Gate, GateId, GateKind, Netlist, NetlistError, SignalId};

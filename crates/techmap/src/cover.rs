@@ -21,7 +21,7 @@ pub struct LutCone {
 pub(crate) fn consumer_counts(nl: &Netlist) -> Vec<usize> {
     let mut counts = vec![0usize; nl.n_signals()];
     for g in nl.gates() {
-        for &s in &g.inputs {
+        for &s in g.inputs {
             counts[s.index()] += 1;
         }
     }
@@ -44,7 +44,7 @@ pub(crate) fn consumer_counts(nl: &Netlist) -> Vec<usize> {
 /// exceeds `k` inputs (see
 /// [`decompose_wide_gates`](crate::decompose_wide_gates)).
 pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
-    for (i, g) in nl.gates().iter().enumerate() {
+    for (i, g) in nl.gates().enumerate() {
         if !g.kind.is_dff() && g.inputs.len() > k {
             return Err(MapError::FaninTooLarge {
                 gate: GateId(i as u32),
@@ -68,7 +68,7 @@ pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
         if gate.kind.is_dff() || absorbed[g.index()] {
             continue;
         }
-        let mut leaves: Vec<SignalId> = gate.inputs.clone();
+        let mut leaves: Vec<SignalId> = gate.inputs.to_vec();
         leaves.sort_unstable();
         leaves.dedup();
         let mut gates = vec![g];
@@ -88,7 +88,7 @@ pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
                 merged.clear();
                 merged.extend_from_slice(&leaves[..li]);
                 merged.extend_from_slice(&leaves[li + 1..]);
-                merged.extend_from_slice(&dg.inputs);
+                merged.extend_from_slice(dg.inputs);
                 merged.sort_unstable();
                 merged.dedup();
                 if merged.len() > k {
@@ -182,8 +182,7 @@ mod tests {
             .map(|i| nl.add_primary_input(format!("i{i}")).unwrap())
             .collect();
         let y = nl.add_signal("y").unwrap();
-        nl.add_gate("big", netpart_netlist::GateKind::And, ins, y)
-            .unwrap();
+        nl.add_gate(GateKind::And, &ins, y).unwrap();
         nl.add_primary_output(y).unwrap();
         assert!(matches!(
             cover(&nl, 5),
@@ -200,9 +199,9 @@ mod tests {
         let w = nl.add_signal("w").unwrap();
         let x = nl.add_signal("x").unwrap();
         let y = nl.add_signal("y").unwrap();
-        nl.add_gate("g0", GateKind::And, vec![a, b], w).unwrap();
-        nl.add_gate("g1", GateKind::Not, vec![w], x).unwrap();
-        nl.add_gate("g2", GateKind::Not, vec![w], y).unwrap();
+        nl.add_gate(GateKind::And, &[a, b], w).unwrap();
+        nl.add_gate(GateKind::Not, &[w], x).unwrap();
+        nl.add_gate(GateKind::Not, &[w], y).unwrap();
         nl.add_primary_output(x).unwrap();
         nl.add_primary_output(y).unwrap();
         let cones = cover(&nl, 5).unwrap();
@@ -217,8 +216,8 @@ mod tests {
         let b = nl.add_primary_input("b").unwrap();
         let w = nl.add_signal("w").unwrap();
         let x = nl.add_signal("x").unwrap();
-        nl.add_gate("g0", GateKind::And, vec![a, b], w).unwrap();
-        nl.add_gate("g1", GateKind::Not, vec![w], x).unwrap();
+        nl.add_gate(GateKind::And, &[a, b], w).unwrap();
+        nl.add_gate(GateKind::Not, &[w], x).unwrap();
         nl.add_primary_output(x).unwrap();
         let cones = cover(&nl, 5).unwrap();
         assert_eq!(cones.len(), 1);

@@ -136,7 +136,7 @@ impl Mapped {
     pub(crate) fn support_of<'a>(&'a self, nl: &'a Netlist, unit: &Unit) -> &'a [SignalId] {
         match unit {
             Unit::Lut { cone, .. } => &self.cones[*cone].support,
-            Unit::ExtReg { dff } => std::slice::from_ref(&nl.gate(*dff).inputs[0]),
+            Unit::ExtReg { dff } => &nl.gate(*dff).inputs[..1],
         }
     }
 
@@ -450,8 +450,8 @@ mod tests {
         let b2 = nl.add_primary_input("b").unwrap();
         let w = nl.add_signal("w").unwrap();
         let q = nl.add_signal("q").unwrap();
-        nl.add_gate("g", GateKind::And, vec![a, b2], w).unwrap();
-        nl.add_gate("ff", GateKind::Dff, vec![w], q).unwrap();
+        nl.add_gate(GateKind::And, &[a, b2], w).unwrap();
+        nl.add_gate(GateKind::Dff, &[w], q).unwrap();
         nl.add_primary_output(w).unwrap();
         nl.add_primary_output(q).unwrap();
         let m = map(&nl, &MapperConfig::xc3000()).unwrap();
@@ -471,8 +471,8 @@ mod tests {
         let b2 = nl.add_primary_input("b").unwrap();
         let w = nl.add_signal("w").unwrap();
         let q = nl.add_signal("q").unwrap();
-        nl.add_gate("g", GateKind::And, vec![a, b2], w).unwrap();
-        nl.add_gate("ff", GateKind::Dff, vec![w], q).unwrap();
+        nl.add_gate(GateKind::And, &[a, b2], w).unwrap();
+        nl.add_gate(GateKind::Dff, &[w], q).unwrap();
         nl.add_primary_output(q).unwrap();
         let m = map(&nl, &MapperConfig::xc3000()).unwrap();
         assert_eq!(m.n_clbs(), 1);

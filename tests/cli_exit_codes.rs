@@ -11,7 +11,9 @@
 //! endings (line numbers must not drift), a structurally valid but
 //! empty `.model` (parses, then partitions as invalid input, exit 2)
 //! and a file truncated mid-token (line-numbered parse error, exit 1).
-//! A `.names` cover wider than a LUT maps to a fan-in error (exit 1).
+//! A `.names` cover wider than a LUT maps to a fan-in error (exit 1),
+//! and an undriven signal, a second driver, a repeated input or a
+//! combinational loop is an error naming the BLIF signals (exit 1).
 //! Invalid option values — an out-of-range `--epsilon`, an unknown
 //! replication mode or `--cmd`, traditional replication for k-way —
 //! exit 2 as well, and `submit` refuses a spec the server would
@@ -106,6 +108,50 @@ fn wide_cover_is_a_mapping_error_not_a_panic() {
         "queue: {queue}"
     );
     let _ = std::fs::remove_dir_all(spool);
+}
+
+/// Well-formed BLIF lines that break a netlist rule, caught by the
+/// reader (a second driver, a repeated input) or by validation (an
+/// undriven signal, a loop): stats exits 1 with an error that names the
+/// file's signals, never the reader's signal or gate ids. Written
+/// inline, since the `bad_*.blif` corpus holds malformed files.
+#[test]
+fn netlist_errors_name_blif_signals() {
+    let head = ".model t\n.inputs a\n.outputs y\n";
+    let cases = [
+        (".names a x y\n11 1\n", vec![r#"signal "x" has no driver"#]),
+        (
+            ".names a y\n1 1\n.names a y\n0 1\n",
+            vec![r#"line 6: signal "y" already driven"#],
+        ),
+        (
+            ".names a a y\n11 1\n",
+            vec![r#"line 4: the gate driving "y" lists input "a" twice"#],
+        ),
+        (
+            ".names a z y\n11 1\n.names y z\n0 1\n",
+            vec![
+                r#"combinational cycle through signal "y""#,
+                r#"combinational cycle through signal "z""#,
+            ],
+        ),
+    ];
+    for (i, (body, expected)) in cases.iter().enumerate() {
+        let path =
+            std::env::temp_dir().join(format!("netpart-names-{}-{i}.blif", std::process::id()));
+        std::fs::write(&path, format!("{head}{body}.end\n")).expect("write temp BLIF");
+        let out = netpart()
+            .args(["stats", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let _ = std::fs::remove_file(&path);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "case {i}: {err}");
+        assert!(
+            expected.iter().any(|e| err.contains(e)),
+            "case {i}: stderr names no BLIF signal: {err}"
+        );
+    }
 }
 
 #[test]

@@ -118,7 +118,7 @@ fn wide_gate_netlists_map_after_decomposition() {
         .map(|i| nl.add_primary_input(format!("i{i}")).unwrap())
         .collect();
     let y = nl.add_signal("y").unwrap();
-    nl.add_gate("big", GateKind::And, ins, y).unwrap();
+    nl.add_gate(GateKind::And, &ins, y).unwrap();
     nl.add_primary_output(y).unwrap();
     // Direct mapping fails on the 12-input gate…
     assert!(map(&nl, &MapperConfig::xc3000()).is_err());

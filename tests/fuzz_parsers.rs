@@ -5,7 +5,7 @@
 //! record lines and whole journals, and a JSONL run trace. Each case
 //! applies one to three mutations drawn from `netpart-rng` (bit flips,
 //! truncations, line splices, CR and NUL injection) and feeds the result
-//! to the parser for its format. Two properties hold on every case:
+//! to the parser for its format. Three properties hold on every case:
 //!
 //! * no parser, and no ingest layer after `parse_blif` (`validate` →
 //!   `decompose_wide_gates` → `map` → `to_hypergraph`), panics — a
@@ -16,6 +16,8 @@
 //!   `write(parse(write(parse(x)))) == write(parse(x))` (for a journal
 //!   record, `parse(encode(r)) == r`; a replayed journal re-encodes to
 //!   its own valid prefix).
+//! * every rejected BLIF names a line of the input:
+//!   `ParseBlifError::line()` lies in `1..=` its physical line count.
 //!
 //! A failure names the case and its seed file, so a case is reproduced
 //! from two integers. The bounded sweep runs in the default pass; the
@@ -173,9 +175,12 @@ fn seeds() -> Vec<(String, Format, String)> {
     seeds
 }
 
-/// The scratch journal file the sweep replays mutated journals from.
-fn wal_path() -> PathBuf {
-    std::env::temp_dir().join(format!("netpart-fuzz-{}.wal", std::process::id()))
+/// The scratch journal file the sweep with seed `seed` replays mutated
+/// journals from: one per sweep, since both sweeps can run at once in
+/// one test process (`--include-ignored`).
+fn wal_path(seed: u64) -> PathBuf {
+    let name = format!("netpart-fuzz-{}-{seed:x}.wal", std::process::id());
+    std::env::temp_dir().join(name)
 }
 
 /// A random byte offset in `0..=len`.
@@ -255,8 +260,16 @@ enum Reached {
 fn check(format: Format, text: &str, wal: &Path) -> Reached {
     match format {
         Format::Blif => {
-            let Ok(nl) = parse_blif(text) else {
-                return Reached::Rejected;
+            let nl = match parse_blif(text) {
+                Ok(nl) => nl,
+                Err(e) => {
+                    let lines = text.lines().count();
+                    assert!(
+                        (1..=lines).contains(&e.line()),
+                        "BLIF error outside lines 1..={lines}: {e}"
+                    );
+                    return Reached::Rejected;
+                }
             };
             let written = write_blif(&nl);
             let again = parse_blif(&written).expect("written BLIF parses");
@@ -357,7 +370,7 @@ fn check(format: Format, text: &str, wal: &Path) -> Reached {
 fn sweep(seed: u64, cases: usize) {
     let seeds = seeds();
     assert!(seeds.len() >= 35, "corpus shrank: {} seeds", seeds.len());
-    let wal = wal_path();
+    let wal = wal_path(seed);
     let mut rng = Rng::seed_from_u64(seed);
     // Accepted cases per format, in `Format` order, and mapped BLIFs.
     let mut accepted = [0usize; 7];

@@ -62,9 +62,7 @@ fn decompose_is_mappable() {
         let out = decompose_wide_gates(&nl, k);
         assert!(out.validate().is_ok(), "case {case}");
         assert!(
-            out.gates()
-                .iter()
-                .all(|g| g.kind.is_dff() || g.inputs.len() <= k),
+            out.gates().all(|g| g.kind.is_dff() || g.inputs.len() <= k),
             "case {case}: a gate wider than {k} survived"
         );
         assert_eq!(out.primary_inputs().len(), nl.primary_inputs().len());
